@@ -71,10 +71,12 @@ def post_swap(
         (ch.name for ch in instance.characters if ch.name not in selected),
         key=lambda name: -profit_by_name[name],
     )[: config.max_candidates]
-    # Try to displace low-profit on-stencil characters first.
-    targets = sorted(selected, key=lambda name: profit_by_name[name])[
-        : config.max_targets
-    ]
+    # Try to displace low-profit on-stencil characters first.  ``selected``
+    # is a set of strings, so equal profits are ordered by instance index:
+    # its iteration order would make the plan depend on PYTHONHASHSEED.
+    targets = sorted(
+        selected, key=lambda name: (profit_by_name[name], index_of[name])
+    )[: config.max_targets]
 
     swaps = 0
     for candidate in unselected:

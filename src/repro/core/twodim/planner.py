@@ -256,6 +256,6 @@ class ClusterTimeModel:
     def __call__(self, selected_clusters: set[str]) -> float:
         if not selected_clusters:
             return float(self.vsb.max())
-        rows = [self.cluster_row[name] for name in selected_clusters]
+        rows = sorted(self.cluster_row[name] for name in selected_clusters)
         times = self.vsb - self.cluster_reductions[rows].sum(axis=0)
         return float(times.max())

@@ -64,7 +64,8 @@ def region_writing_times(
     reduction matrix.  :func:`region_writing_times_scalar` keeps the original
     loop as the reference implementation for the equivalence tests.
     """
-    indices = instance.indices_of(set(selected))
+    # Sorted so the float sum never follows a set's string-hash order.
+    indices = sorted(instance.indices_of(set(selected)))
     if not indices:
         return instance.vsb_times()
     times = instance.vsb_times_array() - instance.reduction_matrix_array()[indices].sum(axis=0)
