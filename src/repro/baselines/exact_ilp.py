@@ -29,6 +29,8 @@ class ExactILPConfig:
 
     time_limit: float | None = 300.0
     backend: str = "scipy"  # "scipy" (HiGHS) or "bnb" (from-scratch branch & bound)
+    # HiGHS node cap (scipy backend only): a load-independent stop.
+    node_limit: int | None = None
 
 
 class ExactILP1DPlanner:
@@ -44,7 +46,10 @@ class ExactILP1DPlanner:
         start = time.perf_counter()
         program, index = build_full_ilp(instance)
         solution = solve_ilp(
-            program, backend=self.config.backend, time_limit=self.config.time_limit
+            program,
+            backend=self.config.backend,
+            time_limit=self.config.time_limit,
+            node_limit=self.config.node_limit,
         )
         elapsed = time.perf_counter() - start
         plan = StencilPlan(instance=instance)
@@ -89,7 +94,10 @@ class ExactILP2DPlanner:
         start = time.perf_counter()
         program, index = build_full_ilp_2d(instance)
         solution = solve_ilp(
-            program, backend=self.config.backend, time_limit=self.config.time_limit
+            program,
+            backend=self.config.backend,
+            time_limit=self.config.time_limit,
+            node_limit=self.config.node_limit,
         )
         elapsed = time.perf_counter() - start
         plan = StencilPlan(instance=instance)

@@ -1,10 +1,10 @@
 """Batched multi-chain simulated annealing over stacked sequence pairs.
 
-The incremental engine (PR 3) drove the per-move cost of one annealing chain
-down to the exact-maintenance floor: only ~14 coordinates genuinely change
-per move, so what remains is Python interpreter overhead — dispatching a few
-dozen small NumPy kernels and list operations per move.  This module spends
-that overhead once for **K chains at a time**: :class:`BatchedAnnealer`
+The incremental engine drove the per-move cost of one annealing chain down
+to the exact-maintenance floor: a move revisits only the coordinates it can
+change, so what remains is Python interpreter overhead — a few dozen list
+operations and calls per move.  This module spends that overhead once for
+**K chains at a time**: :class:`BatchedAnnealer`
 holds K independent sequence-pair chains in structure-of-arrays form and
 advances all of them with one ufunc dispatch per DP step.
 

@@ -9,11 +9,14 @@ small area-efficiency term as a tie breaker.
 
 When the caller supplies a *region-time model* (an object exposing the
 pure-VSB region times and the per-block reduction vectors, see
-:class:`RegionTimeModel`), the packer evaluates moves through the annealer's
-delta-cost protocol: the per-region writing-time vector of the current state
-is cached and each candidate is scored by applying only the reduction rows
-of the blocks whose inside/outside status actually changed — O(changed x P)
-instead of O(inside x P) per move.
+:class:`RegionTimeModel`), the packer scores moves incrementally: the
+per-region writing-time vector of the current state is cached and each
+candidate is scored by applying only the reduction rows of the blocks whose
+inside/outside status actually changed — O(changed x P) instead of
+O(inside x P) per move.  The copy engine finds those blocks by comparing
+inside masks (the annealer's delta-cost protocol); the in-place engine
+re-tests only the blocks at the positions the :class:`IncrementalPacker`
+reports as touched by the move.
 """
 
 from __future__ import annotations
@@ -32,7 +35,11 @@ from repro.floorplan.annealing import (
     simulated_annealing_in_place,
 )
 from repro.floorplan.packing import _REBASES
-from repro.floorplan.batched import BatchedAnnealer, BatchedAnnealingResult
+from repro.floorplan.batched import (
+    BatchedAnnealer,
+    BatchedAnnealingResult,
+    _sample_two,
+)
 from repro.floorplan.packing import (
     Block,
     IncrementalPacker,
@@ -265,44 +272,71 @@ class FixedOutlinePacker:
         """Cost of the in-place state's current configuration.
 
         Mirrors :meth:`cost_of` (first call) and :meth:`delta_cost` (every
-        later call) operation for operation: the same inside-mask, the same
-        entered/left reduction updates against the last *accepted* state, and
-        the same periodic rebase — so a trajectory through this function is
-        bit-identical to the copy engine's.
+        later call) operation for operation: the entered/left blocks against
+        the last *accepted* state are applied as sorted row indices through
+        the same ``reductions[...].sum(axis=0)`` calls a boolean mask would
+        make, with the same periodic rebase — so a trajectory through this
+        function is bit-identical to the copy engine's.  Only the blocks at
+        the positions the last move touched are re-tested against the
+        outline; every other block kept its coordinates.
         """
         packer = state.packer
-        mask = packer.inside_mask(self.width, self.height)
         if self._model_reductions is None:
+            mask = packer.inside_mask(self.width, self.height)
             inside = {self._context.names[i] for i in np.nonzero(mask)[0]}
             writing_time = self.writing_time_of(inside)
             return self._penalized_dims(writing_time, packer.width, packer.height)
-        if state.base_mask is None:
+        if state.inside is None:
             # Initial full evaluation (the copy engine's cost_of path).
-            times = self._model_vsb - self._model_reductions[mask].sum(axis=0)
-            state.base_mask = mask
-            state.base_times = times
-            return self._penalized_dims(float(times.max()), packer.width, packer.height)
+            state.inside = self._inside_flags(packer)
+            state.base_times = self._region_times(state.inside)
+            return self._penalized_dims(
+                float(state.base_times.max()), packer.width, packer.height
+            )
         state.promote_pending()
-        changed = mask ^ state.base_mask
-        if not changed.any():
-            times = state.base_times
-        else:
-            entered = mask & changed
-            left = state.base_mask & changed
-            times = state.base_times.copy()
-            if entered.any():
+        xs, ys, widths, heights = packer.xs, packer.ys, packer.widths, packer.heights
+        width_limit = self.width + 1e-9
+        height_limit = self.height + 1e-9
+        inside = state.inside
+        order = packer.order
+        entered = []
+        left = []
+        for p in packer.touched:
+            c = order[p]
+            fits = xs[c] + widths[c] <= width_limit and ys[c] + heights[c] <= height_limit
+            if fits != inside[c]:
+                (entered if fits else left).append(c)
+        times = state.base_times
+        if entered or left:
+            times = times.copy()
+            if entered:
+                entered.sort()
                 times -= self._model_reductions[entered].sum(axis=0)
-            if left.any():
+            if left:
+                left.sort()
                 times += self._model_reductions[left].sum(axis=0)
         state.deltas_since_rebase += 1
         if state.deltas_since_rebase >= self.REBASE_INTERVAL:
             state.deltas_since_rebase = 0
-            times = self._model_vsb - self._model_reductions[mask].sum(axis=0)
+            times = self._region_times(self._inside_flags(packer))
             _REBASES.inc(scope="region-times")
             emit("rebase", scope="region-times", interval=self.REBASE_INTERVAL)
-        state.pending_mask = mask
-        state.pending_times = times
+        state.pending = (entered, left, times)
         return self._penalized_dims(float(times.max()), packer.width, packer.height)
+
+    def _inside_flags(self, packer: IncrementalPacker) -> list[bool]:
+        """Per block (canonical order), whether it lies inside the outline."""
+        width_limit = self.width + 1e-9
+        height_limit = self.height + 1e-9
+        return [
+            x + w <= width_limit and y + h <= height_limit
+            for x, y, w, h in zip(packer.xs, packer.ys, packer.widths, packer.heights)
+        ]
+
+    def _region_times(self, inside: list[bool]) -> np.ndarray:
+        """Region times of a full inside selection, rows summed in index order."""
+        rows = [c for c, flag in enumerate(inside) if flag]
+        return self._model_vsb - self._model_reductions[rows].sum(axis=0)
 
     @staticmethod
     def _propose_swap(state: "_InPlaceState", rng: random.Random):
@@ -317,8 +351,10 @@ class FixedOutlinePacker:
         size = state.packer.size
         if size < 2:
             return NullMove()
-        move = rng.randrange(3)
-        i, j = rng.sample(range(size), 2)
+        # randrange(3) and rng.sample(range(size), 2) without their
+        # per-call overhead, drawing the identical random numbers.
+        move = rng._randbelow(3)
+        i, j = _sample_two(rng, size)
         if move == 0:
             inner = SwapPositive(i, j)
         elif move == 1:
@@ -453,30 +489,29 @@ class _InPlaceState:
     """Mutable search state of the in-place engine.
 
     Bundles the :class:`IncrementalPacker` with the incremental region-time
-    bookkeeping: ``base_*`` describe the last *accepted* configuration,
-    ``pending_*`` the last evaluated candidate.  The candidate is promoted to
-    base lazily on the next evaluation — mirroring the copy engine's
-    ``_base_for`` promotion — and discarded when the move is reverted.
+    bookkeeping: ``inside`` flags each block of the last *accepted*
+    configuration and ``base_times`` is its region-time vector; ``pending``
+    holds the last evaluated candidate's ``(entered, left, times)``.  The
+    candidate is promoted to base lazily on the next evaluation — mirroring
+    the copy engine's ``_base_for`` promotion — and discarded when the move
+    is reverted.
     """
 
     def __init__(self, packer: IncrementalPacker) -> None:
         self.packer = packer
-        self.base_mask: np.ndarray | None = None
+        self.inside: list[bool] | None = None
         self.base_times: np.ndarray | None = None
-        self.pending_mask: np.ndarray | None = None
-        self.pending_times: np.ndarray | None = None
+        self.pending: tuple[list[int], list[int], np.ndarray] | None = None
         self.deltas_since_rebase = 0
 
     def promote_pending(self) -> None:
-        if self.pending_mask is not None:
-            self.base_mask = self.pending_mask
-            self.base_times = self.pending_times
-            self.pending_mask = None
-            self.pending_times = None
-
-    def discard_pending(self) -> None:
-        self.pending_mask = None
-        self.pending_times = None
+        if self.pending is not None:
+            entered, left, self.base_times = self.pending
+            for c in entered:
+                self.inside[c] = True
+            for c in left:
+                self.inside[c] = False
+            self.pending = None
 
 
 class _EngineMove:
@@ -493,4 +528,4 @@ class _EngineMove:
 
     def revert(self, state: _InPlaceState) -> None:
         self.inner.revert(state.packer)
-        state.discard_pending()
+        state.pending = None

@@ -13,7 +13,9 @@ orderings, which is plenty for the clustered problem sizes E-BLOW produces.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from operator import add
 from typing import Mapping
 
 import numpy as np
@@ -226,10 +228,9 @@ class PackerMove:
     """Base class for reversible in-place sequence-pair mutations.
 
     A move is applied to an :class:`IncrementalPacker`; during ``apply`` it
-    stashes the undo checkpoint (the dirty coordinate suffix plus whatever
-    structural bookkeeping the concrete move needs) on itself, so ``revert``
-    restores the packer exactly — bit for bit — to its pre-move state.  The
-    classes satisfy the annealing engine's ``Move`` protocol.
+    stashes the packer's undo checkpoint on itself, so ``revert`` restores
+    the packer exactly — bit for bit — to its pre-move state.  The classes
+    satisfy the annealing engine's ``Move`` protocol.
     """
 
     kind = "move"
@@ -249,8 +250,8 @@ class NullMove(PackerMove):
 
     kind = "none"
 
-    def apply(self, packer) -> None:  # noqa: D102 — trivially nothing
-        pass
+    def apply(self, packer) -> None:
+        packer.touched = []
 
     def revert(self, packer) -> None:
         pass
@@ -266,9 +267,7 @@ class SwapPositive(PackerMove):
         self.i, self.j = i, j
 
     def apply(self, packer: "IncrementalPacker") -> None:
-        positions = packer._swap_ranks(self.i, self.j)
-        self._checkpoint = packer._checkpoint(min(positions))
-        packer._after_mutation(min(positions), set(positions))
+        self._checkpoint = packer._apply(packer._swap_ranks(self.i, self.j))
 
     def revert(self, packer: "IncrementalPacker") -> None:
         packer._swap_ranks(self.i, self.j)
@@ -286,9 +285,7 @@ class SwapNegative(PackerMove):
 
     def apply(self, packer: "IncrementalPacker") -> None:
         packer._swap_positions(self.i, self.j)
-        lo = min(self.i, self.j)
-        self._checkpoint = packer._checkpoint(lo)
-        packer._after_mutation(lo, {self.i, self.j})
+        self._checkpoint = packer._apply((self.i, self.j))
 
     def revert(self, packer: "IncrementalPacker") -> None:
         packer._swap_positions(self.i, self.j)
@@ -311,22 +308,19 @@ class SwapBoth(PackerMove):
     def apply(self, packer: "IncrementalPacker") -> None:
         positions = packer._swap_ranks(self.i, self.j)
         packer._swap_positions(*positions)
-        lo = min(positions)
-        self._checkpoint = packer._checkpoint(lo)
-        packer._after_mutation(lo, set(positions))
+        self._checkpoint = packer._apply(positions)
 
     def revert(self, packer: "IncrementalPacker") -> None:
-        positions = packer._swap_ranks(self.i, self.j)
-        packer._swap_positions(*positions)
+        packer._swap_positions(*packer._swap_ranks(self.i, self.j))
         packer._restore(self._checkpoint)
 
 
 class Rotate(PackerMove):
     """Transpose one block (width/height and the blank pairs swapped).
 
-    The cached edge-weight row and column of the block's Gamma- position are
-    updated in place from the mutated geometry — no matrix rebuild.  The
-    transformation is an involution, so ``revert`` simply re-applies it.
+    The block's edge-weight row and column are refreshed in place from the
+    mutated geometry — no matrix rebuild.  The transformation is an
+    involution, so ``revert`` simply re-applies it.
     """
 
     kind = "rotate"
@@ -336,9 +330,7 @@ class Rotate(PackerMove):
         self.block_index = block_index
 
     def apply(self, packer: "IncrementalPacker") -> None:
-        position = packer._rotate_block(self.block_index)
-        self._checkpoint = packer._checkpoint(position)
-        packer._after_mutation(position, {position})
+        self._checkpoint = packer._apply((packer._rotate_block(self.block_index),))
 
     def revert(self, packer: "IncrementalPacker") -> None:
         packer._rotate_block(self.block_index)
@@ -355,10 +347,7 @@ class ShiftNegative(PackerMove):
         self.i, self.j = i, j
 
     def apply(self, packer: "IncrementalPacker") -> None:
-        lo, hi = min(self.i, self.j), max(self.i, self.j)
-        packer._shift_position(self.i, self.j)
-        self._checkpoint = packer._checkpoint(lo)
-        packer._after_mutation(lo, set(range(lo, hi + 1)))
+        self._checkpoint = packer._apply(packer._shift_position(self.i, self.j))
 
     def revert(self, packer: "IncrementalPacker") -> None:
         packer._shift_position(self.j, self.i)
@@ -375,10 +364,7 @@ class ShiftPositive(PackerMove):
         self.i, self.j = i, j
 
     def apply(self, packer: "IncrementalPacker") -> None:
-        positions = packer._shift_rank(self.i, self.j)
-        lo = min(positions)
-        self._checkpoint = packer._checkpoint(lo)
-        packer._after_mutation(lo, positions)
+        self._checkpoint = packer._apply(packer._shift_rank(self.i, self.j))
 
     def revert(self, packer: "IncrementalPacker") -> None:
         packer._shift_rank(self.j, self.i)
@@ -386,50 +372,51 @@ class ShiftPositive(PackerMove):
 
 
 class IncrementalPacker:
-    """Sequence-pair packing under in-place moves with dirty-suffix recompute.
+    """Sequence-pair packing under in-place moves, touching only what changes.
 
     The copy-based evaluation (:meth:`PackingContext.pack_arrays`) pays the
     full O(n^2) longest-path DP — plus an O(n^2) edge-matrix gather — for
     *every* candidate, even though an annealing move perturbs only two
-    sequence positions.  This class keeps the whole evaluation state resident
-    between moves:
+    sequence positions.  This class keeps the evaluation state resident
+    between moves.  Everything a move changes is a plain Python list (NumPy
+    scalar access would dominate at the block counts annealing sees):
 
-    * the Gamma- order, the Gamma+ ranks, and the per-block geometry arrays,
-      all pre-permuted into Gamma- order;
-    * the edge-weight matrices ``H``/``V`` (``H[k, p]`` = horizontal edge
-      from the predecessor at Gamma- position ``p`` into position ``k``),
-      maintained under moves by row/column permutation (swaps/shifts) or
-      in-place row+column refresh (rotations) — never rebuilt per move;
-    * the longest-path values ``xs``/``ys`` and, per position, the
-      *supporting predecessor* (argmax) of each DP value.
+    * the Gamma- ``order`` (position -> block) and Gamma+ ``by_rank`` (rank
+      -> block) with their inverses ``pos_of`` / ``rank_of``;
+    * per block, the longest-path values ``xs``/``ys`` and the *supporting
+      predecessor* (argmax) of each.
+
+    The edge weights ``H[b][a]`` / ``V[b][a]`` from predecessor block ``a``
+    into block ``b`` are indexed by block, not by position, so a Gamma- swap
+    exchanges two ``order`` entries and leaves them alone; only a rotation
+    rewrites one row and one column.  ``H_np`` / ``V_np`` hold the same
+    values for predecessor rows longer than ``_PY_ROW_LIMIT``, which
+    :class:`_LongRows` folds with a few vector operations.
 
     After a move, only positions at or after the earliest mutated Gamma-
     position can change (*dirty-suffix rule*: a DP step ``k`` only reads
     positions ``< k``).  Within the suffix, a position is re-evaluated against
     its full predecessor row only when it was structurally touched or its
-    cached supporting predecessor dropped; otherwise an O(|changed|) scan of
-    the changed predecessors' contributions proves its cached value stable
-    (or raises it in O(1)).  All arithmetic produces the same IEEE-double
-    values as the batch DP — max-folds are exact and the adds are identical —
-    so the maintained coordinates are **bit-identical** to a fresh
-    :meth:`PackingContext.pack` of the same state (asserted by property
-    tests; the dict-based :func:`pack_sequence_pair` differs from both by
-    float-association noise only).
+    supporting predecessor was touched or lowered its contribution;
+    otherwise a scan of the changed predecessors' contributions proves its
+    value stable (or raises it).  ``touched`` lists the Gamma- positions the
+    last move mutated or whose coordinates it changed, so a caller can
+    rescore just those blocks.
 
-    The hot state is mirrored in plain Python lists (scalar indexing on
-    ndarrays would dominate the suffix scan); the NumPy arrays are kept in
-    lockstep for the vectorized operations (inside-masks, bounding box,
-    checkpoints, long predecessor rows).  Every ``rebase_interval`` applied
-    moves the caches are rebuilt from scratch (mirroring
-    ``RunningTimes.REBASE_INTERVAL``); because permutation and refresh
-    updates are exact this is a safety net, not a correctness requirement.
+    All arithmetic produces the same IEEE-double values as the batch DP —
+    max-folds are exact and the adds are identical — so the maintained
+    coordinates are **bit-identical** to a fresh :meth:`PackingContext.pack`
+    of the same state (asserted by property tests; the dict-based
+    :func:`pack_sequence_pair` differs from both by float-association noise
+    only).  Every ``rebase_interval`` applied moves the caches are rebuilt
+    from scratch (mirroring ``RunningTimes.REBASE_INTERVAL``); updates are
+    exact, so this is a safety net, not a correctness requirement.
     """
 
     REBASE_INTERVAL = 4096
-    # Predecessor rows shorter than this are folded in pure Python (which
-    # also yields the supporting index for free); longer rows amortize the
-    # NumPy call overhead.
-    _PY_ROW_LIMIT = 80
+    # Predecessor rows longer than this are folded by _LongRows (a few
+    # vector operations over the row) instead of in pure Python.
+    _PY_ROW_LIMIT = 128
 
     def __init__(
         self,
@@ -446,35 +433,25 @@ class IncrementalPacker:
         self.rebase_interval = int(rebase_interval or self.REBASE_INTERVAL)
         self._applies = 0
 
-        # Mutable per-block geometry in canonical (sorted-name) order;
-        # rotations mutate these, everything else treats them as constants.
-        self.widths = context.widths.copy()
-        self.heights = context.heights.copy()
-        self.blank_left = context.blank_left.copy()
-        self.blank_right = context.blank_right.copy()
-        self.blank_top = context.blank_top.copy()
-        self.blank_bottom = context.blank_bottom.copy()
+        # Per-block geometry in canonical (sorted-name) order; rotations
+        # mutate it, everything else treats it as constant.
+        self.widths = context.widths.tolist()
+        self.heights = context.heights.tolist()
+        self.blank_left = context.blank_left.tolist()
+        self.blank_right = context.blank_right.tolist()
+        self.blank_top = context.blank_top.tolist()
+        self.blank_bottom = context.blank_bottom.tolist()
 
         index = context.index
-        self.by_rank = np.fromiter(
-            (index[name] for name in pair.positive), dtype=np.intp, count=n
-        )
-        self.order = np.fromiter(
-            (index[name] for name in pair.negative), dtype=np.intp, count=n
-        )
-        self.rank_of = np.empty(n, dtype=np.intp)
-        self.rank_of[self.by_rank] = np.arange(n, dtype=np.intp)
-        self.pos_of = np.empty(n, dtype=np.intp)
-        self.pos_of[self.order] = np.arange(n, dtype=np.intp)
-
-        # DP state + scratch buffers (allocated once, reused per move).
-        self.xs = np.zeros(n)
-        self.ys = np.zeros(n)
-        self._buf = np.empty(n)
-        self._maskbuf = np.empty(n, dtype=bool)
-        self._sumbuf = np.empty(n)
-        self.width = 0.0
-        self.height = 0.0
+        self.by_rank = [index[name] for name in pair.positive]
+        self.order = [index[name] for name in pair.negative]
+        self.rank_of = [0] * n
+        self.pos_of = [0] * n
+        for rank, c in enumerate(self.by_rank):
+            self.rank_of[c] = rank
+        for position, c in enumerate(self.order):
+            self.pos_of[c] = position
+        self.touched: list[int] = []
         self._rebuild()
 
     # ------------------------------------------------------------------ #
@@ -497,321 +474,200 @@ class IncrementalPacker:
         return {
             name: Block(
                 name=name,
-                width=float(self.widths[c]),
-                height=float(self.heights[c]),
-                blank_left=float(self.blank_left[c]),
-                blank_right=float(self.blank_right[c]),
-                blank_top=float(self.blank_top[c]),
-                blank_bottom=float(self.blank_bottom[c]),
+                width=self.widths[c],
+                height=self.heights[c],
+                blank_left=self.blank_left[c],
+                blank_right=self.blank_right[c],
+                blank_top=self.blank_top[c],
+                blank_bottom=self.blank_bottom[c],
             )
             for c, name in enumerate(self.names)
         }
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """``(x, y)`` arrays in canonical (sorted-name) order."""
-        n = self._n
-        x = np.empty(n)
-        y = np.empty(n)
-        x[self.order] = self.xs
-        y[self.order] = self.ys
-        return x, y
+        return np.array(self.xs, dtype=float), np.array(self.ys, dtype=float)
 
     def pack_result(self) -> PackingResult:
         """Current packing as a :class:`PackingResult` (dict building is O(n))."""
-        x, y = self.coordinates()
         return PackingResult(
             positions={
-                name: (float(x[c]), float(y[c])) for c, name in enumerate(self.names)
+                name: (self.xs[c], self.ys[c]) for c, name in enumerate(self.names)
             },
             width=self.width,
             height=self.height,
         )
 
     def inside_mask(self, outline_width: float, outline_height: float) -> np.ndarray:
-        """Canonical-order mask of blocks entirely inside the outline.
-
-        Element-for-element identical to evaluating the canonical coordinate
-        arrays: the comparisons are computed in Gamma- order and scattered.
-        """
-        n = self._n
-        np.add(self.xs, self.widths_o, out=self._sumbuf)
-        mask_o = self._sumbuf <= outline_width + 1e-9
-        np.add(self.ys, self.heights_o, out=self._sumbuf)
-        mask_o &= self._sumbuf <= outline_height + 1e-9
-        mask = np.empty(n, dtype=bool)
-        mask[self.order] = mask_o
-        return mask
+        """Canonical-order mask of blocks entirely inside the outline."""
+        x, y = self.coordinates()
+        return (x + self.widths <= outline_width + 1e-9) & (
+            y + self.heights <= outline_height + 1e-9
+        )
 
     # ------------------------------------------------------------------ #
     # Structural mutations (shared by the move classes)
     # ------------------------------------------------------------------ #
     def _swap_ranks(self, i: int, j: int) -> tuple[int, int]:
         """Swap Gamma+ ranks ``i`` and ``j``; returns the Gamma- positions."""
-        a, b = self.by_rank[i], self.by_rank[j]
-        self.by_rank[i], self.by_rank[j] = b, a
+        by_rank = self.by_rank
+        a, b = by_rank[i], by_rank[j]
+        by_rank[i], by_rank[j] = b, a
         self.rank_of[a], self.rank_of[b] = j, i
-        pa, pb = int(self.pos_of[a]), int(self.pos_of[b])
-        ranks_l = self.ranks_l
-        ranks_l[pa], ranks_l[pb] = ranks_l[pb], ranks_l[pa]
-        self.ranks[pa], self.ranks[pb] = self.ranks[pb], self.ranks[pa]
-        return pa, pb
+        return self.pos_of[a], self.pos_of[b]
 
     def _swap_positions(self, i: int, j: int) -> None:
-        """Swap Gamma- positions ``i`` and ``j`` (occupants + cached rows)."""
-        a, b = self.order[i], self.order[j]
-        self.order[i], self.order[j] = b, a
+        """Swap the occupants of Gamma- positions ``i`` and ``j``."""
+        order = self.order
+        a, b = order[i], order[j]
+        order[i], order[j] = b, a
         self.pos_of[a], self.pos_of[b] = j, i
-        for arr in (
-            self.ranks,
-            self.widths_o,
-            self.heights_o,
-            self.bl_o,
-            self.br_o,
-            self.bt_o,
-            self.bb_o,
-        ):
-            arr[i], arr[j] = arr[j], arr[i]
-        ranks_l = self.ranks_l
-        ranks_l[i], ranks_l[j] = ranks_l[j], ranks_l[i]
-        swap_buf = self._sumbuf
-        for matrix in (self.H, self.V):
-            # Buffered row/column swaps: three memcpys beat fancy indexing.
-            np.copyto(swap_buf, matrix[i])
-            matrix[i] = matrix[j]
-            matrix[j] = swap_buf
-            np.copyto(swap_buf, matrix[:, i])
-            matrix[:, i] = matrix[:, j]
-            matrix[:, j] = swap_buf
-        for rows in (self.H_l, self.V_l):
-            rows[i], rows[j] = rows[j], rows[i]
-        for row_h, row_v in zip(self.H_l, self.V_l):
-            row_h[i], row_h[j] = row_h[j], row_h[i]
-            row_v[i], row_v[j] = row_v[j], row_v[i]
-        # Column contents only permute across rows under a position swap, so
-        # the per-column upper bounds just exchange.
-        colmax_x, colmax_y = self.colmax_x, self.colmax_y
-        colmax_x[i], colmax_x[j] = colmax_x[j], colmax_x[i]
-        colmax_y[i], colmax_y[j] = colmax_y[j], colmax_y[i]
 
-    def _shift_window(self, i: int, j: int) -> tuple[int, int, np.ndarray]:
-        lo, hi = min(i, j), max(i, j)
-        if i < j:
-            src = np.concatenate(
-                [np.arange(i + 1, j + 1, dtype=np.intp), np.array([i], dtype=np.intp)]
-            )
-        else:
-            src = np.concatenate(
-                [np.array([i], dtype=np.intp), np.arange(j, i, dtype=np.intp)]
-            )
-        return lo, hi, src
+    def _shift_position(self, i: int, j: int) -> range:
+        """Move the Gamma- occupant at position ``i`` to position ``j``.
 
-    def _shift_position(self, i: int, j: int) -> None:
-        """Move the Gamma- occupant at position ``i`` to position ``j``."""
-        if i == j:
-            return
-        lo, hi, src = self._shift_window(i, j)
-        window = slice(lo, hi + 1)
-        for arr in (
-            self.order,
-            self.ranks,
-            self.widths_o,
-            self.heights_o,
-            self.bl_o,
-            self.br_o,
-            self.bt_o,
-            self.bb_o,
-        ):
-            arr[window] = arr[src]
-        self.pos_of[self.order[window]] = np.arange(lo, hi + 1, dtype=np.intp)
-        idx = np.arange(self._n, dtype=np.intp)
-        idx[window] = src
-        for matrix in (self.H, self.V):
-            matrix[:, :] = matrix[np.ix_(idx, idx)]
-        # Shift moves are rare (optional move types): refresh the list
-        # mirrors wholesale instead of permuting them piecewise.
-        self._refresh_list_mirrors()
+        Returns the window of positions whose occupant changed.
+        """
+        order, pos_of = self.order, self.pos_of
+        order.insert(j, order.pop(i))
+        window = range(min(i, j), max(i, j) + 1)
+        for p in window:
+            pos_of[order[p]] = p
+        return window
 
-    def _shift_rank(self, i: int, j: int) -> set[int]:
+    def _shift_rank(self, i: int, j: int) -> list[int]:
         """Move the Gamma+ occupant at rank ``i`` to rank ``j``.
 
-        Returns the set of Gamma- positions whose rank changed.
+        Returns the Gamma- positions of the blocks whose rank changed.
         """
-        if i == j:
-            return {int(self.pos_of[self.by_rank[i]])}
-        lo, hi, src = self._shift_window(i, j)
-        window = slice(lo, hi + 1)
-        self.by_rank[window] = self.by_rank[src]
-        moved = self.by_rank[window]
-        self.rank_of[moved] = np.arange(lo, hi + 1, dtype=np.intp)
-        positions = self.pos_of[moved]
-        self.ranks[positions] = self.rank_of[moved]
-        ranks_l = self.ranks_l
-        for p in positions:
-            ranks_l[p] = int(self.ranks[p])
-        return {int(p) for p in positions}
+        by_rank, rank_of, pos_of = self.by_rank, self.rank_of, self.pos_of
+        by_rank.insert(j, by_rank.pop(i))
+        positions = []
+        for rank in range(min(i, j), max(i, j) + 1):
+            c = by_rank[rank]
+            rank_of[c] = rank
+            positions.append(pos_of[c])
+        return positions
 
     def _rotate_block(self, c: int) -> int:
-        """Transpose block ``c``'s geometry; refresh its cached edge row/col.
+        """Transpose block ``c``'s geometry; refresh its edge row and column.
 
         Returns the block's Gamma- position.
         """
-        w, h = self.widths[c], self.heights[c]
-        self.widths[c], self.heights[c] = h, w
-        bl, bb = self.blank_left[c], self.blank_bottom[c]
-        self.blank_left[c], self.blank_bottom[c] = bb, bl
-        br, bt = self.blank_right[c], self.blank_top[c]
-        self.blank_right[c], self.blank_top[c] = bt, br
-        p = int(self.pos_of[c])
-        self.widths_o[p] = self.widths[c]
-        self.heights_o[p] = self.heights[c]
-        self.bl_o[p] = self.blank_left[c]
-        self.br_o[p] = self.blank_right[c]
-        self.bt_o[p] = self.blank_top[c]
-        self.bb_o[p] = self.blank_bottom[c]
-        # Refresh the block's row (it as successor) and column (it as
-        # predecessor) from the same formula the full rebuild uses.
+        w, h = self.widths, self.heights
+        bl, br, bt, bb = self.blank_left, self.blank_right, self.blank_top, self.blank_bottom
+        w[c], h[c] = h[c], w[c]
+        bl[c], bb[c] = bb[c], bl[c]
+        br[c], bt[c] = bt[c], br[c]
+        # The same element formula as the full rebuild: row c holds c as
+        # successor, column c holds c as predecessor.
         H, V = self.H, self.V
-        H[p, :] = self.widths_o - np.minimum(self.br_o, self.bl_o[p])
-        H[:, p] = self.widths_o[p] - np.minimum(self.br_o[p], self.bl_o)
-        V[p, :] = self.heights_o - np.minimum(self.bt_o, self.bb_o[p])
-        V[:, p] = self.heights_o[p] - np.minimum(self.bt_o[p], self.bb_o)
-        self.H_l[p] = H[p].tolist()
-        self.V_l[p] = V[p].tolist()
-        # tolist() keeps the mirrors plain-Python floats (ndarray scalars
-        # would drag NumPy dispatch into the hot propagation loops).
-        h_col = H[:, p].tolist()
-        v_col = V[:, p].tolist()
-        for q, row in enumerate(self.H_l):
-            row[p] = h_col[q]
-        for q, row in enumerate(self.V_l):
-            row[p] = v_col[q]
-        # Keep the column bounds valid: row p's new entries may raise any
-        # column's bound; column p is recomputed exactly.
-        colmax_x, colmax_y = self.colmax_x, self.colmax_y
-        for q, (eh, ev) in enumerate(zip(self.H_l[p], self.V_l[p])):
-            if eh > colmax_x[q]:
-                colmax_x[q] = eh
-            if ev > colmax_y[q]:
-                colmax_y[q] = ev
-        colmax_x[p] = float(H[:, p].max())
-        colmax_y[p] = float(V[:, p].max())
-        return p
+        H[c] = [wa - min(ra, bl[c]) for wa, ra in zip(w, br)]
+        V[c] = [ha - min(ta, bb[c]) for ha, ta in zip(h, bt)]
+        for row_h, row_v, left, bottom in zip(H, V, bl, bb):
+            row_h[c] = w[c] - min(br[c], left)
+            row_v[c] = h[c] - min(bt[c], bottom)
+        for lists, matrix in ((H, self.H_np), (V, self.V_np)):
+            matrix[c] = lists[c]
+            matrix[:, c] = [row[c] for row in lists]
+        # Keep the column bounds valid: row c's new entries may raise any
+        # column's bound; column c is recomputed exactly.
+        self.colmax_x = list(map(max, self.colmax_x, H[c]))
+        self.colmax_y = list(map(max, self.colmax_y, V[c]))
+        self.colmax_x[c] = max(row[c] for row in H)
+        self.colmax_y[c] = max(row[c] for row in V)
+        return self.pos_of[c]
 
     # ------------------------------------------------------------------ #
     # DP maintenance
     # ------------------------------------------------------------------ #
-    def _refresh_list_mirrors(self) -> None:
-        self.ranks_l = self.ranks.tolist()
-        self.H_l = [row.tolist() for row in self.H]
-        self.V_l = [row.tolist() for row in self.V]
-        # Per-column upper bounds (colmax[p] >= H[k, p] for every k) feed the
-        # one-compare pruning in the propagation scan.
-        if self._n:
-            self.colmax_x = self.H.max(axis=0).tolist()
-            self.colmax_y = self.V.max(axis=0).tolist()
-        else:
-            self.colmax_x = []
-            self.colmax_y = []
-
     def _rebuild(self) -> None:
-        """Recompute every cache from the mutable geometry (rebase)."""
-        order = self.order
-        self.ranks = self.rank_of[order].copy()
-        self.widths_o = self.widths[order]
-        self.heights_o = self.heights[order]
-        self.bl_o = self.blank_left[order]
-        self.br_o = self.blank_right[order]
-        self.bt_o = self.blank_top[order]
-        self.bb_o = self.blank_bottom[order]
-        # H[k, p] = width(p) - min(blank_right(p), blank_left(k)); same
-        # element arithmetic as PackingContext.h_edge reindexed into Gamma-
-        # order and transposed.
-        self.H = self.widths_o[None, :] - np.minimum(
-            self.br_o[None, :], self.bl_o[:, None]
-        )
-        self.V = self.heights_o[None, :] - np.minimum(
-            self.bt_o[None, :], self.bb_o[:, None]
-        )
-        self._refresh_list_mirrors()
+        """Recompute every cache from the block geometry (rebase)."""
         n = self._n
-        self.xs[:] = 0.0
-        self.ys[:] = 0.0
-        self.xs_l = [0.0] * n
-        self.ys_l = [0.0] * n
-        self.xarg_l = [-1] * n
-        self.yarg_l = [-1] * n
-        for k in range(1, n):
-            self._recompute_x(k)
-            self._recompute_y(k)
+        widths = np.array(self.widths)
+        heights = np.array(self.heights)
+        # H[b, a] = width(a) - min(blank_right(a), blank_left(b)): the same
+        # element arithmetic as PackingContext.h_edge, transposed.
+        H = widths[None, :] - np.minimum(
+            np.array(self.blank_right)[None, :], np.array(self.blank_left)[:, None]
+        )
+        V = heights[None, :] - np.minimum(
+            np.array(self.blank_top)[None, :], np.array(self.blank_bottom)[:, None]
+        )
+        self.H_np, self.V_np = H, V
+        self.H, self.V = H.tolist(), V.tolist()
+        # colmax[a] >= H[b][a] for every b: an upper bound on any block's
+        # outgoing edge, which feeds the one-compare pruning in _propagate.
+        self.colmax_x = H.max(axis=0).tolist() if n else []
+        self.colmax_y = V.max(axis=0).tolist() if n else []
+        self.xs, self.ys = [0.0] * n, [0.0] * n
+        self.xarg, self.yarg = [-1] * n, [-1] * n
+        walked = self._start_walk()
+        for k, b in enumerate(self.order):
+            self.xs[b], self.xarg[b] = self._row_x(k, b)
+            self.ys[b], self.yarg[b] = self._row_y(k, b)
+            walked[0].append(b)
+            walked[1].append(b)
         self._update_bbox()
 
-    def _recompute_x(self, k: int) -> bool:
-        """Full predecessor-row DP step for x; returns whether xs[k] changed.
+    def _start_walk(self) -> tuple[list[int], list[int]]:
+        """Fresh change logs for one DP walk (the blocks whose x / y it set)."""
+        self._walk = ([], [])
+        self._long_rows = None
+        return self._walk
 
-        Short rows fold in pure Python (same IEEE adds, same max — the fold
-        order does not affect exact maxima); long rows use the same NumPy
-        kernel as the batch DP.
+    def _long_row(self, k: int, b: int, axis: int) -> tuple[float, int]:
+        if self._long_rows is None:
+            self._long_rows = _LongRows(self)
+        return self._long_rows.row(k, b, axis)
+
+    def _row_x(self, k: int, b: int) -> tuple[float, int]:
+        """Full x DP step of block ``b`` at position ``k``: (value, support).
+
+        Same IEEE adds and the same max as the batch DP; the fold order does
+        not affect an exact maximum.
         """
-        ranks_l = self.ranks_l
-        rk = ranks_l[k]
+        if k > self._PY_ROW_LIMIT:
+            return self._long_row(k, b, 0)
+        rank_of, xs, row = self.rank_of, self.xs, self.H[b]
+        rk = rank_of[b]
         best = 0.0
         arg = -1
-        if k <= self._PY_ROW_LIMIT:
-            xs_l = self.xs_l
-            row = self.H_l[k]
-            for p in range(k):
-                if ranks_l[p] < rk:
-                    cand = xs_l[p] + row[p]
-                    if cand > best:
-                        best = cand
-                        arg = p
-        else:
-            m = self._maskbuf[:k]
-            np.less(self.ranks[:k], self.ranks[k], out=m)
-            b = self._buf[:k]
-            np.add(self.xs[:k], self.H[k, :k], out=b)
-            best = float(np.maximum.reduce(b, where=m, initial=0.0))
-            if best > 0.0:
-                candidates = np.where(m, b, -np.inf)
-                arg = int(candidates.argmax())
-        changed = best != self.xs_l[k]
-        self.xs_l[k] = best
-        self.xs[k] = best
-        self.xarg_l[k] = arg
-        return changed
+        for a in self.order[:k]:
+            if rank_of[a] < rk:
+                cand = xs[a] + row[a]
+                if cand > best:
+                    best = cand
+                    arg = a
+        return best, arg
 
-    def _recompute_y(self, k: int) -> bool:
-        ranks_l = self.ranks_l
-        rk = ranks_l[k]
+    def _row_y(self, k: int, b: int) -> tuple[float, int]:
+        if k > self._PY_ROW_LIMIT:
+            return self._long_row(k, b, 1)
+        rank_of, ys, row = self.rank_of, self.ys, self.V[b]
+        rk = rank_of[b]
         best = 0.0
         arg = -1
-        if k <= self._PY_ROW_LIMIT:
-            ys_l = self.ys_l
-            row = self.V_l[k]
-            for p in range(k):
-                if ranks_l[p] > rk:
-                    cand = ys_l[p] + row[p]
-                    if cand > best:
-                        best = cand
-                        arg = p
-        else:
-            m = self._maskbuf[:k]
-            np.greater(self.ranks[:k], self.ranks[k], out=m)
-            b = self._buf[:k]
-            np.add(self.ys[:k], self.V[k, :k], out=b)
-            best = float(np.maximum.reduce(b, where=m, initial=0.0))
-            if best > 0.0:
-                candidates = np.where(m, b, -np.inf)
-                arg = int(candidates.argmax())
-        changed = best != self.ys_l[k]
-        self.ys_l[k] = best
-        self.ys[k] = best
-        self.yarg_l[k] = arg
-        return changed
+        for a in self.order[:k]:
+            if rank_of[a] > rk:
+                cand = ys[a] + row[a]
+                if cand > best:
+                    best = cand
+                    arg = a
+        return best, arg
 
-    def _after_mutation(self, dirty: int, structural: set[int]) -> None:
-        """Propagate a structural change through the DP suffix."""
-        self._propagate(dirty, structural)
+    def _apply(self, structural) -> tuple:
+        """Propagate a structural change; returns the undo checkpoint.
+
+        ``structural`` lists the Gamma- positions whose occupant, rank or
+        edge weights the move mutated.
+        """
+        checkpoint = (
+            self.xs, self.ys, self.xarg, self.yarg, self.width, self.height
+        )
+        self.xs, self.ys = self.xs[:], self.ys[:]
+        self.xarg, self.yarg = self.xarg[:], self.yarg[:]
+        self.touched = self._propagate(structural)
         self._applies += 1
         if self._applies % self.rebase_interval == 0:
             self._rebuild()
@@ -819,160 +675,161 @@ class IncrementalPacker:
             emit("rebase", scope="packing", interval=self.rebase_interval)
         else:
             self._update_bbox()
-
-    def _propagate(self, dirty: int, structural: set[int]) -> None:
-        """Dirty-suffix recompute with changed-set pruning.
-
-        ``structural`` positions had their rank, occupant, or edge weights
-        mutated, so their contribution to any successor may have changed even
-        when their own coordinate did not; they seed both changed sets.  A
-        clean position pays a full predecessor-row re-evaluation only when
-        its cached supporting predecessor was structurally touched or lowered
-        its contribution; an O(|changed|) scan of the changed predecessors
-        resolves raises in O(1).  Most positions are dismissed by a single
-        compare: ``ub`` is an upper bound on any changed predecessor's
-        possible contribution (its value plus its largest outgoing edge), so
-        a position whose coordinate already exceeds ``ub`` — and whose
-        support is untouched — provably cannot move.
-        """
-        from bisect import insort
-
-        n = self._n
-        start = max(dirty, 1)
-        if start >= n:
-            return
-        xs_l, ys_l = self.xs_l, self.ys_l
-        xs_np, ys_np = self.xs, self.ys
-        xarg_l, yarg_l = self.xarg_l, self.yarg_l
-        ranks_l = self.ranks_l
-        H_l, V_l = self.H_l, self.V_l
-        colmax_x, colmax_y = self.colmax_x, self.colmax_y
-        changed_x = set(structural)
-        changed_y = set(structural)
-        list_x = sorted(changed_x)
-        list_y = list(list_x)
-        ub_x = max(xs_l[p] + colmax_x[p] for p in list_x)
-        ub_y = max(ys_l[p] + colmax_y[p] for p in list_y)
-        for k in range(start, n):
-            if k in structural:
-                if self._recompute_x(k):
-                    changed_x.add(k)
-                    insort(list_x, k)
-                    bound = xs_l[k] + colmax_x[k]
-                    if bound > ub_x:
-                        ub_x = bound
-                if self._recompute_y(k):
-                    changed_y.add(k)
-                    insort(list_y, k)
-                    bound = ys_l[k] + colmax_y[k]
-                    if bound > ub_y:
-                        ub_y = bound
-                continue
-            # ---- x ----
-            cur = xs_l[k]
-            support = xarg_l[k]
-            if support in changed_x and (
-                support in structural
-                or xs_l[support] + H_l[k][support] < cur
-            ):
-                # The support's rank/edges changed or its contribution
-                # dropped: the max may now come from anywhere — rescan.
-                if self._recompute_x(k):
-                    changed_x.add(k)
-                    insort(list_x, k)
-                    bound = xs_l[k] + colmax_x[k]
-                    if bound > ub_x:
-                        ub_x = bound
-            elif ub_x > cur:
-                rk = ranks_l[k]
-                row = H_l[k]
-                best = cur
-                arg = -1
-                for p in list_x:
-                    if p >= k:
-                        break
-                    if ranks_l[p] < rk:
-                        cand = xs_l[p] + row[p]
-                        if cand > best:
-                            best = cand
-                            arg = p
-                if arg >= 0:
-                    xs_l[k] = best
-                    xarg_l[k] = arg
-                    xs_np[k] = best
-                    changed_x.add(k)
-                    insort(list_x, k)
-                    bound = best + colmax_x[k]
-                    if bound > ub_x:
-                        ub_x = bound
-            # ---- y ----
-            cur = ys_l[k]
-            support = yarg_l[k]
-            if support in changed_y and (
-                support in structural
-                or ys_l[support] + V_l[k][support] < cur
-            ):
-                if self._recompute_y(k):
-                    changed_y.add(k)
-                    insort(list_y, k)
-                    bound = ys_l[k] + colmax_y[k]
-                    if bound > ub_y:
-                        ub_y = bound
-            elif ub_y > cur:
-                rk = ranks_l[k]
-                row = V_l[k]
-                best = cur
-                arg = -1
-                for p in list_y:
-                    if p >= k:
-                        break
-                    if ranks_l[p] > rk:
-                        cand = ys_l[p] + row[p]
-                        if cand > best:
-                            best = cand
-                            arg = p
-                if arg >= 0:
-                    ys_l[k] = best
-                    yarg_l[k] = arg
-                    ys_np[k] = best
-                    changed_y.add(k)
-                    insort(list_y, k)
-                    bound = best + colmax_y[k]
-                    if bound > ub_y:
-                        ub_y = bound
-
-    def _update_bbox(self) -> None:
-        if self._n == 0:
-            self.width = 0.0
-            self.height = 0.0
-            return
-        np.add(self.xs, self.widths_o, out=self._sumbuf)
-        self.width = float(self._sumbuf.max())
-        np.add(self.ys, self.heights_o, out=self._sumbuf)
-        self.height = float(self._sumbuf.max())
-
-    # ------------------------------------------------------------------ #
-    # Undo support
-    # ------------------------------------------------------------------ #
-    def _checkpoint(self, dirty: int):
-        """Snapshot of everything ``_propagate`` may touch at/after ``dirty``."""
-        return (
-            dirty,
-            self.xs[dirty:].copy(),
-            self.ys[dirty:].copy(),
-            self.xarg_l[dirty:],
-            self.yarg_l[dirty:],
-            self.width,
-            self.height,
-        )
+        return checkpoint
 
     def _restore(self, checkpoint) -> None:
-        dirty, xs, ys, x_arg, y_arg, width, height = checkpoint
-        self.xs[dirty:] = xs
-        self.ys[dirty:] = ys
-        self.xs_l[dirty:] = xs.tolist()
-        self.ys_l[dirty:] = ys.tolist()
-        self.xarg_l[dirty:] = x_arg
-        self.yarg_l[dirty:] = y_arg
-        self.width = width
-        self.height = height
+        self.xs, self.ys, self.xarg, self.yarg, self.width, self.height = checkpoint
+
+    def _propagate(self, structural) -> list[int]:
+        """Dirty-suffix recompute; returns the touched Gamma- positions.
+
+        The *seeds* (blocks at ``structural`` positions) had their position,
+        rank or edge weights mutated, so their contribution to any successor
+        may have changed even when their own coordinate did not; they are
+        re-evaluated in full.  A clean block pays a full predecessor-row
+        re-evaluation only when its supporting predecessor is a seed or
+        lowered its contribution.  Raises come from the changed predecessors
+        only, which are kept sorted by an upper bound on their contribution
+        (their value plus their largest outgoing edge): a scan stops at the
+        first bound that cannot beat the best value found, and a block whose
+        coordinate already reaches the largest bound is dismissed by a single
+        compare.
+        """
+        order, rank_of = self.order, self.rank_of
+        xs, ys, xarg, yarg = self.xs, self.ys, self.xarg, self.yarg
+        H, V = self.H, self.V
+        colmax_x, colmax_y = self.colmax_x, self.colmax_y
+        touched = sorted(set(structural))
+        seeds = {order[p] for p in touched}
+        # A seed's old position or rank no longer holds, so blocks it
+        # supported re-scan even before the walk reaches its new position.
+        marked_x = set(seeds)
+        marked_y = set(seeds)
+        walked_x, walked_y = self._start_walk()
+        # (-bound, block) of the changed predecessors walked so far, sorted
+        # by decreasing bound; a walked block is always a predecessor by
+        # position, so the scans only test the rank.
+        bounds_x: list[tuple[float, int]] = []
+        bounds_y: list[tuple[float, int]] = []
+        ub_x = ub_y = 0.0
+        for k in range(touched[0], self._n):
+            b = order[k]
+            if b in seeds:
+                xs[b], xarg[b] = self._row_x(k, b)
+                ys[b], yarg[b] = self._row_y(k, b)
+                walked_x.append(b)
+                walked_y.append(b)
+                bound = xs[b] + colmax_x[b]
+                insort(bounds_x, (-bound, b))
+                ub_x = max(ub_x, bound)
+                bound = ys[b] + colmax_y[b]
+                insort(bounds_y, (-bound, b))
+                ub_y = max(ub_y, bound)
+                continue
+            moved = False
+            # ---- x ----
+            cur = xs[b]
+            support = xarg[b]
+            if support in marked_x and (
+                support in seeds or xs[support] + H[b][support] < cur
+            ):
+                # The max may now come from anywhere: rescan the full row.
+                best, xarg[b] = self._row_x(k, b)
+            elif ub_x > cur:
+                rk = rank_of[b]
+                row = H[b]
+                best = cur
+                for bound, a in bounds_x:
+                    if -bound <= best:
+                        break
+                    if rank_of[a] < rk:
+                        cand = xs[a] + row[a]
+                        if cand > best:
+                            best = cand
+                            xarg[b] = a
+            else:
+                best = cur
+            if best != cur:
+                xs[b] = best
+                moved = True
+                walked_x.append(b)
+                marked_x.add(b)
+                bound = best + colmax_x[b]
+                insort(bounds_x, (-bound, b))
+                if bound > ub_x:
+                    ub_x = bound
+            # ---- y ----
+            cur = ys[b]
+            support = yarg[b]
+            if support in marked_y and (
+                support in seeds or ys[support] + V[b][support] < cur
+            ):
+                best, yarg[b] = self._row_y(k, b)
+            elif ub_y > cur:
+                rk = rank_of[b]
+                row = V[b]
+                best = cur
+                for bound, a in bounds_y:
+                    if -bound <= best:
+                        break
+                    if rank_of[a] > rk:
+                        cand = ys[a] + row[a]
+                        if cand > best:
+                            best = cand
+                            yarg[b] = a
+            else:
+                best = cur
+            if best != cur:
+                ys[b] = best
+                moved = True
+                walked_y.append(b)
+                marked_y.add(b)
+                bound = best + colmax_y[b]
+                insort(bounds_y, (-bound, b))
+                if bound > ub_y:
+                    ub_y = bound
+            if moved:
+                touched.append(k)
+        return touched
+
+    def _update_bbox(self) -> None:
+        self.width = max(map(add, self.xs, self.widths), default=0.0)
+        self.height = max(map(add, self.ys, self.heights), default=0.0)
+
+
+class _LongRows:
+    """NumPy view of one DP walk, for predecessor rows past ``_PY_ROW_LIMIT``.
+
+    Built on a walk's first long row.  The Gamma- order and the ranks do not
+    change during a walk; the coordinate copies are patched from the walk's
+    change logs before each row.  A row then costs a few vector operations
+    over its ``k`` predecessors, with the same adds and the same max as the
+    Python fold.
+    """
+
+    def __init__(self, packer: IncrementalPacker) -> None:
+        self.order = np.array(packer.order, dtype=np.intp)
+        self.ranks = np.array(packer.rank_of)[self.order]
+        self.packer = packer
+        self.values = (np.array(packer.xs), np.array(packer.ys))
+        self.synced = [len(log) for log in packer._walk]
+
+    def row(self, k: int, b: int, axis: int) -> tuple[float, int]:
+        packer = self.packer
+        values = self.values[axis]
+        log = packer._walk[axis]
+        if len(log) > self.synced[axis]:
+            fresh = log[self.synced[axis]:]
+            current = packer.ys if axis else packer.xs
+            values[fresh] = [current[a] for a in fresh]
+            self.synced[axis] = len(log)
+        predecessors = self.order[:k]
+        rk = packer.rank_of[b]
+        mask = self.ranks[:k] > rk if axis else self.ranks[:k] < rk
+        edges = (packer.V_np if axis else packer.H_np)[b]
+        cand = np.where(mask, values.take(predecessors) + edges.take(predecessors), -np.inf)
+        i = int(cand.argmax())
+        best = float(cand[i])
+        if best > 0.0:
+            return best, int(predecessors[i])
+        return 0.0, -1

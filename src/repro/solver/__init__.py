@@ -45,6 +45,7 @@ def solve_ilp(
     backend: str = "scipy",
     time_limit: float | None = None,
     mip_rel_gap: float | None = None,
+    node_limit: int | None = None,
 ) -> Solution:
     """Solve a mixed-integer program.
 
@@ -56,7 +57,11 @@ def solve_ilp(
         fully self-contained stack.
     mip_rel_gap:
         Optional early-stop relative gap (HiGHS backend only).
+    node_limit:
+        Optional branch & bound node cap (HiGHS backend only).
     """
+    if node_limit is not None and backend != "scipy":
+        raise ValueError(f"node_limit needs the scipy backend, not {backend!r}")
     if backend == "bnb":
         return solve_ilp_branch_and_bound(
             program, BranchAndBoundConfig(time_limit=time_limit)
@@ -66,4 +71,6 @@ def solve_ilp(
             program,
             BranchAndBoundConfig(time_limit=time_limit, lp_backend="simplex"),
         )
-    return solve_milp_scipy(program, time_limit=time_limit, mip_rel_gap=mip_rel_gap)
+    return solve_milp_scipy(
+        program, time_limit=time_limit, mip_rel_gap=mip_rel_gap, node_limit=node_limit
+    )

@@ -204,12 +204,15 @@ def solve_milp_scipy(
     program: LinearProgram,
     time_limit: float | None = None,
     mip_rel_gap: float | None = None,
+    node_limit: int | None = None,
 ) -> Solution:
     """Solve the mixed-integer program with HiGHS ``milp``.
 
     ``mip_rel_gap`` accepts an early-stop relative optimality gap (e.g. 0.02
     for 2 %); the heuristic stages of E-BLOW use it because a near-optimal
-    assignment is refined further downstream anyway.
+    assignment is refined further downstream anyway.  ``node_limit`` stops
+    the branch & bound after that many nodes: unlike ``time_limit``, the
+    incumbent it returns does not depend on how fast the host runs.
     """
     c = _objective_vector(program)
     a_ub, b_ub, a_eq, b_eq = _build_matrices(program)
@@ -235,6 +238,8 @@ def solve_milp_scipy(
         options["time_limit"] = float(time_limit)
     if mip_rel_gap is not None:
         options["mip_rel_gap"] = float(mip_rel_gap)
+    if node_limit is not None:
+        options["node_limit"] = int(node_limit)
     with _silence_native_stdout():
         result = optimize.milp(
             c,

@@ -78,29 +78,47 @@ def _assert_exact(packer: IncrementalPacker, context_note) -> None:
     assert got.height == pytest.approx(scalar.height)
 
 
+def _by_position(packer: IncrementalPacker) -> list:
+    """``(occupant, (x, y))`` of every Gamma- position."""
+    positions = packer.pack_result().positions
+    return [(name, positions[name]) for name in packer.snapshot_pair().negative]
+
+
 @pytest.mark.parametrize(
     "n,steps,seed,rebase",
     [
         (2, 150, 0, 7),
         (9, 700, 1, 23),
         (16, 900, 2, 64),
-        (90, 250, 3, 97),  # crosses the pure-Python/NumPy row threshold
+        (90, 250, 3, 97),
+        (150, 100, 4, 53),  # crosses the pure-Python/NumPy row threshold
     ],
 )
 def test_apply_revert_matches_fresh_packing(n, steps, seed, rebase):
-    """Thousands of randomized apply/revert moves stay exactly in lockstep."""
+    """Thousands of randomized apply/revert moves stay exactly in lockstep.
+
+    Every apply must also report as touched each Gamma- position whose
+    occupant or coordinates it changed: callers rescore only those.
+    """
     rng = random.Random(seed)
     blocks = _random_blocks(n, rng)
     pair = SequencePair.initial(list(blocks), rng)
     packer = IncrementalPacker(blocks, pair, rebase_interval=rebase)
     _assert_exact(packer, ("init", n))
+    kinds = set()
     for step in range(steps):
         move = _random_move(n, rng)
+        before = _by_position(packer)
         move.apply(packer)
+        kinds.add(move.kind)
         _assert_exact(packer, (n, step, "apply", move.kind))
+        after = _by_position(packer)
+        changed = {p for p in range(n) if before[p] != after[p]}
+        assert changed <= set(packer.touched), (n, step, move.kind)
         if rng.random() < 0.45:
             move.revert(packer)
             _assert_exact(packer, (n, step, "revert", move.kind))
+    assert len(kinds) == 6
 
 
 def test_snapshot_round_trips_through_sequence_pair():

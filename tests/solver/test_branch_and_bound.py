@@ -83,3 +83,11 @@ def test_solve_ilp_dispatch():
     for backend in ("scipy", "bnb", "bnb-simplex"):
         sol = solve_ilp(lp, backend=backend)
         assert sol.objective == pytest.approx(5.0)
+
+
+def test_solve_ilp_node_limit_is_scipy_only():
+    lp = knapsack_program([2, 3], [2, 5], 3)
+    assert solve_ilp(lp, node_limit=50).objective == pytest.approx(5.0)
+    for backend in ("bnb", "bnb-simplex"):
+        with pytest.raises(ValueError):
+            solve_ilp(lp, backend=backend, node_limit=50)
