@@ -2,13 +2,18 @@
 
 These keep an eye on the performance-critical building blocks: the KD-tree
 range query, the bipartite matching, LP construction + solve of the
-simplified formulation, the profit / writing-time kernels, and the
-sequence-pair packing evaluation.
+simplified formulation, the profit / writing-time kernels, the
+sequence-pair packing evaluation, and the event relay that carries plan
+events from pool workers to the parent.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -19,11 +24,13 @@ from repro.core.onedim.formulation import (
     build_simplified_formulation,
 )
 from repro.core.profits import compute_profits
+from repro.events import PlanEvent
 from repro.floorplan import Block, SequencePair
 from repro.floorplan.packing import PackingContext
 from repro.geometry import KDTree
 from repro.matching import max_weight_matching
 from repro.model.writing_time import region_writing_times
+from repro.runtime import EventRelay
 from repro.solver import solve_lp
 
 
@@ -177,3 +184,48 @@ def test_micro_sequence_pair_packing(benchmark):
 
     total = benchmark(run)
     assert total > 0
+
+
+def _relay_puts(queue, count: int) -> float:
+    """Worker side of the relay cell: microseconds per ``put`` of one event."""
+    event = PlanEvent(
+        type="temperature",
+        seq=1,
+        elapsed=0.5,
+        payload={
+            "temperature": 12.5, "cost": 3141.5, "moves": 400, "label": "eblow-2d",
+            "worker_pid": os.getpid(), "job_id": "0" * 16,
+        },
+    ).to_dict()
+    queue.put(event)  # the first put opens the connection: keep it untimed
+    start = time.perf_counter()
+    for _ in range(count):
+        queue.put(event)
+    return (time.perf_counter() - start) / count * 1e6
+
+
+def test_micro_event_relay(benchmark):
+    """One pool worker streams events to the parent's consumer.
+
+    ``us_per_event_put`` is what a planner pays per emitted event (the
+    worker's ``put``); ``us_per_event_delivered`` divides the wall time from
+    dispatch until ``close()`` has handed the last event to the consumer.
+    """
+    count = 2000
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(1, mp_context=context) as executor:
+        executor.submit(int).result()  # worker started and imported
+
+        def run():
+            seen = []
+            start = time.perf_counter()
+            with EventRelay(seen.append) as relay:
+                put_us = executor.submit(_relay_puts, relay.queue, count).result()
+            delivered_us = (time.perf_counter() - start) / (count + 1) * 1e6
+            assert len(seen) == count + 1
+            return put_us, delivered_us
+
+        put_us, delivered_us = benchmark.pedantic(run, rounds=5, iterations=1)
+    benchmark.extra_info["events"] = count
+    benchmark.extra_info["us_per_event_put"] = round(put_us, 2)
+    benchmark.extra_info["us_per_event_delivered"] = round(delivered_us, 2)

@@ -52,7 +52,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.errors import ValidationError
 from repro.io.serialization import canonical_json, write_text_atomic
@@ -259,6 +259,12 @@ class Broker:
         self.ledger_path = self.dir / "ledger.jsonl"
         self._ledger: JobJournal | None = None
         self._rng = random.Random(self.config.backoff_seed)
+        # Polling must not list done/ or quarantine/, which keep every job
+        # ever settled: reap() follows the ledger from this byte offset, and
+        # the settled-state gauges are seeded by one listing, then advanced
+        # by the ops read from it.
+        self._ledger_offset: int | None = None
+        self._settled: dict[str, int] | None = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -536,9 +542,16 @@ class Broker:
         partitioned worker looks exactly like a dead one, and the fencing
         epoch makes that safe).  Idempotent and safe to run from any
         process; drivers call it once per poll.
+
+        ``summary["committed"]`` counts the commits ledgered since this
+        instance's previous call (0 on the first), which drivers read as
+        progress.  A poll costs O(live leases + workers + new ledger
+        records), however many jobs the spool has settled.
         """
         now = time.time()
-        summary = {"expired": 0, "worker_deaths": 0, "quarantined": 0}
+        ops = self._new_ledger_ops()
+        summary = {"expired": 0, "worker_deaths": 0, "quarantined": 0,
+                   "committed": ops.count("done")}
         dead_workers: set[str] = set()
         for path in self.workers.glob("*.json"):
             entry = _read_json(path)
@@ -596,8 +609,33 @@ class Broker:
                 path.unlink()
             except OSError:
                 pass
-        self._update_gauges()
+        self._update_gauges(ops)
         return summary
+
+    def _new_ledger_ops(self) -> list[str]:
+        """The ``op`` of each complete ledger record appended since the last call.
+
+        The first call only marks where the ledger ends (nothing is new yet).
+        The file is reopened every time, so a shared filesystem revalidates it.
+        """
+        try:
+            with open(self.ledger_path, "rb") as handle:
+                if self._ledger_offset is None:
+                    self._ledger_offset = handle.seek(0, os.SEEK_END)
+                handle.seek(self._ledger_offset)
+                data = handle.read()
+        except FileNotFoundError:
+            self._ledger_offset = 0  # every record it will hold is new
+            return []
+        complete = data.rfind(b"\n") + 1  # a record still being written waits
+        self._ledger_offset += complete
+        ops = []
+        for line in data[:complete].splitlines():
+            try:
+                ops.append(json.loads(line).get("op"))
+            except (ValueError, AttributeError):
+                continue  # a torn record from a crashed writer
+        return ops
 
     # ------------------------------------------------------------------ #
     # Collection (driver side)
@@ -640,8 +678,7 @@ class Broker:
     def inspect(self) -> dict:
         """Spool introspection for ``eblow jobs``: counts, leases, workers."""
         now = time.time()
-        counts = {state: len(list(getattr(self, state).glob("*.json")))
-                  for state in STATES}
+        counts = {state: self._count(state) for state in STATES}
         leases = []
         for path in sorted(self.leased.glob("*.json")):
             claim = _read_json(path) or {}
@@ -763,16 +800,19 @@ class Broker:
         except OSError:
             pass
 
-    def _update_gauges(self) -> None:
+    def _count(self, state: str) -> int:
+        return len(list(getattr(self, state).glob("*.json")))
+
+    def _update_gauges(self, ops: Sequence[str] = ()) -> None:
+        if self._settled is not None:
+            self._settled["done"] += ops.count("done")
+            self._settled["quarantine"] += ops.count("quarantined")
         if obs_metrics.installed() is None:
             return
-        for state in STATES:
-            try:
-                depth = len(list(getattr(self, state).glob("*.json")))
-            except OSError:
-                continue
+        if self._settled is None:
+            self._settled = {state: self._count(state) for state in ("done", "quarantine")}
+        depths = {**self._settled, "queued": self._count("queued"),
+                  "leased": self._count("leased")}
+        for state, depth in depths.items():
             _DIST_QUEUE_DEPTH.set(depth, state=state)
-        try:
-            _DIST_WORKERS.set(len(list(self.workers.glob("*.json"))))
-        except OSError:
-            pass
+        _DIST_WORKERS.set(self._count("workers"))

@@ -274,17 +274,12 @@ class BrokerScheduler(Scheduler):
     def _collect(self, job: PlanJob, store: ResultStore | None) -> JobResult:
         broker = self.broker
         waited_from = time.monotonic()
-        seen_done = -1
         while True:
             result = broker.fetch(job, store=store)
             if result is not None:
                 return result
             summary = broker.reap()
-            done_now = len(list(broker.done.glob("*.json")))
-            progressed = (summary["expired"] or summary["worker_deaths"]
-                          or done_now != seen_done)
-            seen_done = done_now
-            if progressed:
+            if summary["committed"] or summary["expired"] or summary["worker_deaths"]:
                 waited_from = time.monotonic()  # the spool made progress
             self.ensure_workers()
             if (self.wait_timeout is not None

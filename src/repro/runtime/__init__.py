@@ -10,6 +10,8 @@ This package turns the single-shot planners into a batch-serving engine:
 * :mod:`repro.runtime.pool`      — :class:`PlannerPool`, a warm process-pool
   executor with chunked descriptor dispatch, per-job timeouts, retries, and
   ordered result streaming (:func:`shared_pool` for process-wide reuse),
+* :mod:`repro.runtime.relay`     — :class:`EventRelay`, the workers' plan
+  events streamed to the parent over one Unix-socket connection per worker,
 * :mod:`repro.runtime.engine`    — store-aware batch orchestration
   (:func:`grid_jobs` / :func:`run_jobs` / :func:`iter_jobs`),
 * :mod:`repro.runtime.portfolio` — racing several planner configs on one

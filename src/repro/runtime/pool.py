@@ -52,6 +52,7 @@ from repro.obs.tracing import span
 from repro.runtime import faults
 from repro.runtime.arena import InstanceArena
 from repro.runtime.jobs import JobDescriptor, JobResult, PlanJob, execute_job
+from repro.runtime.relay import EventRelay
 
 __all__ = ["PlannerPool", "EventRelay", "default_workers", "shared_pool", "close_shared_pools"]
 
@@ -175,7 +176,7 @@ def _execute_descriptor(
                 try:
                     if not faults.heartbeat_stalled(desc.job_id):
                         event_queue.put(PlanEvent(type="heartbeat", payload=payload).to_dict())
-                except Exception:  # noqa: BLE001 — dead parent/manager: stop beating
+                except Exception:  # noqa: BLE001 — closed or dead relay: stop beating
                     return
                 if stop.wait(heartbeat):
                     return
@@ -217,10 +218,9 @@ def _execute_descriptor(
     pid = os.getpid()
 
     def _relay(event: PlanEvent) -> None:
-        # Each put() is an IPC round-trip through the manager proxy, so a
-        # consumer that only needs some types (the portfolio's incumbent
-        # bookkeeping) filters at the source, not in the parent.  A dead
-        # parent/manager makes put() raise; the emitter then drops this
+        # A consumer that only needs some types (the portfolio's incumbent
+        # bookkeeping) filters at the source, not in the parent.  A closed
+        # or dead relay makes put() raise; the emitter then drops this
         # sink for the rest of the run instead of failing the job.
         if event_types is not None and event.type not in event_types:
             return
@@ -316,70 +316,6 @@ def _pool_worker_chunk(
         _execute_descriptor(desc, event_queue, event_types, collect_metrics)
         for desc in descs
     ]
-
-
-class EventRelay:
-    """Parent-side fan-in of worker :class:`PlanEvent` streams.
-
-    Workers serialize each event onto a manager queue (proxies pickle under
-    every start method); a daemon thread in the parent re-inflates them and
-    hands them to ``on_event`` in arrival order.  Use as a context manager —
-    ``queue`` is what :meth:`PlannerPool.submit` / :meth:`PlannerPool.imap`
-    take as ``event_queue``.
-    """
-
-    def __init__(self, on_event: Callable[[PlanEvent], None]) -> None:
-        import multiprocessing
-
-        self._manager = multiprocessing.Manager()
-        self.queue = self._manager.Queue()
-        self._on_event = on_event
-        self._consumer_broken = False
-        self._thread = threading.Thread(
-            target=self._drain, name="plan-event-relay", daemon=True
-        )
-        self._thread.start()
-
-    def _drain(self) -> None:
-        while True:
-            try:
-                item = self.queue.get()
-            except (EOFError, OSError):  # manager shut down underneath us
-                return
-            if item is None:
-                return
-            if self._consumer_broken:
-                continue  # keep draining so workers never block on the queue
-            try:
-                self._on_event(PlanEvent.from_dict(item))
-            except Exception:  # noqa: BLE001 — same contract as repro.events:
-                # a sink that raises is dropped for the rest of the run.
-                self._consumer_broken = True
-
-    def close(self) -> None:
-        """Stop the drain thread and shut the manager down (idempotent).
-
-        The sentinel is enqueued *behind* any backlog, and the join is
-        unbounded, so every event produced before close() reaches the
-        consumer — the "receives every PlanEvent" contract holds even for
-        slow sinks (a sink that raised is already skipped, so the drain
-        always makes progress through the backlog).
-        """
-        try:
-            self.queue.put(None)
-        except Exception:  # noqa: BLE001 — manager already gone
-            pass
-        self._thread.join()
-        try:
-            self._manager.shutdown()
-        except Exception:  # noqa: BLE001
-            pass
-
-    def __enter__(self) -> "EventRelay":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
 
 class PlannerPool:

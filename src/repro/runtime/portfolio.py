@@ -415,31 +415,6 @@ def _run_serial(
         race.take(result)
 
 
-def _may_emit_incumbents(jobs: list[PlanJob]) -> bool:
-    """Whether any job's planner declares ``incumbent`` in its event types.
-
-    A portfolio of incumbent-silent entrants (the 1D flows) gets nothing
-    from an event relay — its manager process and per-event IPC would be
-    pure overhead — so the race falls back to plain wall-clock grace.
-    Unresolvable names (bare families, legacy open registrations) count as
-    "may emit", erring toward observing.
-    """
-    from repro.api.registry import get_handle
-
-    for job in jobs:
-        try:
-            handle = get_handle(job.spec.planner)
-        except ValidationError:
-            return True
-        if handle.schema.open_schema:
-            # Legacy registrations declare no event types at all — their
-            # builders may wrap anything, so observe rather than assume.
-            return True
-        if "incumbent" in handle.capabilities.event_types:
-            return True
-    return False
-
-
 def _run_race(
     pool: PlannerPool,
     pending_jobs: list[PlanJob],
@@ -457,10 +432,7 @@ def _run_race(
     relay: EventRelay | None = None
     queue = None
     event_types = None
-    need_relay = on_event is not None or (
-        straggler_grace is not None and _may_emit_incumbents(pending_jobs)
-    )
-    if need_relay:
+    if on_event is not None or straggler_grace is not None:
         # The race's incumbent bookkeeping must survive a broken user
         # callback — guard the callback individually so one exception
         # cannot change which stragglers get cancelled.

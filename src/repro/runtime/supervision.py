@@ -550,10 +550,11 @@ class _Supervisor:
                 inflight = any(lease.state == "leased" for lease in self.leases)
             if inflight:
                 # Abandoned mid-run (driver crash, early generator close):
-                # stop the workers *before* the relay's manager goes away,
-                # or their event/heartbeat puts would spray broken-pipe
-                # noise into a dead queue.  The journal already holds the
-                # resume state; the next dispatch respawns the executor.
+                # stop the workers *before* the relay closes, or their
+                # event/heartbeat puts would fail against it and each
+                # worker would warn as it drops its sink.  The journal
+                # already holds the resume state; the next dispatch
+                # respawns the executor.
                 self.pool.abandon_running()
                 self.pool.shutdown(wait=True)
             relay.close()

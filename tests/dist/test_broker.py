@@ -209,6 +209,23 @@ class TestReap:
         assert broker.heartbeat(fresh) is True
 
 
+    def test_reap_reports_each_commit_once(self, tmp_path):
+        broker = Broker.create(tmp_path)
+        assert broker.reap()["committed"] == 0  # no ledger yet
+        jobs = [_job(), _job(case="1T-2")]
+        for job in jobs:
+            broker.enqueue(job)
+        for _ in jobs:
+            lease = broker.claim("w1")
+            broker.commit(lease, _ok_result(lease.job))
+        with open(broker.ledger_path, "a", encoding="utf-8") as handle:
+            handle.write('{"record": "lease", "op": "do')  # a record mid-write
+        assert broker.reap()["committed"] == 2
+        assert broker.reap()["committed"] == 0
+        # A driver attaching later starts from the ledger's end.
+        assert Broker.create(tmp_path).reap()["committed"] == 0
+
+
 class TestLedger:
     def test_ledger_shares_the_journal_schema(self, tmp_path):
         broker = Broker.create(tmp_path)

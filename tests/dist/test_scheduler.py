@@ -131,3 +131,61 @@ class TestBrokerScheduler:
             (r for r in baseline if r.case == "1T-1"), key=lambda r: r.writing_time
         )
         assert outcome.winner.writing_time == expected.writing_time
+
+    def test_polling_never_lists_settled_jobs(self, tmp_path, monkeypatch):
+        # done/ and quarantine/ keep every job the spool ever settled, so a
+        # driver's per-poll work must not list them.  Counted as directory
+        # listings, with no clock in the assertion.
+        import os
+
+        from repro.obs import metrics
+        from repro.runtime import JobResult, execute_job
+
+        with BrokerScheduler(tmp_path / "spool", workers=0, poll_interval=0.0) as scheduler:
+            broker = scheduler.broker
+            for index in range(200):
+                (broker.done / f"settled-{index}.json").write_text("{}\n")
+            pending, other = _grid()[:2]
+            broker.enqueue(other)
+
+            polls, committed = [], []
+            real_reap, real_scandir = broker.reap, os.scandir
+            listings = {"done": 0, "quarantine": 0}
+
+            def reap():
+                summary = real_reap()
+                committed.append(summary["committed"])
+                return summary
+
+            def fetch(job, store=None):
+                polls.append(job.job_id)
+                if len(polls) == 10:  # a commit lands while the driver waits
+                    lease = broker.claim("w1")
+                    assert broker.commit(lease, execute_job(lease.job)) == "committed"
+                if len(polls) < 40:
+                    return None
+                return JobResult(job_id=job.job_id, case=job.case_name,
+                                 label=job.display_label, planner=job.spec.planner,
+                                 status="ok")
+
+            def scandir(path="."):
+                name = os.path.basename(os.fspath(path))
+                if name in listings:
+                    listings[name] += 1
+                return real_scandir(path)
+
+            monkeypatch.setattr(broker, "reap", reap)
+            monkeypatch.setattr(broker, "fetch", fetch)
+            monkeypatch.setattr(os, "scandir", scandir)
+            with metrics.collecting() as registry:
+                [result] = scheduler.run_jobs([pending])
+        assert result.ok and len(polls) == 40
+        # The commit still reads as progress, exactly once.
+        assert sum(committed) == 1
+        # One listing seeds the settled-state gauges; the 39 polls list nothing.
+        assert listings == {"done": 1, "quarantine": 1}
+        depth = {
+            entry["labels"]["state"]: entry["value"]
+            for entry in registry.snapshot()["metrics"]["dist_queue_depth"]["series"]
+        }
+        assert depth["done"] == 201 and depth["quarantine"] == 0

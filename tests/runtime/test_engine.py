@@ -1,5 +1,7 @@
 """Engine orchestration: store-aware batches with telemetry manifests."""
 
+import pytest
+
 from repro.runtime import (
     PlannerSpec,
     ResultStore,
@@ -19,6 +21,19 @@ def _grid():
 
 
 class TestEngine:
+    def test_broken_consumer_of_pooled_events_warns_once(self):
+        calls = []
+
+        def broken(event):
+            calls.append(event)
+            raise RuntimeError("observer bug")
+
+        with pytest.warns(RuntimeWarning, match="dropped") as caught:
+            results = run_jobs(_grid()[:2], max_workers=2, on_event=broken)
+        assert [r.status for r in results] == ["ok", "ok"]
+        assert len(calls) == 1
+        assert sum("dropped" in str(w.message) for w in caught) == 1
+
     def test_grid_is_case_major_and_labelled(self):
         jobs = _grid()
         assert [(j.case, j.display_label) for j in jobs[:3]] == [

@@ -17,6 +17,10 @@ import subprocess
 import sys
 import time
 
+import pytest
+
+from repro.serve import ServeClient
+
 DELAY_FAULT = [{"kind": "delay", "seconds": 2.0, "match": "1T"}]
 
 
@@ -37,6 +41,60 @@ def _wait_for(path, timeout=30.0):
             return
         time.sleep(0.05)
     raise AssertionError(f"{path} did not appear within the timeout")
+
+
+def _children(pid):
+    """Pids whose parent is ``pid`` (read from ``/proc``)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        if int(fields[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+class TestServeProcesses:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_daemon_runs_exactly_its_workers_and_leaves_no_relay(self, tmp_path):
+        socket_path = str(tmp_path / "serve.sock")
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--socket", socket_path,
+                "--workers", "2",
+                "--cache-dir", str(tmp_path / "cache"),
+            ],
+            env=_env(TMPDIR=str(scratch)),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            _wait_for(socket_path)
+            events = []
+            with ServeClient(socket=socket_path, timeout=120) as client:
+                result = client.plan("1T-1", scale=0.12, on_event=events.append)
+            assert result.ok
+            assert {"started", "finished"} <= {event.type for event in events}
+            # The pool's workers, and no event-relay server beside them.
+            assert len(_children(proc.pid)) == 2
+            proc.send_signal(signal.SIGTERM)
+            stdout, stderr = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=30)
+        assert proc.returncode == 0, stderr
+        assert stderr == ""
+        assert list(scratch.iterdir()) == []  # the relay's socket went with it
 
 
 class TestServeSigterm:
