@@ -24,14 +24,16 @@ from repro.core.onedim.formulation import (
     build_simplified_formulation,
 )
 from repro.core.profits import compute_profits
+from repro.dist import BrokerScheduler
 from repro.events import PlanEvent
 from repro.floorplan import Block, SequencePair
 from repro.floorplan.packing import PackingContext
 from repro.geometry import KDTree
 from repro.matching import max_weight_matching
 from repro.model.writing_time import region_writing_times
-from repro.runtime import EventRelay
+from repro.runtime import EventRelay, PlanJob, PlannerSpec
 from repro.solver import solve_lp
+from repro.workloads.generator import generate_tiny_1d_instance
 
 
 def test_micro_kdtree_range_queries(benchmark):
@@ -229,3 +231,37 @@ def test_micro_event_relay(benchmark):
     benchmark.extra_info["events"] = count
     benchmark.extra_info["us_per_event_put"] = round(put_us, 2)
     benchmark.extra_info["us_per_event_delivered"] = round(delivered_us, 2)
+
+
+def test_micro_broker_round_trip(benchmark, tmp_path):
+    """Enqueue to result through one idle same-host broker worker.
+
+    ``ms_per_job`` is the wall time from a driver's enqueue until it holds
+    the committed result, one job at a time, through one ``eblow worker``
+    subprocess that is idle between jobs.  Each job is a distinct tiny 1D
+    instance under ``greedy-1d`` (well under a millisecond of planning), so
+    the cell measures the spool: claim, commit, and the waits between them.
+    """
+    count = 10
+    seeds = iter(range(1, 1000))
+
+    def job():
+        instance = generate_tiny_1d_instance(10, seed=next(seeds))
+        return PlanJob(spec=PlannerSpec("greedy-1d"), instance=instance)
+
+    with BrokerScheduler(tmp_path / "spool", workers=1, wait_timeout=60.0) as scheduler:
+        [warm] = scheduler.run_jobs([job()])  # worker started and imported
+        assert warm.ok
+
+        def run():
+            jobs = [job() for _ in range(count)]
+            start = time.perf_counter()
+            for item in jobs:
+                [result] = scheduler.run_jobs([item])
+                assert result.ok
+            return (time.perf_counter() - start) / count * 1e3
+
+        ms_per_job = benchmark.pedantic(run, rounds=3, iterations=1)
+    benchmark.extra_info["jobs"] = count
+    benchmark.extra_info["poll_s"] = scheduler.poll_interval
+    benchmark.extra_info["ms_per_job"] = round(ms_per_job, 2)

@@ -391,7 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--worker-id", default=None, help="stable worker identity (default: pid-derived)"
     )
     worker.add_argument(
-        "--poll", type=float, default=0.1, help="seconds between claim attempts when idle"
+        "--poll",
+        type=float,
+        default=0.1,
+        help="longest wait in seconds between claim attempts when idle "
+        "(an enqueue on the same host wakes the worker at once)",
     )
     worker.add_argument(
         "--max-jobs", type=int, default=None, help="exit after this many jobs (default: run forever)"

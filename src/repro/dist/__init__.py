@@ -7,6 +7,9 @@ The pieces (see ``docs/DISTRIBUTED.md`` for the full design):
   ``O_CREAT|O_EXCL`` claim files, monotonically increasing lease epochs
   as fencing tokens, mtime heartbeats, and an NDJSON ledger sharing the
   :class:`~repro.runtime.supervision.JobJournal` schema,
+* :mod:`repro.dist.bells`     — same-host doorbells: an idle worker or a
+  collecting driver waits on a datagram socket that spool changes ring,
+  with its poll as the longest wait,
 * :mod:`repro.dist.worker`    — the standalone worker agent behind
   ``eblow worker --broker DIR`` (claim → heartbeat → execute → fenced
   two-phase commit),

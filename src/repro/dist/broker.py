@@ -16,6 +16,7 @@ Spool layout (one subtree per queue)::
     <root>/<queue>/quarantine/<id>.json  # poison jobs after max_attempts
     <root>/<queue>/meta/<id>.json        # per-job epoch / retry-at sidecar
     <root>/<queue>/workers/<wid>.json    # worker registry (mtime = liveness)
+    <root>/<queue>/bells/<kind>.<host>.<owner>  # same-host doorbells (empty)
     <root>/<queue>/ledger.jsonl          # NDJSON ledger (JobJournal schema)
 
 Correctness rests on three primitives:
@@ -42,6 +43,12 @@ so ``eblow jobs`` and :meth:`JobJournal.replay` work on broker ledgers
 unchanged; concurrent appends are safe because each record is one short
 ``O_APPEND`` write.  See ``docs/DISTRIBUTED.md`` for the full lifecycle
 and the exactly-once argument.
+
+Waiters do not sleep out their poll when the change comes from their own
+host: :meth:`Broker.enqueue` rings the idle workers' ``claim`` bells, and
+commits and quarantines ring the collecting drivers' ``done`` bells (see
+:mod:`repro.dist.bells`).  The poll stays the longest wait, and the only
+wake across hosts.
 """
 
 from __future__ import annotations
@@ -49,7 +56,9 @@ from __future__ import annotations
 import json
 import os
 import random
+import threading
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -61,6 +70,7 @@ from repro.obs import metrics as obs_metrics
 from repro.runtime.jobs import JobResult, PlanJob, PlannerSpec
 from repro.runtime.store import ResultStore
 from repro.runtime.supervision import JobJournal, backoff_delay
+from repro.dist import bells
 
 __all__ = [
     "BROKER_VERSION",
@@ -256,14 +266,19 @@ class Broker:
         self.quarantine = self.dir / "quarantine"
         self.meta = self.dir / "meta"
         self.workers = self.dir / "workers"
+        self.bells = self.dir / "bells"
         self.ledger_path = self.dir / "ledger.jsonl"
         self._ledger: JobJournal | None = None
         self._rng = random.Random(self.config.backoff_seed)
+        self._store_warned = False
         # Polling must not list done/ or quarantine/, which keep every job
         # ever settled: reap() follows the ledger from this byte offset, and
         # the settled-state gauges are seeded by one listing, then advanced
-        # by the ops read from it.
+        # by the ops read from it.  One commit's ring wakes every collecting
+        # thread at once, so the offset is advanced under a lock: each record
+        # is read by one of them.
         self._ledger_offset: int | None = None
+        self._ledger_lock = threading.Lock()
         self._settled: dict[str, int] | None = None
 
     # ------------------------------------------------------------------ #
@@ -284,8 +299,8 @@ class Broker:
         if existing is not None:
             config = BrokerConfig.from_dict(existing.get("config", {}))
         broker = cls(root, queue=queue, config=config)
-        for path in (broker.queued, broker.leased, broker.done,
-                     broker.quarantine, broker.meta, broker.workers):
+        for path in (broker.queued, broker.leased, broker.done, broker.quarantine,
+                     broker.meta, broker.workers, broker.bells):
             path.mkdir(parents=True, exist_ok=True)
         if existing is None:
             write_text_atomic(
@@ -311,8 +326,8 @@ class Broker:
             if data is not None:
                 config = BrokerConfig.from_dict(data.get("config", {}))
                 broker = cls(root, queue=queue, config=config)
-                for path in (broker.queued, broker.leased, broker.done,
-                             broker.quarantine, broker.meta, broker.workers):
+                for path in (broker.queued, broker.leased, broker.done, broker.quarantine,
+                             broker.meta, broker.workers, broker.bells):
                     path.mkdir(parents=True, exist_ok=True)
                 return broker
             if time.monotonic() >= deadline:
@@ -374,6 +389,7 @@ class Broker:
             planner=job.spec.planner, queue=self.queue,
         )
         _DIST_JOBS.inc(op="queued")
+        bells.ring(self.bells, bells.CLAIM)
         return "queued"
 
     # ------------------------------------------------------------------ #
@@ -466,6 +482,10 @@ class Broker:
         commit only counts if the lease epoch is still current *and* this
         worker wins the ``O_EXCL`` creation of the ``done/`` marker.  Every
         interleaving of stale wake-ups therefore yields exactly one marker.
+
+        A failed store write does not fail the commit: the marker then
+        carries the whole result, as on a storeless queue, so the driver
+        still collects the plan.
         """
         job_id = lease.job_id
         meta = self._read_meta(job_id)
@@ -473,20 +493,17 @@ class Broker:
             self._discard_stale(lease, meta["epoch"])
             return "stale"
         store = store if store is not None else self.store
-        if result.ok and store is not None:
-            try:
-                store.put(lease.job, result)
-            except Exception:  # noqa: BLE001 — a failed cache write is not a failed commit
-                pass
+        stored = result.ok and store is not None and self._store_put(store, lease.job, result)
         marker: dict = {
             "record": "done", "v": BROKER_VERSION, "job_id": job_id,
             "epoch": lease.epoch, "worker": lease.worker,
             "status": result.status, "writing_time": result.writing_time,
             "ts": round(time.time(), 6),
         }
-        if not result.ok or store is None:
-            # Failed results never enter the store; storeless queues ship
-            # the whole result on the marker so drivers can collect it.
+        if not stored:
+            # Failed results never enter the store; storeless queues and
+            # failed store writes ship the whole result on the marker so
+            # drivers can collect it.
             marker["result"] = result.to_dict()
         marker_path = self.done / f"{job_id}.json"
         try:
@@ -502,7 +519,25 @@ class Broker:
         )
         _DIST_JOBS.inc(op="committed")
         self._release_paths(job_id, lease.epoch)
+        bells.ring(self.bells, bells.DONE)
         return "committed"
+
+    def _store_put(self, store: ResultStore, job: PlanJob, result: JobResult) -> bool:
+        """Write ``result`` to the store; False, warning once, if that fails."""
+        try:
+            store.put(job, result)
+        except Exception as exc:  # noqa: BLE001 — a failed cache write is not a failed commit
+            if not self._store_warned:
+                self._store_warned = True
+                warnings.warn(
+                    f"result store {store.root} rejected a commit's write "
+                    f"({type(exc).__name__}: {exc}); such commits carry their "
+                    "result on the done marker instead",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+            return False
+        return True
 
     def release(self, lease: BrokerLease, result: JobResult) -> str:
         """Give a *failed* attempt back; returns ``requeued`` or ``quarantined``.
@@ -568,6 +603,7 @@ class Broker:
                     path.unlink()
                 except OSError:
                     pass
+                bells.drop_bells(self.bells, bells.CLAIM, str(wid))
                 self.ledger.append(
                     "worker_dead", "-", worker=str(wid), pid=pid,
                     age=round(age, 3), queue=self.queue,
@@ -618,17 +654,18 @@ class Broker:
         The first call only marks where the ledger ends (nothing is new yet).
         The file is reopened every time, so a shared filesystem revalidates it.
         """
-        try:
-            with open(self.ledger_path, "rb") as handle:
-                if self._ledger_offset is None:
-                    self._ledger_offset = handle.seek(0, os.SEEK_END)
-                handle.seek(self._ledger_offset)
-                data = handle.read()
-        except FileNotFoundError:
-            self._ledger_offset = 0  # every record it will hold is new
-            return []
-        complete = data.rfind(b"\n") + 1  # a record still being written waits
-        self._ledger_offset += complete
+        with self._ledger_lock:
+            try:
+                with open(self.ledger_path, "rb") as handle:
+                    if self._ledger_offset is None:
+                        self._ledger_offset = handle.seek(0, os.SEEK_END)
+                    handle.seek(self._ledger_offset)
+                    data = handle.read()
+            except FileNotFoundError:
+                self._ledger_offset = 0  # every record it will hold is new
+                return []
+            complete = data.rfind(b"\n") + 1  # a record still being written waits
+            self._ledger_offset += complete
         ops = []
         for line in data[:complete].splitlines():
             try:
@@ -745,10 +782,12 @@ class Broker:
             pass
 
     def deregister_worker(self, worker: str) -> None:
+        """Remove ``worker``'s registry entry and its claim bell marker."""
         try:
             (self.workers / f"{worker}.json").unlink()
         except OSError:
             pass
+        bells.drop_bells(self.bells, bells.CLAIM, worker)
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -799,6 +838,7 @@ class Broker:
             (self.leased / f"{job_id}.json").unlink()
         except OSError:
             pass
+        bells.ring(self.bells, bells.DONE)
 
     def _count(self, state: str) -> int:
         return len(list(getattr(self, state).glob("*.json")))

@@ -22,6 +22,12 @@ the same batch/portfolio API can target either substrate::
 Live ``PlanEvent`` streams do not cross the spool (workers are unrelated
 processes; liveness rides on file mtimes instead).  ``on_event`` is
 accepted for signature parity and receives nothing under the broker path.
+
+While it collects, each :meth:`BrokerScheduler.iter_jobs` call waits on a
+``done`` doorbell of its own (:mod:`repro.dist.bells`) for at most
+``poll_interval`` seconds between result checks: a commit or quarantine on
+the same host rings it at once, and the poll covers commits from other
+hosts and runs the reaper.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import signal
 import subprocess
 import sys
 import time
+import uuid
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -39,6 +46,7 @@ from repro.obs.tracing import span
 from repro.runtime.jobs import JobResult, PlanJob
 from repro.runtime.store import ResultStore
 from repro.runtime.telemetry import Telemetry
+from repro.dist.bells import DONE, Doorbell
 from repro.dist.broker import Broker, BrokerConfig
 
 __all__ = ["Scheduler", "LocalScheduler", "BrokerScheduler"]
@@ -146,9 +154,12 @@ class BrokerScheduler(Scheduler):
     error).  ``workers=0`` relies on externally launched workers attached
     to the same spool.
 
-    ``wait_timeout`` bounds how long collection waits without *any* spool
-    progress before raising — the guard against a spool with no live
-    workers at all (every other failure mode re-queues or quarantines).
+    ``poll_interval`` is the longest a collecting driver waits between
+    result checks and reaper passes (a same-host commit wakes it sooner);
+    owned workers get it as their ``--poll``.  ``wait_timeout`` bounds how
+    long collection waits without *any* spool progress before raising —
+    the guard against a spool with no live workers at all (every other
+    failure mode re-queues or quarantines).
     """
 
     def __init__(
@@ -212,7 +223,7 @@ class BrokerScheduler(Scheduler):
             self._procs.append(self._spawn_worker())
 
     def close(self) -> None:
-        """Terminate the owned fleet and scrub its registry entries."""
+        """Terminate the owned fleet and scrub its registry entries and bells."""
         if self._closed:
             return
         self._closed = True
@@ -231,8 +242,8 @@ class BrokerScheduler(Scheduler):
                 proc.kill()
                 proc.wait()
         self._procs = []
-        # A SIGKILL'd worker cannot deregister itself; scrub quietly so a
-        # deliberate shutdown is not ledgered as a worker death.
+        # A SIGKILL'd worker cannot deregister itself (nor unlist its bell);
+        # scrub quietly so a deliberate shutdown is not ledgered as a death.
         for worker_id in self._worker_ids:
             self.broker.deregister_worker(worker_id)
 
@@ -262,16 +273,25 @@ class BrokerScheduler(Scheduler):
                     continue
                 broker.enqueue(job)
         self.ensure_workers()
-        for index, job in enumerate(jobs):
-            if index in hits:
-                result = hits[index]
-            else:
-                result = self._collect(job, store)
-            if telemetry is not None:
-                telemetry.record(result)
-            yield result
+        # Bound before the first result check, so a commit that lands
+        # between a check and the wait still rings it.
+        bell = (Doorbell(broker.bells, DONE, f"{os.getpid()}-{uuid.uuid4().hex[:8]}")
+                if len(hits) < len(jobs) else None)
+        try:
+            for index, job in enumerate(jobs):
+                if index in hits:
+                    result = hits[index]
+                else:
+                    result = self._collect(job, store, bell)
+                if telemetry is not None:
+                    telemetry.record(result)
+                yield result
+        finally:
+            if bell is not None:
+                bell.close()
 
-    def _collect(self, job: PlanJob, store: ResultStore | None) -> JobResult:
+    def _collect(self, job: PlanJob, store: ResultStore | None,
+                 bell: Doorbell) -> JobResult:
         broker = self.broker
         waited_from = time.monotonic()
         while True:
@@ -292,4 +312,4 @@ class BrokerScheduler(Scheduler):
                     f"(state={state}, live spawned workers={fleet}); "
                     f"is any worker attached to {broker.root}?"
                 )
-            time.sleep(self.poll_interval)
+            bell.wait(self.poll_interval)

@@ -8,6 +8,11 @@ pool runs), and commits through the broker's fenced two-phase write.  No
 connection to the driver exists: a worker that is ``kill -9``'d simply
 stops touching its files, and the driver's :meth:`Broker.reap` notices.
 
+An idle worker waits on its ``claim`` doorbell (:mod:`repro.dist.bells`)
+for at most ``poll_interval`` seconds between claims: an enqueue on the
+same host rings it at once, and the poll picks up jobs spooled from other
+hosts.
+
 Store probes happen worker-side too: a re-queued job whose previous
 attempt already landed in the content-addressed store is committed from
 the cached result without re-planning — the distributed analogue of the
@@ -33,6 +38,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import span
 from repro.runtime import faults
 from repro.runtime.jobs import execute_job
+from repro.dist.bells import CLAIM, Doorbell
 from repro.dist.broker import Broker, BrokerLease
 
 __all__ = ["WorkerAgent", "run_worker"]
@@ -83,6 +89,8 @@ class _LeaseHeartbeat(threading.Thread):
 class WorkerAgent:
     """One claim/execute/commit loop over a broker spool.
 
+    ``poll_interval`` is the longest an idle worker waits between claims;
+    a same-host enqueue or :meth:`request_stop` wakes it sooner.
     ``max_jobs`` and ``idle_exit`` bound the loop for tests and CI
     (``None`` = run until signalled).  ``mark_process`` tags the hosting
     process as a worker for ``kill_worker`` faults — leave it off when
@@ -99,11 +107,15 @@ class WorkerAgent:
 
     def __post_init__(self) -> None:
         self._stop = threading.Event()
+        self._bell = None
         self.jobs_done = 0
 
     def request_stop(self, signum=None, frame=None) -> None:
         """Finish the in-flight job (if any) and exit the loop."""
         self._stop.set()
+        bell = self._bell
+        if bell is not None:
+            bell.ring()  # an idle worker exits now, not after its poll
 
     # ------------------------------------------------------------------ #
     def run(self) -> dict:
@@ -121,6 +133,9 @@ class WorkerAgent:
         store = broker.store
         idle_since = time.monotonic()
         outcomes = {"committed": 0, "stale": 0, "requeued": 0, "quarantined": 0}
+        # Bound before the first claim: an enqueue that lands between an
+        # empty claim and the wait below still rings it.
+        self._bell = bell = Doorbell(broker.bells, CLAIM, self.worker_id)
         try:
             while not self._stop.is_set():
                 if self.max_jobs is not None and self.jobs_done >= self.max_jobs:
@@ -131,7 +146,7 @@ class WorkerAgent:
                     if (self.idle_exit is not None
                             and time.monotonic() - idle_since > self.idle_exit):
                         break
-                    self._stop.wait(self.poll_interval)
+                    bell.wait(self.poll_interval)
                     continue
                 idle_since = time.monotonic()
                 outcome = self._serve(lease, store)
@@ -139,6 +154,8 @@ class WorkerAgent:
                 self.jobs_done += 1
                 broker.touch_worker(self.worker_id)
         finally:
+            self._bell = None
+            bell.close()
             broker.deregister_worker(self.worker_id)
         return {"worker": self.worker_id, "jobs": self.jobs_done, **outcomes}
 

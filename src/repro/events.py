@@ -147,7 +147,12 @@ def events_enabled() -> bool:
 
 
 def emit(type: str, **payload) -> None:
-    """Send one event to every installed sink (no-op when none is)."""
+    """Send one event to every installed sink (no-op when none is).
+
+    A sink that raises an :class:`Exception` is dropped for the rest of the
+    scope.  A job timeout or cancel that lands inside a sink is a
+    :class:`BaseException` and passes through to the job.
+    """
     scopes = _STATE.scopes
     if not scopes:
         return
@@ -214,7 +219,8 @@ def guarded_sink(sink: EventSink | None) -> EventSink | None:
     bookkeeping keeps receiving events after the callback breaks.  The drop
     is announced once through :func:`warnings.warn` (with the sink's
     exception chained into the message) so a broken observer is diagnosable
-    instead of silently invisible.
+    instead of silently invisible.  Job timeouts and cancels are
+    :class:`BaseException` and pass through.
     Returns ``None`` unchanged so callers can pass optional callbacks through.
     """
     if sink is None:

@@ -68,12 +68,21 @@ __all__ = [
 ]
 
 
-class JobTimeoutError(Exception):
-    """Raised inside a worker when a job exceeds its wall-clock timeout."""
+class JobTimeoutError(BaseException):
+    """Raised inside a worker when a job exceeds its wall-clock timeout.
+
+    A :class:`BaseException`, as :class:`KeyboardInterrupt` is: its signal
+    handler raises it wherever the job happens to be, an event sink
+    included, and no ``except Exception`` on the way (the emitter's broken
+    sink guard, a planner's fallback) may swallow it.
+    """
 
 
-class JobCancelledError(Exception):
-    """Raised inside a worker when the supervisor soft-cancels its job."""
+class JobCancelledError(BaseException):
+    """Raised inside a worker when the supervisor soft-cancels its job.
+
+    A :class:`BaseException` for the same reason as :class:`JobTimeoutError`.
+    """
 
 
 # Cooperative-cancellation state of *this* process (a pool worker, usually).

@@ -46,7 +46,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.events import PlanEvent
+from repro.events import PlanEvent, guarded_sink
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import span
 from repro.runtime import faults
@@ -531,13 +531,16 @@ class PlannerPool:
 
         ``event_queue`` (an :class:`EventRelay` queue) streams worker events
         back to the parent; ``on_event`` is the in-process equivalent used on
-        the inline path, receiving label-stamped events directly.
+        the inline path, receiving label-stamped events directly.  As on the
+        relay, a raising ``on_event`` is warned about and dropped once for
+        the whole batch, not once per job.
         """
         jobs = list(jobs)
         if not jobs:
             return
         _POOL_WORKERS.set(self.max_workers)
         if self.inline:
+            on_event = guarded_sink(on_event)
             pending = len(jobs)
             _POOL_QUEUE_DEPTH.set(pending)
             try:

@@ -177,8 +177,9 @@ class JobJournal:
     ``job_id``.  A torn final line (crash mid-write) is tolerated on replay.
 
     ``attach=True`` opens the journal as a *shared ledger*: never truncated,
-    never replayed up front — the mode the broker spool ledgers use, where
-    many processes append concurrently (each record is one short
+    never replayed up front, and mirrored nowhere in memory (:attr:`records`
+    stays empty) — the mode the broker spool ledgers use, where many
+    long-lived processes append concurrently (each record is one short
     ``O_APPEND`` write, which POSIX keeps un-interleaved).
 
     A journal whose directory stops accepting writes mid-batch (``ENOSPC``,
@@ -186,9 +187,10 @@ class JobJournal:
     losing the batch over lost *bookkeeping* would invert the module's
     purpose.  The first failed append raises a :class:`RuntimeWarning` with
     the cause, flips :attr:`degraded`, and bumps
-    ``journal_write_errors_total``; appends keep landing on the in-memory
-    :attr:`records` mirror so this run stays internally consistent, but a
-    later ``resume`` will not see ops past the failure point.
+    ``journal_write_errors_total``; outside attach mode, appends keep
+    landing on the in-memory :attr:`records` mirror so this run stays
+    internally consistent, but a later ``resume`` will not see ops past the
+    failure point.
     """
 
     def __init__(self, path: str | os.PathLike, resume: bool = False,
@@ -199,8 +201,10 @@ class JobJournal:
         self.prior: dict[str, dict] = {}
         #: True once an append failed; later appends are memory-only.
         self.degraded = False
-        #: In-memory mirror of every record appended by *this* process.
+        #: In-memory mirror of every record appended by *this* process
+        #: (none in attach mode).
         self.records: list[dict] = []
+        self._mirror = not attach
         if attach:
             pass  # shared ledger: leave whatever is on disk untouched
         elif resume:
@@ -218,7 +222,8 @@ class JobJournal:
             "job_id": job_id,
         }
         record.update(fields)
-        self.records.append(record)
+        if self._mirror:
+            self.records.append(record)
         if self.degraded:
             return
         try:

@@ -1,7 +1,10 @@
 """Unit tests of the durable broker spool: claims, epochs, commit fencing."""
 
+import errno
 import json
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -144,6 +147,28 @@ class TestLifecycle:
         fetched = broker.fetch(job)
         assert fetched.writing_time == result.writing_time
 
+    def test_failed_store_write_ships_the_result_on_the_marker(self, tmp_path, monkeypatch):
+        def full(self, job, result):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(ResultStore, "put", full)
+        broker = Broker.create(
+            tmp_path / "spool", config=BrokerConfig(store_dir=str(tmp_path / "store"))
+        )
+        jobs = [_job("1T-1"), _job("1T-2")]
+        with pytest.warns(RuntimeWarning, match="No space left") as caught:
+            for job in jobs:
+                broker.enqueue(job)
+                lease = broker.claim("w1")
+                assert broker.commit(lease, _ok_result(job)) == "committed"
+        assert sum("rejected" in str(w.message) for w in caught) == 1
+        for job in jobs:
+            marker = json.loads((broker.done / f"{job.job_id}.json").read_text())
+            assert marker["result"]["plan"] == _ok_result(job).plan
+            fetched = broker.fetch(job)
+            assert fetched.ok and fetched.plan == _ok_result(job).plan
+        assert broker.enqueue(jobs[0]) == "done"
+
 
 class TestReap:
     def _age(self, path, seconds):
@@ -224,6 +249,34 @@ class TestReap:
         assert broker.reap()["committed"] == 0
         # A driver attaching later starts from the ledger's end.
         assert Broker.create(tmp_path).reap()["committed"] == 0
+
+    def test_concurrent_reaps_report_each_commit_once(self, tmp_path):
+        # One commit's ring wakes every thread collecting through a driver
+        # at once, and they all reap through one Broker.
+        broker = Broker.create(tmp_path)
+        broker.reap()  # marks where the ledger ends
+        counted = []
+        stop = threading.Event()
+
+        def reaper():
+            while not stop.is_set():
+                counted.append(broker.reap()["committed"])
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reaper) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for index in range(300):
+                broker.ledger.append("done", f"job-{index}")
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sum(counted) + broker.reap()["committed"] == 300
 
 
 class TestLedger:

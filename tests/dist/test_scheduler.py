@@ -5,6 +5,7 @@ process, same filesystem protocol) — the real-subprocess fleet is exercised
 by ``test_chaos_multinode.py``; these tests pin down dispatch semantics.
 """
 
+import errno
 import threading
 
 import pytest
@@ -110,6 +111,21 @@ class TestBrokerScheduler:
         assert all(r.ok for r in second)
         for a, b in zip(baseline, second):
             _assert_same_plan(a, b)
+
+    def test_driver_collects_a_plan_whose_store_write_failed(self, tmp_path, baseline,
+                                                             monkeypatch):
+        def full(self, job, result):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(ResultStore, "put", full)
+        config = BrokerConfig(store_dir=str(tmp_path / "store"))
+        with BrokerScheduler(tmp_path / "spool", config=config, workers=0,
+                             poll_interval=0.02, wait_timeout=3.0) as scheduler:
+            with _WorkerThread(scheduler.broker):
+                with pytest.warns(RuntimeWarning, match="No space left"):
+                    [result] = run_jobs(_grid()[:1], scheduler=scheduler)
+        assert result.ok
+        _assert_same_plan(baseline[0], result)
 
     def test_no_workers_times_out_with_diagnostics(self, tmp_path):
         with BrokerScheduler(tmp_path / "spool", workers=0, poll_interval=0.02,

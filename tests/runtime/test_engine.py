@@ -1,14 +1,20 @@
 """Engine orchestration: store-aware batches with telemetry manifests."""
 
+import time
+
 import pytest
 
+from repro.events import emit
+from repro.model import StencilPlan
 from repro.runtime import (
+    PlanJob,
     PlannerSpec,
     ResultStore,
     Telemetry,
     grid_jobs,
     iter_jobs,
     read_manifest,
+    register_planner,
     run_jobs,
     summarize_manifest,
 )
@@ -18,6 +24,44 @@ _PLANNERS = {"e-blow": PlannerSpec("eblow-1d"), "greedy": PlannerSpec("greedy-1d
 
 def _grid():
     return grid_jobs(["1T-1", "1T-2", "1T-3"], _PLANNERS, scale=1.0)
+
+
+class _LoudPlanner:
+    """Emits ``events`` large events back to back, then returns at once.
+
+    Against a consumer that sleeps per event, a job spends nearly all its
+    time inside a sink: the consumer itself inline, and the relay's write
+    (blocked on a full socket) in a pool worker.
+    """
+
+    def __init__(self, events: int, payload_bytes: int) -> None:
+        self.events = events
+        self.blob = "x" * payload_bytes
+
+    def plan(self, instance) -> StencilPlan:
+        for index in range(self.events):
+            emit("iteration", iteration=index, blob=self.blob)
+        return StencilPlan.empty(instance)
+
+
+register_planner(
+    "test-loud",
+    lambda options: _LoudPlanner(
+        int(options.get("events", 200)), int(options.get("payload_bytes", 100_000))
+    ),
+    description="test-only planner that streams large events back to back",
+)
+
+
+def _slow_consumer(event):
+    time.sleep(0.02)
+
+
+def _loud_jobs(count):
+    return [
+        PlanJob(spec=PlannerSpec("test-loud"), case=case, scale=1.0, timeout=0.5)
+        for case in ("1T-1", "1T-2")[:count]
+    ]
 
 
 class TestEngine:
@@ -33,6 +77,39 @@ class TestEngine:
         assert [r.status for r in results] == ["ok", "ok"]
         assert len(calls) == 1
         assert sum("dropped" in str(w.message) for w in caught) == 1
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_broken_consumer_is_dropped_once_per_batch(self, max_workers):
+        calls = []
+
+        def broken(event):
+            calls.append(event)
+            raise RuntimeError("observer bug")
+
+        with pytest.warns(RuntimeWarning, match="dropped") as caught:
+            results = run_jobs(_grid()[:2], max_workers=max_workers, on_event=broken)
+        assert [r.status for r in results] == ["ok", "ok"]
+        assert len(calls) == 1
+        assert sum("dropped" in str(w.message) for w in caught) == 1
+
+    def test_timeout_inside_an_inline_sink_times_the_job_out(self):
+        start = time.monotonic()
+        [result] = run_jobs(_loud_jobs(1), max_workers=1, on_event=_slow_consumer)
+        assert result.status == "timeout", result.error
+        assert time.monotonic() - start < 3.0
+
+    def test_timeout_inside_a_pooled_sink_times_the_job_out(self):
+        results = run_jobs(_loud_jobs(2), max_workers=2, on_event=_slow_consumer)
+        assert [r.status for r in results] == ["timeout", "timeout"]
+
+    @pytest.mark.parametrize("max_workers", [1, 2])
+    def test_timeout_inside_a_supervised_sink_times_the_job_out(self, max_workers):
+        results = run_jobs(_loud_jobs(2), max_workers=max_workers, supervise=True,
+                           max_attempts=1, on_event=_slow_consumer)
+        for result in results:
+            assert result.status == "quarantined"
+            assert result.extra["quarantine_reason"] == "timeout"
+            assert "timeout" in result.error
 
     def test_grid_is_case_major_and_labelled(self):
         jobs = _grid()

@@ -124,6 +124,16 @@ class TestJobJournal:
         assert fresh.prior == {}
         assert path.read_text() == ""
 
+    def test_attached_ledger_keeps_no_records_in_memory(self, tmp_path):
+        # A shared ledger is appended by long-lived daemons and workers:
+        # it lives on disk only, however many records they write.
+        path = tmp_path / "ledger.jsonl"
+        ledger = JobJournal(path, attach=True)
+        for index in range(100):
+            ledger.append("queued", f"job-{index}")
+        assert ledger.records == []
+        assert len(JobJournal.read(path)) == 100
+
 
 class TestBackoff:
     def test_deterministic_and_capped(self):
