@@ -228,79 +228,3 @@ def test_micro_annealing_engine(benchmark, engine):
     benchmark.extra_info["moves"] = result.annealing.moves
     benchmark.extra_info["best_cost"] = round(result.cost, 3)
     assert result.engine == engine
-
-
-@pytest.mark.parametrize("chains", [1, 8, 32])
-def test_micro_annealing_batched(benchmark, chains):
-    """Batched multi-chain annealing throughput at K chains per dispatch.
-
-    Chain ``c`` is seeded ``seed + c``, so K=1 is bit-identical to the
-    incremental engine and each chain of a K>1 run is bit-identical to the
-    corresponding solo run.  ``agg_moves_per_s`` is the aggregate move
-    throughput (all chains); ``per_chain_moves_per_s`` divides by K.
-    """
-    packer = _engine_packer()
-    result = benchmark.pedantic(
-        lambda: packer.pack(
-            schedule=_ENGINE_SCHEDULE, seed=1, engine="batched", chains=chains
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    batched = result.batched
-    elapsed = max(benchmark.stats.stats.mean, 1e-12)
-    agg_moves = batched.moves * chains
-    benchmark.extra_info["chains"] = chains
-    benchmark.extra_info["agg_moves"] = agg_moves
-    benchmark.extra_info["agg_moves_per_s"] = round(agg_moves / elapsed, 1)
-    benchmark.extra_info["per_chain_moves_per_s"] = round(
-        agg_moves / elapsed / chains, 1
-    )
-    benchmark.extra_info["best_cost"] = round(result.cost, 3)
-    assert result.engine == "batched"
-    assert batched.chains == chains
-
-
-def test_micro_annealing_batched_speedup(benchmark):
-    """Gate: aggregate K=32 batched throughput vs. the same engine at K=1.
-
-    One ufunc dispatch advances all 32 chains, so the per-move Python
-    overhead is amortized K ways.  K=1 is the anchor: the same engine with
-    nothing to amortize, so the ratio does not move when the single-chain
-    incremental engine gets faster.  Over twelve runs on a 2-CPU VM, K=32
-    reached 8.7-12.6x of K=1 (median 10.4x).  The floor keeps the margin
-    of the earlier gate, 3.0 against a measured ~4.4x.  The ratio to the
-    incremental engine is recorded, not gated.
-    """
-    packer = _engine_packer()
-
-    def rate(engine: str, chains: int) -> float:
-        start = time.perf_counter()
-        result = packer.pack(
-            schedule=_ENGINE_SCHEDULE, seed=1, engine=engine, chains=chains
-        )
-        elapsed = time.perf_counter() - start
-        moves = result.batched.moves if result.batched else result.annealing.moves
-        return moves * chains / max(elapsed, 1e-12)
-
-    solo_rate = rate("incremental", 1)
-    k1_rate = rate("batched", 1)
-    chains = 32
-    batched_rate = rate("batched", chains)
-    speedup = batched_rate / max(k1_rate, 1e-12)
-
-    benchmark.pedantic(
-        lambda: packer.pack(
-            schedule=_ENGINE_SCHEDULE, seed=1, engine="batched", chains=chains
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    benchmark.extra_info["incremental_moves_per_s"] = round(solo_rate, 1)
-    benchmark.extra_info["batched_k1_moves_per_s"] = round(k1_rate, 1)
-    benchmark.extra_info["batched_agg_moves_per_s"] = round(batched_rate, 1)
-    benchmark.extra_info["agg_speedup_k32_vs_k1"] = round(speedup, 2)
-    benchmark.extra_info["agg_speedup_k32"] = round(
-        batched_rate / max(solo_rate, 1e-12), 2
-    )
-    assert speedup > 7.0

@@ -73,22 +73,6 @@ def _build_sa_2d(options: dict):
         Floorplan2DConfig(
             seed=int(options.get("seed", 0)),
             engine=str(options.get("engine", "auto")),
-            chains=int(options["chains"]) if "chains" in options else None,
-        )
-    )
-
-
-def _build_sa_2d_batched(options: dict):
-    from repro.baselines import Floorplan2DConfig, Floorplan2DPlanner
-
-    # The portfolio entrant: the batched engine is forced on, with a
-    # multi-start default of 8 chains so racing it against sa-2d compares
-    # multi-chain throughput, not just a relabelled single chain.
-    return Floorplan2DPlanner(
-        Floorplan2DConfig(
-            seed=int(options.get("seed", 0)),
-            engine="batched",
-            chains=int(options.get("chains", 8)),
         )
     )
 
@@ -102,7 +86,6 @@ def _build_eblow_2d(options: dict):
         EBlow2DConfig(
             seed=int(options.get("seed", 0)),
             engine=str(options.get("engine", "auto")),
-            chains=int(options["chains"]) if "chains" in options else None,
         )
     )
 
@@ -132,25 +115,15 @@ _ENGINE_FIELD = OptionField(
     name="engine",
     type="str",
     default="auto",
-    choices=("auto", "copy", "incremental", "batched"),
+    choices=("auto", "copy", "incremental"),
     description=(
         "annealing engine; placements and writing times are bit-identical "
         "across engines under RNG lockstep (copy is the reference, "
-        "incremental the fast mutate/undo one, batched runs K chains per "
-        "ufunc dispatch)"
+        "incremental the fast mutate/undo one)"
     ),
 )
 _SEED_FIELD = OptionField(
     name="seed", type="int", default=0, description="annealing RNG seed"
-)
-_CHAINS_FIELD = OptionField(
-    name="chains",
-    type="int",
-    default=1,
-    description=(
-        "lockstep chain count for the batched engine (chain c is seeded "
-        "seed + c; chains > 1 makes engine=auto pick the batched engine)"
-    ),
 )
 _ANNEAL_EVENTS = ("temperature", "incumbent", "rebase")
 
@@ -276,37 +249,10 @@ STABLE_PLANNERS: tuple[PlannerHandle, ...] = (
             capabilities=PlannerCapabilities(
                 kind="2D",
                 supports_engine=True,
-                supports_chains=True,
                 event_types=_ANNEAL_EVENTS,
             ),
-            schema=OptionSchema(fields=(_SEED_FIELD, _ENGINE_FIELD, _CHAINS_FIELD)),
+            schema=OptionSchema(fields=(_SEED_FIELD, _ENGINE_FIELD)),
             builder=_build_sa_2d,
-        )
-    ),
-    register(
-        PlannerHandle(
-            name="sa-2d-batched",
-            description="multi-chain batched annealer baseline (SA[24] x K chains)",
-            capabilities=PlannerCapabilities(
-                kind="2D",
-                supports_chains=True,
-                event_types=_ANNEAL_EVENTS,
-            ),
-            schema=OptionSchema(
-                fields=(
-                    _SEED_FIELD,
-                    OptionField(
-                        name="chains",
-                        type="int",
-                        default=8,
-                        description=(
-                            "lockstep chain count (chain c is seeded seed + c; "
-                            "the plan comes from the best chain)"
-                        ),
-                    ),
-                )
-            ),
-            builder=_build_sa_2d_batched,
         )
     ),
     register(
@@ -316,7 +262,6 @@ STABLE_PLANNERS: tuple[PlannerHandle, ...] = (
             capabilities=PlannerCapabilities(
                 kind="2D",
                 supports_engine=True,
-                supports_chains=True,
                 event_types=("stage", "stage_done") + _ANNEAL_EVENTS,
             ),
             schema=OptionSchema(
@@ -329,7 +274,6 @@ STABLE_PLANNERS: tuple[PlannerHandle, ...] = (
                         description="accepted for symmetry with eblow-1d (the 2D flow is already reproducible)",
                     ),
                     _ENGINE_FIELD,
-                    _CHAINS_FIELD,
                 )
             ),
             builder=_build_eblow_2d,

@@ -27,13 +27,10 @@ class Floorplan2DConfig:
 
     schedule: AnnealingSchedule | None = None
     seed: int = 0
-    # Annealing engine ("auto" | "incremental" | "copy" | "batched");
-    # bit-identical placements and writing times under RNG lockstep (stats
-    # record the engine) — the copy engine is the reference implementation.
+    # Annealing engine ("auto" | "incremental" | "copy"); bit-identical
+    # placements and writing times under RNG lockstep (stats record the
+    # engine) — the copy engine is the reference implementation.
     engine: str = "auto"
-    # Lockstep chain count for the batched engine (None defers to the
-    # schedule; chains > 1 makes engine="auto" pick the batched engine).
-    chains: int | None = None
 
 
 class Floorplan2DPlanner:
@@ -54,7 +51,6 @@ class Floorplan2DPlanner:
                 schedule=self.config.schedule,
                 seed=self.config.seed,
                 engine=self.config.engine,
-                chains=self.config.chains,
             )
         )
         plan = inner.plan(instance)

@@ -104,19 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan.add_argument(
         "--engine",
-        choices=["auto", "copy", "incremental", "batched"],
+        choices=["auto", "copy", "incremental"],
         default=None,
         help="annealing engine for the 2D planners (placements, selection, and "
         "writing time are bit-identical under RNG lockstep; stats record which "
         "engine ran; copy is the reference engine, incremental the fast "
-        "mutate/undo one, batched advances K chains per ufunc dispatch)",
-    )
-    plan.add_argument(
-        "--chains",
-        type=int,
-        default=None,
-        help="lockstep chain count for the batched engine (chain c is seeded "
-        "seed + c; more than one chain makes --engine auto pick batched)",
+        "mutate/undo one)",
     )
     plan.add_argument(
         "--progress",
@@ -353,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10.0,
         help="seconds a SIGTERM drain waits for in-flight work before escalating",
     )
-    serve.add_argument("--retries", type=int, default=0, help="pool retries per failed job")
     serve.add_argument("--no-cache", action="store_true", help="bypass the result store")
     serve.add_argument("--cache-dir", default=None, help="result-store root (default ~/.cache/eblow)")
     serve.add_argument(
@@ -501,7 +493,6 @@ def _planner_options(
     kind: str,
     time_limit: float | None,
     engine: str | None = None,
-    chains: int | None = None,
 ) -> dict:
     """Options implied by CLI flags (ILP planners also get the time limit)."""
     from repro.runtime import resolve_planner
@@ -512,8 +503,6 @@ def _planner_options(
         options["time_limit"] = time_limit
     if engine is not None and resolved in ("eblow-2d", "sa-2d"):
         options["engine"] = engine
-    if chains is not None and resolved in ("eblow-2d", "sa-2d", "sa-2d-batched"):
-        options["chains"] = chains
     return options
 
 
@@ -530,8 +519,6 @@ def _cmd_planners(args: argparse.Namespace) -> int:
             flags.append("deterministic")
         if caps.supports_engine:
             flags.append("engine=")
-        if caps.supports_chains:
-            flags.append("chains=")
         if caps.supports_warm_start:
             flags.append("warm-start")
         if caps.supports_time_limit:
@@ -566,11 +553,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     try:
         options = _planner_options(
-            args.planner,
-            instance.kind,
-            args.time_limit,
-            getattr(args, "engine", None),
-            getattr(args, "chains", None),
+            args.planner, instance.kind, args.time_limit, getattr(args, "engine", None)
         )
     except ValidationError as exc:
         print(f"plan: {exc}", file=sys.stderr)
@@ -861,12 +844,7 @@ _PORTFOLIO_DEFAULTS = {
         "e-blow-0": ("eblow-1d", {"ablated": True}),
         "e-blow-1": "eblow-1d",
     },
-    "2D": {
-        "greedy": "greedy-2d",
-        "sa": "sa-2d",
-        "sa-batched": "sa-2d-batched",
-        "e-blow": "eblow-2d",
-    },
+    "2D": {"greedy": "greedy-2d", "sa": "sa-2d", "e-blow": "eblow-2d"},
 }
 
 
@@ -1135,7 +1113,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cache_dir=args.cache_dir,
             prune_bytes=args.prune_bytes,
             metrics_out=args.metrics_out,
-            retries=args.retries,
             broker=args.broker,
             broker_queue=args.broker_queue,
         )

@@ -43,16 +43,11 @@ class EBlow2DConfig:
     use_prefilter: bool = True
     use_clustering: bool = True
     seed: int = 0
-    # Annealing engine: "auto" (incremental mutate/undo when possible,
-    # batched when chains > 1), "incremental", "copy" (the reference
-    # engine), or "batched" (K lockstep chains in stacked arrays).  All
-    # produce bit-identical placements and writing times under RNG lockstep
-    # (plan stats record which engine ran); they differ only in speed.
+    # Annealing engine: "auto" (incremental mutate/undo when possible),
+    # "incremental", or "copy" (the reference engine).  All produce
+    # bit-identical placements and writing times under RNG lockstep (plan
+    # stats record which engine ran); they differ only in speed.
     engine: str = "auto"
-    # Number of lockstep chains for the batched engine.  None defers to
-    # ``schedule.chains`` (default 1).  More than one chain resolves
-    # engine="auto" to the batched engine.
-    chains: int | None = None
 
     def resolved_schedule(self, num_blocks: int) -> AnnealingSchedule:
         """The annealing schedule, sized to the number of blocks if not given."""
@@ -110,20 +105,10 @@ class EBlow2DPlanner:
                 and cl.height <= instance.stencil.height + 1e-9
             ]
 
-        # Stage 3: fixed-outline annealing over the clusters.  Batched
-        # multi-chain runs get their own stage key so stage_seconds
-        # attributes their (K-times-larger) search budget honestly instead
-        # of inflating the single-chain "annealing" numbers.
+        # Stage 3: fixed-outline annealing over the clusters.
         blocks = {cl.name: cl.to_block() for cl in clusters}
         schedule = config.resolved_schedule(len(blocks))
-        effective_chains = (
-            config.chains if config.chains is not None else schedule.chains
-        )
-        batched_requested = config.engine == "batched" or (
-            config.engine == "auto" and effective_chains > 1
-        )
-        stage_key = "batched_annealing" if batched_requested else "annealing"
-        with timed_stage(stage_key, stage_seconds, clusters=len(clusters)):
+        with timed_stage("annealing", stage_seconds, clusters=len(clusters)):
             cluster_by_name = {cl.name: cl for cl in clusters}
             time_model = ClusterTimeModel(instance, cluster_by_name)
             packer = FixedOutlinePacker(
@@ -139,7 +124,6 @@ class EBlow2DPlanner:
                 seed=config.seed,
                 initial=initial_pair,
                 engine=config.engine,
-                chains=config.chains,
             )
 
         # Stage 4: unfold clusters into per-character placements.
@@ -167,14 +151,6 @@ class EBlow2DPlanner:
                 "annealing_moves": result.annealing.moves,
                 "annealing_accepted": result.annealing.accepted,
                 "annealing_engine": result.engine,
-                **(
-                    {
-                        "annealing_chains": result.batched.chains,
-                        "best_chain": result.batched.best_chain,
-                    }
-                    if result.batched is not None
-                    else {}
-                ),
                 "move_acceptance": {
                     kind: [stats.proposed, stats.accepted, stats.improved]
                     for kind, stats in sorted(result.annealing.move_stats.items())

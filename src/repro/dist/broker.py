@@ -498,7 +498,7 @@ class Broker:
             "record": "done", "v": BROKER_VERSION, "job_id": job_id,
             "epoch": lease.epoch, "worker": lease.worker,
             "status": result.status, "writing_time": result.writing_time,
-            "ts": round(time.time(), 6),
+            "cache_hit": result.cache_hit, "ts": round(time.time(), 6),
         }
         if not stored:
             # Failed results never enter the store; storeless queues and
@@ -690,7 +690,11 @@ class Broker:
         return "unknown"
 
     def fetch(self, job: PlanJob, store: ResultStore | None = None) -> JobResult | None:
-        """The terminal result for ``job`` (done or quarantined), or ``None``."""
+        """The terminal result for ``job`` (done or quarantined), or ``None``.
+
+        A committed result is a cache hit only if the committing worker
+        served it from the store; reading it back here does not make it one.
+        """
         marker = _read_json(self.done / f"{job.job_id}.json")
         if marker is not None:
             if marker.get("result") is not None:
@@ -700,6 +704,7 @@ class Broker:
                 result = store.get(job) if store is not None else None
                 if result is None:
                     return None  # marker ahead of a pruned/absent store entry
+            result.cache_hit = bool(marker.get("cache_hit", False))
             result.attempts = max(result.attempts, int(marker.get("epoch", 1) or 1))
             return result
         poison = _read_json(self.quarantine / f"{job.job_id}.json")

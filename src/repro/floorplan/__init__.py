@@ -8,7 +8,6 @@ from repro.floorplan.annealing import (
     simulated_annealing,
     simulated_annealing_in_place,
 )
-from repro.floorplan.batched import BatchedAnnealer, BatchedAnnealingResult
 from repro.floorplan.fixed_outline import (
     FixedOutlinePacker,
     FixedOutlineResult,
@@ -50,8 +49,6 @@ __all__ = [
     "MoveTypeStats",
     "simulated_annealing",
     "simulated_annealing_in_place",
-    "BatchedAnnealer",
-    "BatchedAnnealingResult",
     "FixedOutlinePacker",
     "FixedOutlineResult",
     "RegionTimeModel",

@@ -55,10 +55,10 @@ _ANNEAL_RUNS = obs_metrics.declare_counter(
     "anneal_runs_total", "Annealing searches completed", ("engine",)
 )
 _ANNEAL_MOVES = obs_metrics.declare_counter(
-    "anneal_moves_total", "Annealing moves proposed (per chain)", ("engine",)
+    "anneal_moves_total", "Annealing moves proposed", ("engine",)
 )
 _ANNEAL_ACCEPTS = obs_metrics.declare_counter(
-    "anneal_accepts_total", "Annealing moves accepted (per chain)", ("engine",)
+    "anneal_accepts_total", "Annealing moves accepted", ("engine",)
 )
 
 
@@ -73,17 +73,8 @@ class AnnealingSchedule:
     max_total_moves: int = 200_000
     # Record the cost trace every this many temperature steps (1 = every
     # step, today's behaviour).  Long schedules at ``max_total_moves`` scale
-    # would otherwise hold one float per temperature per chain forever.
+    # would otherwise hold one float per temperature step forever.
     trace_stride: int = 1
-    # Number of lockstep chains for the batched engine (ignored by the
-    # single-chain engines; an explicit ``chains=`` argument to
-    # ``FixedOutlinePacker.pack`` takes precedence).
-    chains: int = 1
-    # Batched engine only: reset a chain to its best-known state after this
-    # many consecutive temperature steps without improving its incumbent.
-    # None (the default) disables restarts; the bit-identity contract vs.
-    # solo runs only covers the disabled setting.
-    restart_after: int | None = None
 
     def temperatures(self):
         """Yield the temperature ladder."""

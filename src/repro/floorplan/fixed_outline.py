@@ -34,13 +34,8 @@ from repro.floorplan.annealing import (
     simulated_annealing,
     simulated_annealing_in_place,
 )
-from repro.floorplan.packing import _REBASES
-from repro.floorplan.batched import (
-    BatchedAnnealer,
-    BatchedAnnealingResult,
-    _sample_two,
-)
 from repro.floorplan.packing import (
+    _REBASES,
     Block,
     IncrementalPacker,
     NullMove,
@@ -78,9 +73,6 @@ class FixedOutlineResult:
     cost: float
     annealing: AnnealingResult
     engine: str = "copy"
-    # Populated by engine="batched": the per-chain view of the run.  ``pair``
-    # / ``cost`` / ``annealing`` then describe the winning chain.
-    batched: BatchedAnnealingResult | None = None
 
 
 class FixedOutlinePacker:
@@ -372,7 +364,6 @@ class FixedOutlinePacker:
         seed: int = 0,
         initial: SequencePair | None = None,
         engine: str = "auto",
-        chains: int | None = None,
     ) -> FixedOutlineResult:
         """Run the annealer and return the best packing found.
 
@@ -383,34 +374,14 @@ class FixedOutlinePacker:
         ``engine`` selects the search engine: ``"incremental"`` runs the
         mutate/undo engine over an :class:`IncrementalPacker` (one mutable
         state, dirty-suffix packing updates, O(changed) cost updates);
-        ``"copy"`` runs the copy-based reference engine; ``"batched"`` runs
-        ``chains`` lockstep chains in stacked arrays (chain ``c`` seeded
-        ``seed + c``) and returns the best chain.  ``"auto"`` picks the
-        batched engine when more than one chain is requested and the
-        incremental engine otherwise.  All engines visit bit-identical
-        states under RNG lockstep (asserted in the test suite); they differ
-        only in speed.  ``chains`` overrides ``schedule.chains`` when given.
+        ``"copy"`` runs the copy-based reference engine; ``"auto"`` picks the
+        incremental engine.  Both engines visit bit-identical states under
+        RNG lockstep (asserted in the test suite); they differ only in speed.
         """
-        if engine not in ("auto", "copy", "incremental", "batched"):
+        if engine not in ("auto", "copy", "incremental"):
             raise ValueError(f"unknown annealing engine {engine!r}")
-        schedule_chains = schedule.chains if schedule is not None else 1
-        effective_chains = int(chains) if chains is not None else schedule_chains
-        if effective_chains < 1:
-            raise ValueError(f"chains must be >= 1, got {effective_chains}")
-        resolved = engine
-        if resolved == "auto":
-            if self._context is None:
-                resolved = "copy"
-            elif effective_chains > 1:
-                resolved = "batched"
-            else:
-                resolved = "incremental"
-        if resolved in ("incremental", "batched") and self._context is None:
-            resolved = "copy"
+        resolved = "copy" if engine == "copy" or self._context is None else "incremental"
         self._reset_delta_cache()
-
-        if resolved == "batched":
-            return self._pack_batched(schedule, seed, initial, effective_chains)
 
         rng = random.Random(seed)
         names = sorted(self.blocks)
@@ -446,42 +417,6 @@ class FixedOutlinePacker:
             cost=result.best_cost,
             annealing=result,
             engine=resolved,
-        )
-
-    def _pack_batched(
-        self,
-        schedule: AnnealingSchedule | None,
-        seed: int,
-        initial: SequencePair | None,
-        chains: int,
-    ) -> FixedOutlineResult:
-        """Run K stacked chains and surface the winner as the result.
-
-        Chain ``c`` consumes ``random.Random(seed + c)`` exactly as a solo
-        ``pack(seed=seed + c)`` run would — including its initial-pair
-        shuffles when ``initial`` is None — so every chain is bit-identical
-        to the corresponding solo incremental run.
-        """
-        annealer = BatchedAnnealer(
-            self,
-            schedule=schedule,
-            chains=chains,
-            seed=seed,
-            initial=initial,
-        )
-        batched = annealer.run()
-        best = batched.best_chain
-        result = batched.annealing_result_for(best)
-        packing = pack_sequence_pair(result.best_state, self.blocks)
-        inside = self.inside_blocks(packing)
-        return FixedOutlineResult(
-            inside=inside,
-            packing=packing,
-            pair=result.best_state,
-            cost=result.best_cost,
-            annealing=result,
-            engine="batched",
-            batched=batched,
         )
 
 
@@ -529,3 +464,28 @@ class _EngineMove:
     def revert(self, state: _InPlaceState) -> None:
         self.inner.revert(state.packer)
         state.pending = None
+
+
+def _sample_two(rng: random.Random, n: int) -> tuple[int, int]:
+    """``rng.sample(range(n), 2)`` with identical RNG consumption, inlined.
+
+    ``random.sample`` burns several microseconds per call on an abc
+    ``isinstance`` check and generic bookkeeping — measurable when the
+    in-place engine samples once per move.  This reproduces its two code
+    paths for ``k=2`` over ``range(n)`` exactly (the pool shuffle below 22
+    elements, rejection sampling above), drawing the same ``_randbelow``
+    sequence so the in-place engine stays in RNG lockstep with the copy
+    engine's ``random_neighbor``.  Guarded by a test that checks agreement
+    with ``rng.sample`` across sizes, so a future stdlib change cannot
+    silently break lockstep.
+    """
+    randbelow = rng._randbelow
+    if n <= 21:  # random.sample's small-population pool path (k=2)
+        i = randbelow(n)
+        j = randbelow(n - 1)
+        return i, (n - 1 if j == i else j)
+    i = randbelow(n)
+    j = randbelow(n)
+    while j == i:
+        j = randbelow(n)
+    return i, j

@@ -25,9 +25,9 @@ from repro.floorplan.sequence_pair import SequencePair
 from repro.geometry import Rect
 from repro.obs import metrics as obs_metrics
 
-# Shared by every incremental-cache rebase site (this packer, the
-# fixed-outline region-time caches, the batched engine): rebases happen
-# once per REBASE_INTERVAL moves, so the counter costs nothing per move.
+# Shared by every incremental-cache rebase site (this packer and the
+# fixed-outline region-time caches): rebases happen once per
+# REBASE_INTERVAL moves, so the counter costs nothing per move.
 _REBASES = obs_metrics.declare_counter(
     "anneal_rebases_total", "Incremental-cache rebuilds from scratch", ("scope",)
 )

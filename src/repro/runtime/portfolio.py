@@ -112,7 +112,7 @@ class _Race:
         self.winner: JobResult | None = None
         #: when the first ``ok`` result appeared (perf_counter), arming grace.
         self.winner_at: float | None = None
-        #: label -> (best incumbent cost so far, perf_counter of last report).
+        #: label -> (latest incumbent cost, perf_counter when it arrived).
         self.incumbents: dict[str, tuple[float, float]] = {}
 
     def observe(self, event: PlanEvent) -> None:
@@ -121,16 +121,7 @@ class _Race:
         label = event.payload.get("label")
         cost = event.payload.get("cost")
         if label is not None and isinstance(cost, (int, float)) and math.isfinite(cost):
-            # Keep the entrant's best cost, stamped with its latest report
-            # time.  Batched entrants interleave incumbent streams from K
-            # chains under one label; taking the latest report verbatim
-            # would let a weak chain overwrite the strong chain's incumbent
-            # and knock a genuinely promising entrant out of grace.
-            cost = float(cost)
-            previous = self.incumbents.get(str(label))
-            if previous is not None and previous[0] < cost:
-                cost = previous[0]
-            self.incumbents[str(label)] = (cost, time.perf_counter())
+            self.incumbents[str(label)] = (float(cost), time.perf_counter())
 
     def take(self, result: JobResult) -> None:
         if result.ok and self.winner_at is None:

@@ -47,6 +47,8 @@ from __future__ import annotations
 
 import asyncio
 import os
+import secrets
+import socket as socketlib
 import threading
 import time
 from collections import deque
@@ -134,8 +136,6 @@ class ServeConfig:
     prune_bytes: int | None = None
     #: When set, the drain writes the registry snapshot here (JSON).
     metrics_out: str | None = None
-    #: Pool-level retries for failed job attempts.
-    retries: int = 0
     #: When set, flights execute over the durable broker spool at this
     #: directory instead of an in-process pool: ``workers`` becomes the
     #: number of ``eblow worker`` subprocesses the daemon owns (0 = rely on
@@ -307,9 +307,7 @@ class PlanServer:
                 workers=max(0, self.config.workers),
             )
         else:
-            self._pool = PlannerPool(
-                max_workers=self.config.workers, retries=self.config.retries
-            )
+            self._pool = PlannerPool(max_workers=self.config.workers)
             self._relay = EventRelay(self._on_relay_event)
         self._compute = ThreadPoolExecutor(
             max_workers=self.config.max_inflight + 1, thread_name_prefix="serve-compute"
@@ -329,7 +327,8 @@ class PlanServer:
                 if os.path.exists(path):
                     os.unlink(path)  # stale socket from a previous run
                 self._server = await asyncio.start_unix_server(
-                    self._handle_connection, path=path, limit=MAX_FRAME_BYTES
+                    self._handle_connection, sock=_listening_unix_socket(path),
+                    limit=MAX_FRAME_BYTES,
                 )
                 self.address = path
             else:
@@ -1008,6 +1007,28 @@ class ServerHandle:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.shutdown()
+
+
+def _listening_unix_socket(path: str) -> socketlib.socket:
+    """A Unix socket that already listens when ``path`` appears.
+
+    ``bind`` creates the socket file before ``listen`` runs, and a client
+    that connects in between is refused.  Binding under a temporary name in
+    the same directory and renaming it onto ``path`` only after ``listen``
+    means a client that sees the path can connect.
+    """
+    temp = f"{path}.{secrets.token_hex(3)}"
+    sock = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
+    try:
+        sock.bind(temp)
+        sock.listen(100)
+        os.rename(temp, path)
+    except BaseException:
+        sock.close()
+        if os.path.exists(temp):
+            os.unlink(temp)
+        raise
+    return sock
 
 
 def start_in_thread(config: ServeConfig, ready_timeout: float = 30.0) -> ServerHandle:

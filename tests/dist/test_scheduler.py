@@ -112,6 +112,21 @@ class TestBrokerScheduler:
         for a, b in zip(baseline, second):
             _assert_same_plan(a, b)
 
+    @pytest.mark.parametrize("with_store", [True, False], ids=["store", "storeless"])
+    def test_computed_jobs_are_not_reported_as_cache_hits(self, tmp_path, with_store):
+        config = BrokerConfig(store_dir=str(tmp_path / "store") if with_store else None)
+        with BrokerScheduler(tmp_path / "spool", config=config, workers=0,
+                             poll_interval=0.02, wait_timeout=60.0) as scheduler:
+            manifest = Telemetry(tmp_path / "run.jsonl")
+            with _WorkerThread(scheduler.broker):
+                first = run_jobs(_grid(), scheduler=scheduler, telemetry=manifest)
+            assert [r.cache_hit for r in first] == [False] * 4
+            assert manifest.summary()["cache_hits"] == 0
+            if with_store:
+                # No worker left: the scheduler's store probe serves every job.
+                second = run_jobs(_grid(), scheduler=scheduler)
+                assert [r.cache_hit for r in second] == [True] * 4
+
     def test_driver_collects_a_plan_whose_store_write_failed(self, tmp_path, baseline,
                                                              monkeypatch):
         def full(self, job, result):

@@ -1,8 +1,11 @@
 """Unit tests for the fixed-outline packer."""
 
+import random
+
 import pytest
 
 from repro.floorplan import Block, FixedOutlinePacker
+from repro.floorplan.fixed_outline import _sample_two
 
 
 def writing_time_by_count(selected: set) -> float:
@@ -111,3 +114,15 @@ def test_delta_cost_protocol_matches_full_evaluation(fast_schedule):
         if rng.random() < 0.5:
             current = candidate
             current_cost = full.cost_of(current)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 21, 22, 30, 48, 100])
+def test_sample_two_matches_random_sample(n):
+    """_sample_two consumes the RNG exactly like rng.sample(range(n), 2)."""
+    for seed in range(10):
+        reference = random.Random(seed)
+        inlined = random.Random(seed)
+        for _ in range(100):
+            expected = tuple(reference.sample(range(n), 2))
+            assert _sample_two(inlined, n) == expected
+            assert inlined.getstate() == reference.getstate()

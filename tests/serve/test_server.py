@@ -342,3 +342,38 @@ class TestStatus:
         assert status["queued"] == 0
         assert status["pool"]["workers"] == 1
         assert status["store"]["enabled"] is True
+
+
+class TestListening:
+    def test_socket_path_appears_only_once_the_daemon_listens(self, tmp_path, monkeypatch):
+        """A client that dials the moment the socket file exists is let in."""
+        # Hold asyncio between creating its server and listening on it, so a
+        # socket file that appeared before ``listen`` is dialled in between.
+        start_serving = asyncio.base_events.Server._start_serving
+
+        def slow_start_serving(server):
+            time.sleep(0.05)
+            start_serving(server)
+
+        monkeypatch.setattr(asyncio.base_events.Server, "_start_serving", slow_start_serving)
+        path = tmp_path / "serve.sock"
+        for _ in range(5):
+            refused = []
+
+            def dial_on_sight():
+                deadline = time.monotonic() + 30.0
+                while not path.exists() and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                try:
+                    with ServeClient(socket=str(path), timeout=30) as client:
+                        client.status()
+                except ServeError as exc:
+                    refused.append(exc)
+
+            dialer = threading.Thread(target=dial_on_sight)
+            dialer.start()
+            with serving(tmp_path):
+                dialer.join(timeout=30)
+            assert not dialer.is_alive()
+            assert refused == []
+            assert not path.exists()

@@ -157,18 +157,24 @@ def test_batch_list_planners(capsys):
     assert "eblow-1d" in out and "ilp-2d" in out
 
 
-def test_portfolio_cli_picks_a_winner(tmp_path, capsys):
+@pytest.mark.parametrize("case", ["1T-1", "2T-1"])
+def test_portfolio_cli_picks_a_winner(tmp_path, capsys, case):
     plan_out = tmp_path / "win.json"
-    rc = main(
-        [
-            "portfolio", "--case", "1T-1", "--scale", "1.0", "--jobs", "2",
-            "--no-cache", "--out", str(plan_out),
-        ]
-    )
+    argv = ["portfolio", "--case", case, "--scale", "1.0", "--jobs", "2", "--no-cache"]
+    rc = main(argv + ["--out", str(plan_out)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "winner:" in out
     assert plan_out.exists()
+    if case == "2T-1":
+        # The default 2D portfolio races exactly these entrants, and the
+        # winner is the best plan among them.
+        assert main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        labels = [r["label"] for r in payload["results"]] + payload["cancelled"]
+        assert sorted(labels) == ["e-blow", "greedy", "sa"]
+        ok = [r["writing_time"] for r in payload["results"] if r["status"] == "ok"]
+        assert payload["winner"]["writing_time"] == min(ok)
 
 
 def test_cache_stats_and_clear(tmp_path, capsys):
