@@ -30,7 +30,7 @@ import time
 
 import pytest
 
-from repro.runtime import PlannerPool, PlannerSpec, grid_jobs, run_jobs
+from repro.runtime import LocalScheduler, PlannerPool, PlannerSpec, grid_jobs, run_jobs
 from repro.workloads import SUITE_1D, SUITE_1M
 
 # 12 standard 1D cases + the first 4 MCC cases at a second scale = 16 instances.
@@ -58,7 +58,8 @@ def _batch_jobs(scale: float):
 
 
 def _run(scale: float, workers: int, pool: PlannerPool | None = None) -> list:
-    results = run_jobs(_batch_jobs(scale), max_workers=workers, pool=pool)
+    scheduler = LocalScheduler(workers, pool=pool)
+    results = run_jobs(_batch_jobs(scale), scheduler=scheduler)
     assert len(results) == 16
     assert all(r.ok for r in results)
     return results

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import repro
 from repro.runtime import (
+    LocalScheduler,
     PlannerSpec,
     ResultStore,
     Telemetry,
@@ -42,15 +43,16 @@ def main() -> None:
     jobs = grid_jobs(["1T-1", "1T-2", "1T-3", "1T-4", "1T-5"], planners, scale=1.0)
 
     with repro.planner_pool(max_workers=2) as pool:
+        warm = LocalScheduler(pool=pool)
         print(f"cold batch: {len(jobs)} jobs on 2 workers")
-        for result in run_jobs(jobs, pool=pool, store=store, telemetry=telemetry):
+        for result in run_jobs(jobs, scheduler=warm, store=store, telemetry=telemetry):
             print(
                 f"  {result.case:>5} {result.label:<7} T={result.writing_time:7.0f} "
                 f"chars={result.num_selected:2d} pid={result.worker_pid}"
             )
 
         print("warm batch: same grid, same pool, served from the store")
-        for result in run_jobs(jobs, pool=pool, store=store, telemetry=telemetry):
+        for result in run_jobs(jobs, scheduler=warm, store=store, telemetry=telemetry):
             assert result.cache_hit
         print(f"  summary: {telemetry.summary()}")
 

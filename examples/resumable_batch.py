@@ -25,12 +25,13 @@ from repro.runtime import (
     FaultPlan,
     FaultSpec,
     JobJournal,
+    LocalScheduler,
     PlannerSpec,
     ResultStore,
     SupervisorConfig,
     grid_jobs,
-    iter_supervised,
-    run_supervised,
+    iter_jobs,
+    run_jobs,
 )
 from repro.runtime import faults
 
@@ -48,9 +49,8 @@ def main() -> None:
 
     # --- 1. a batch that "crashes" halfway through -----------------------
     print(f"batch of {len(jobs)} jobs; driver dies after 2 results")
-    stream = iter_supervised(
-        jobs, max_workers=2, store=store, journal=journal_path
-    )
+    supervised = LocalScheduler(max_workers=2, journal=journal_path)
+    stream = iter_jobs(jobs, scheduler=supervised, store=store)
     for _, result in zip(range(2), stream):
         print(f"  {result.case:>5} {result.label:<7} T={result.writing_time:7.0f}")
     stream.close()  # simulate the crash: the journal + store survive
@@ -60,10 +60,8 @@ def main() -> None:
     print(f"journal after crash: {done} done, {len(state) - done} pending")
 
     # --- 2. resume: only unfinished jobs re-execute ----------------------
-    journal = JobJournal(journal_path, resume=True)
-    resumed = run_supervised(
-        jobs, max_workers=2, store=store, journal=journal, resume=True
-    )
+    resuming = LocalScheduler(max_workers=2, journal=journal_path, resume=True)
+    resumed = run_jobs(jobs, scheduler=resuming, store=store)
     hits = sum(1 for r in resumed if r.cache_hit)
     print(f"resumed run: {len(resumed)} results, {hits} served from the store")
     assert all(r.ok for r in resumed)
@@ -78,7 +76,9 @@ def main() -> None:
     )
     config = SupervisorConfig(heartbeat_interval=0.1, backoff_base=0.05)
     with faults.injecting(plan):
-        chaotic = run_supervised(jobs, max_workers=2, config=config)
+        chaotic = run_jobs(
+            jobs, scheduler=LocalScheduler(max_workers=2, supervisor=config)
+        )
     for clean, survived in zip(resumed, chaotic):
         assert survived.ok
         assert clean.job_id == survived.job_id

@@ -149,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument("--scale", type=float, default=None)
     batch.add_argument("--timeout", type=float, default=None, help="per-job wall-clock seconds")
-    batch.add_argument("--retries", type=int, default=0, help="re-runs for failed/timed-out jobs")
     batch.add_argument(
         "--supervise",
         action="store_true",
@@ -174,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-attempts",
         type=int,
         default=None,
-        help="supervised dispatch attempts per job before quarantine "
-        "(implies --supervise; default 3)",
+        help="dispatch attempts per job before quarantine: the only retry "
+        "knob (implies --supervise; default 3)",
     )
     batch.add_argument(
         "--best-effort",
@@ -655,8 +654,9 @@ def _graceful_drain(pool, what: str):
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.runtime import (
+        LocalScheduler,
         PlannerPool,
-        PlannerSpec,
+        SupervisorConfig,
         Telemetry,
         grid_jobs,
         iter_jobs,
@@ -689,13 +689,30 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     scale = args.scale if args.scale is not None else default_scale()
 
     broker_mode = args.broker is not None
+    if broker_mode:
+        # The spool is the journal, resume is implicit, and a worker claims
+        # one job at a time: these flags would be silently ignored.
+        clashing = [
+            flag
+            for flag, given in (
+                ("--supervise", args.supervise),
+                ("--journal", args.journal is not None),
+                ("--resume", args.resume),
+                ("--chunksize", args.chunksize is not None),
+            )
+            if given
+        ]
+        if clashing:
+            print(f"batch: {', '.join(clashing)} cannot be combined with --broker",
+                  file=sys.stderr)
+            return 2
     supervised = not broker_mode and (
         args.supervise
         or args.resume
         or args.journal is not None
         or args.max_attempts is not None
     )
-    journal = None if broker_mode else args.journal
+    journal = args.journal
     if supervised and journal is None and args.manifest:
         # Default the journal next to the manifest so one --manifest flag
         # yields a fully resumable run (run.jsonl -> run.journal.jsonl).
@@ -705,11 +722,24 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         journal = str(
             manifest_path.with_name(manifest_path.stem + ".journal" + (manifest_path.suffix or ".jsonl"))
         )
-    if args.resume and journal is None and not broker_mode:
+    if args.resume and journal is None:
         print("batch: --resume needs --journal (or --manifest)", file=sys.stderr)
         return 2
-
     store = _batch_store(args)
+    attempts = {} if args.max_attempts is None else {"max_attempts": args.max_attempts}
+    try:
+        if broker_mode:
+            from repro.dist import BrokerConfig
+
+            policy = BrokerConfig(
+                store_dir=str(store.root) if store is not None else None, **attempts
+            )
+        else:
+            policy = SupervisorConfig(**attempts) if supervised else None
+    except ValidationError as exc:
+        print(f"batch: --max-attempts: {exc}", file=sys.stderr)
+        return 2
+
     # A resumed run appends to the existing manifest instead of truncating it,
     # so the combined file tells the whole story of the crashed + resumed run.
     telemetry = Telemetry(args.manifest, append=args.resume)
@@ -737,23 +767,17 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     start = time.perf_counter()
     results = []
-    scheduler = None
     if broker_mode:
         # Broker mode: dispatch over the durable spool — no in-process pool.
-        # The spool is the journal (its ledger shares the JobJournal schema
-        # and `eblow jobs <spool>` inspects it live), resume is implicit, and
-        # the drain handler is the scheduler's own close (SIGTERM/SIGINT
-        # terminate the owned fleet via the context manager below).
-        from repro.dist import BrokerConfig, BrokerScheduler
+        # `eblow jobs <spool>` inspects its ledger live, and the drain
+        # handler is the scheduler's own close (SIGTERM/SIGINT terminate the
+        # owned fleet via the context manager below).
+        from repro.dist import BrokerScheduler
 
-        broker_config = BrokerConfig(
-            max_attempts=args.max_attempts if args.max_attempts is not None else 3,
-            store_dir=str(store.root) if store is not None else None,
-        )
         scheduler = BrokerScheduler(
             args.broker,
             queue=args.broker_queue,
-            config=broker_config,
+            config=policy,
             workers=max(0, args.jobs),
             wait_timeout=args.broker_timeout,
         )
@@ -763,24 +787,16 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         # One explicit warm pool for the whole invocation: workers (and their
         # per-digest instance caches) persist across every chunk of the grid,
         # and shutdown reclaims the arena segments deterministically.
-        pool = PlannerPool(
-            max_workers=args.jobs, retries=args.retries, chunksize=args.chunksize
+        pool = PlannerPool(max_workers=args.jobs, chunksize=args.chunksize)
+        scheduler = LocalScheduler(
+            pool=pool, supervisor=policy, journal=journal, resume=args.resume
         )
         drain = _graceful_drain(pool, "batch")
-    with (scheduler or nullcontext()), pool, drain as interrupted, scope, (
+    with scheduler, pool, drain as interrupted, scope, (
         span("batch", jobs=args.jobs, cases=len(cases)) if span else nullcontext()
     ):
         for result in iter_jobs(
-            grid,
-            store=store,
-            telemetry=telemetry,
-            pool=None if broker_mode else pool,
-            on_event=sink,
-            supervise=supervised,
-            journal=journal,
-            resume=args.resume,
-            max_attempts=None if broker_mode else args.max_attempts,
-            scheduler=scheduler,
+            grid, scheduler=scheduler, store=store, telemetry=telemetry, on_event=sink
         ):
             results.append(result)
             if interrupted["flag"]:

@@ -13,10 +13,9 @@ The pieces (see ``docs/DISTRIBUTED.md`` for the full design):
 * :mod:`repro.dist.worker`    — the standalone worker agent behind
   ``eblow worker --broker DIR`` (claim → heartbeat → execute → fenced
   two-phase commit),
-* :mod:`repro.dist.scheduler` — the :class:`Scheduler` interface that
-  generalises dispatch: :class:`LocalScheduler` wraps today's pool /
-  supervised path, :class:`BrokerScheduler` drives batches over a spool
-  (and optionally owns the worker fleet), selected via
+* :mod:`repro.dist.scheduler` — :class:`BrokerScheduler`, the
+  :class:`~repro.runtime.Scheduler` that drives batches over a spool (and
+  optionally owns the worker fleet), selected via
   ``run_jobs(..., scheduler=)`` / ``eblow batch --broker`` /
   ``eblow serve --broker``.
 """
@@ -29,7 +28,7 @@ from repro.dist.broker import (
     job_from_payload,
     job_payload,
 )
-from repro.dist.scheduler import BrokerScheduler, LocalScheduler, Scheduler
+from repro.dist.scheduler import BrokerScheduler
 from repro.dist.worker import WorkerAgent, run_worker
 
 __all__ = [
@@ -39,8 +38,6 @@ __all__ = [
     "BrokerLease",
     "job_payload",
     "job_from_payload",
-    "Scheduler",
-    "LocalScheduler",
     "BrokerScheduler",
     "WorkerAgent",
     "run_worker",

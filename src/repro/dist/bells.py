@@ -117,11 +117,12 @@ class Doorbell:
 
     def ring(self) -> None:
         """Wake this bell's own waiter (safe from a signal handler)."""
-        if self._address is None:
+        address = self._address  # read once: the waiter may close() meanwhile
+        if address is None:
             return
         with socket.socket(socket.AF_UNIX, socket.SOCK_DGRAM) as sender:
             try:
-                sender.sendto(b"", socket.MSG_DONTWAIT, self._address)
+                sender.sendto(b"", socket.MSG_DONTWAIT, address)
             except OSError:
                 pass  # closed already, or a wake is pending anyway
 

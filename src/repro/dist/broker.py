@@ -35,7 +35,8 @@ Correctness rests on three primitives:
 * **mtime heartbeats** — the lease file's mtime is the worker's heartbeat;
   :meth:`Broker.reap` expires leases whose mtime is older than
   ``lease_timeout`` (and, same-box, leases whose owner pid is gone), then
-  re-queues or quarantines exactly like the in-process supervisor.
+  re-queues or quarantines under the in-process supervisor's
+  :class:`~repro.runtime.supervision.LeasePolicy`.
 
 The ledger reuses the :class:`~repro.runtime.supervision.JobJournal`
 record schema (``{"record": "lease", "v": 1, "op": ..., "job_id": ...}``),
@@ -53,13 +54,14 @@ wake across hosts.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import random
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -69,7 +71,7 @@ from repro.model import OSPInstance
 from repro.obs import metrics as obs_metrics
 from repro.runtime.jobs import JobResult, PlanJob, PlannerSpec
 from repro.runtime.store import ResultStore
-from repro.runtime.supervision import JobJournal, backoff_delay
+from repro.runtime.supervision import BACKOFF_SEED, JobJournal, LeasePolicy
 from repro.dist import bells
 
 __all__ = [
@@ -111,48 +113,25 @@ _DIST_WORKERS = obs_metrics.declare_gauge(
 
 
 @dataclass(frozen=True)
-class BrokerConfig:
+class BrokerConfig(LeasePolicy):
     """Queue-wide tunables, persisted in ``broker.json`` at creation.
 
     Workers read the persisted copy, so every process that touches one
-    spool agrees on the store location and the lease timings.  The backoff
-    family mirrors :class:`~repro.runtime.supervision.SupervisorConfig`.
+    spool agrees on the store location and the lease policy.  A job's
+    attempts are its claims, and the heartbeat refreshes the lease file's
+    mtime.
     """
 
-    #: Seconds a lease may go without a heartbeat before it is expirable.
-    lease_timeout: float = 15.0
-    #: Worker heartbeat period (lease-file mtime refresh).
-    heartbeat_interval: float = 0.25
-    #: Claims per job before it is quarantined as poison.
-    max_attempts: int = 3
-    backoff_base: float = 0.1
-    backoff_cap: float = 5.0
-    backoff_jitter: float = 0.5
-    backoff_seed: int = 0
     #: Result-store root shared by drivers and workers; ``None`` disables
     #: the store, in which case full results ride on the done markers.
     store_dir: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.lease_timeout <= 0 or self.heartbeat_interval <= 0:
-            raise ValidationError("lease_timeout and heartbeat_interval must be > 0")
-        if self.max_attempts < 1:
-            raise ValidationError("max_attempts must be >= 1")
-
     def to_dict(self) -> dict:
-        return {
-            "lease_timeout": self.lease_timeout,
-            "heartbeat_interval": self.heartbeat_interval,
-            "max_attempts": self.max_attempts,
-            "backoff_base": self.backoff_base,
-            "backoff_cap": self.backoff_cap,
-            "backoff_jitter": self.backoff_jitter,
-            "backoff_seed": self.backoff_seed,
-            "store_dir": self.store_dir,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "BrokerConfig":
+        """The config in ``data``; keys it does not know (old fields) are ignored."""
         known = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in dict(data).items() if k in known})
 
@@ -269,8 +248,7 @@ class Broker:
         self.bells = self.dir / "bells"
         self.ledger_path = self.dir / "ledger.jsonl"
         self._ledger: JobJournal | None = None
-        self._rng = random.Random(self.config.backoff_seed)
-        self._store_warned = False
+        self._rng = random.Random(BACKOFF_SEED)
         # Polling must not list done/ or quarantine/, which keep every job
         # ever settled: reap() follows the ledger from this byte offset, and
         # the settled-state gauges are seeded by one listing, then advanced
@@ -298,10 +276,7 @@ class Broker:
         existing = _read_json(manifest)
         if existing is not None:
             config = BrokerConfig.from_dict(existing.get("config", {}))
-        broker = cls(root, queue=queue, config=config)
-        for path in (broker.queued, broker.leased, broker.done, broker.quarantine,
-                     broker.meta, broker.workers, broker.bells):
-            path.mkdir(parents=True, exist_ok=True)
+        broker = cls(root, queue=queue, config=config)._make_layout()
         if existing is None:
             write_text_atomic(
                 manifest,
@@ -325,20 +300,22 @@ class Broker:
             data = _read_json(manifest)
             if data is not None:
                 config = BrokerConfig.from_dict(data.get("config", {}))
-                broker = cls(root, queue=queue, config=config)
-                for path in (broker.queued, broker.leased, broker.done, broker.quarantine,
-                             broker.meta, broker.workers, broker.bells):
-                    path.mkdir(parents=True, exist_ok=True)
-                return broker
+                return cls(root, queue=queue, config=config)._make_layout()
             if time.monotonic() >= deadline:
                 raise ValidationError(
                     f"no broker spool at {root} (missing or unreadable broker.json)"
                 )
             time.sleep(0.05)
 
-    @property
+    def _make_layout(self) -> "Broker":
+        for path in (self.queued, self.leased, self.done, self.quarantine,
+                     self.meta, self.workers, self.bells):
+            path.mkdir(parents=True, exist_ok=True)
+        return self
+
+    @cached_property
     def store(self) -> ResultStore | None:
-        """The queue's shared result store (from the persisted config)."""
+        """The queue's shared result store: the one workers commit to."""
         if self.config.store_dir is None:
             return None
         return ResultStore(self.config.store_dir)
@@ -362,6 +339,12 @@ class Broker:
 
     def _write_meta(self, job_id: str, meta: Mapping) -> None:
         write_text_atomic(self.meta / f"{job_id}.json", canonical_json(dict(meta)) + "\n")
+
+    def _defer(self, job_id: str, delay: float, epoch: int | None = None) -> None:
+        """Hold the job's next claim back ``delay`` seconds (if still at ``epoch``)."""
+        meta = self._read_meta(job_id)
+        if epoch is None or meta["epoch"] == epoch:
+            self._write_meta(job_id, {"epoch": meta["epoch"], "retry_at": time.time() + delay})
 
     # ------------------------------------------------------------------ #
     # Producer side
@@ -417,8 +400,8 @@ class Broker:
             meta = self._read_meta(job_id)
             if meta["retry_at"] > now:
                 continue
-            if meta["epoch"] >= self.config.max_attempts:
-                continue  # poison; reap() quarantines it
+            if self.config.requeue_delay(meta["epoch"]) is None:
+                continue  # poison: its claims are spent
             epoch = meta["epoch"] + 1
             claim = {
                 "record": "claim", "v": BROKER_VERSION, "job_id": job_id,
@@ -472,16 +455,16 @@ class Broker:
             return False
         return True
 
-    def commit(self, lease: BrokerLease, result: JobResult,
-               store: ResultStore | None = None) -> str:
+    def commit(self, lease: BrokerLease, result: JobResult) -> str:
         """Fenced two-phase commit; returns ``committed`` or ``stale``.
 
-        Phase one writes the result where it is idempotent (the
-        content-addressed store — a stale duplicate write lands on the same
-        key with bit-identical bytes).  Phase two is the fenced part: the
-        commit only counts if the lease epoch is still current *and* this
-        worker wins the ``O_EXCL`` creation of the ``done/`` marker.  Every
-        interleaving of stale wake-ups therefore yields exactly one marker.
+        Phase one writes the result where it is idempotent (the queue's
+        content-addressed :attr:`store` — a stale duplicate write lands on
+        the same key with bit-identical bytes).  Phase two is the fenced
+        part: the commit only counts if the lease epoch is still current
+        *and* this worker wins the ``O_EXCL`` creation of the ``done/``
+        marker.  Every interleaving of stale wake-ups therefore yields
+        exactly one marker.
 
         A failed store write does not fail the commit: the marker then
         carries the whole result, as on a storeless queue, so the driver
@@ -492,8 +475,9 @@ class Broker:
         if meta["epoch"] != lease.epoch:
             self._discard_stale(lease, meta["epoch"])
             return "stale"
-        store = store if store is not None else self.store
-        stored = result.ok and store is not None and self._store_put(store, lease.job, result)
+        stored = result.ok and self.store is not None and (
+            result.cache_hit or self.store.put(lease.job, result) is not None
+        )
         marker: dict = {
             "record": "done", "v": BROKER_VERSION, "job_id": job_id,
             "epoch": lease.epoch, "worker": lease.worker,
@@ -522,41 +506,22 @@ class Broker:
         bells.ring(self.bells, bells.DONE)
         return "committed"
 
-    def _store_put(self, store: ResultStore, job: PlanJob, result: JobResult) -> bool:
-        """Write ``result`` to the store; False, warning once, if that fails."""
-        try:
-            store.put(job, result)
-        except Exception as exc:  # noqa: BLE001 — a failed cache write is not a failed commit
-            if not self._store_warned:
-                self._store_warned = True
-                warnings.warn(
-                    f"result store {store.root} rejected a commit's write "
-                    f"({type(exc).__name__}: {exc}); such commits carry their "
-                    "result on the done marker instead",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            return False
-        return True
-
     def release(self, lease: BrokerLease, result: JobResult) -> str:
         """Give a *failed* attempt back; returns ``requeued`` or ``quarantined``.
 
-        Mirrors the in-process supervisor: jittered exponential backoff via
-        the job's ``retry_at`` sidecar, poison quarantine once the epoch
-        (== attempt count) reaches ``max_attempts``.
+        The lease policy decides, as in the in-process supervisor: jittered
+        exponential backoff via the job's ``retry_at`` sidecar, poison
+        quarantine once the epoch (== attempt count) reaches
+        ``max_attempts``.
         """
         job_id = lease.job_id
         error = result.error or result.status
-        if lease.epoch >= self.config.max_attempts:
+        delay = self.config.requeue_delay(lease.epoch, self._rng)
+        if delay is None:
             self._quarantine(job_id, error=error, attempts=lease.epoch,
                              status=result.status)
             return "quarantined"
-        delay = backoff_delay(lease.epoch, self.config, self._rng)
-        meta = self._read_meta(job_id)
-        if meta["epoch"] == lease.epoch:
-            self._write_meta(job_id, {"epoch": lease.epoch,
-                                      "retry_at": time.time() + delay})
+        self._defer(job_id, delay, epoch=lease.epoch)
         self.ledger.append(
             "requeued", job_id, reason=result.status, error=error,
             attempt=lease.epoch, delay=round(delay, 6), queue=self.queue,
@@ -628,7 +593,8 @@ class Broker:
             )
             _DIST_LEASE_EXPIRIES.inc()
             summary["expired"] += 1
-            if epoch >= self.config.max_attempts:
+            delay = self.config.requeue_delay(epoch, self._rng)
+            if delay is None:
                 self._quarantine(
                     job_id, status="error", attempts=epoch,
                     error=f"lease expired after {epoch} attempts "
@@ -636,10 +602,7 @@ class Broker:
                 )
                 summary["quarantined"] += 1
                 continue
-            delay = backoff_delay(epoch, self.config, self._rng)
-            meta = self._read_meta(job_id)
-            self._write_meta(job_id, {"epoch": meta["epoch"],
-                                      "retry_at": now + delay})
+            self._defer(job_id, delay)
             _DIST_JOBS.inc(op="requeued")
             try:
                 path.unlink()
@@ -689,19 +652,20 @@ class Broker:
             return "queued"
         return "unknown"
 
-    def fetch(self, job: PlanJob, store: ResultStore | None = None) -> JobResult | None:
+    def fetch(self, job: PlanJob) -> JobResult | None:
         """The terminal result for ``job`` (done or quarantined), or ``None``.
 
-        A committed result is a cache hit only if the committing worker
-        served it from the store; reading it back here does not make it one.
+        A marker without a result points into :attr:`store`, the store the
+        workers committed to.  A committed result is a cache hit only if
+        the committing worker served it from the store; reading it back here
+        does not make it one.
         """
         marker = _read_json(self.done / f"{job.job_id}.json")
         if marker is not None:
             if marker.get("result") is not None:
                 result = JobResult.from_dict(marker["result"])
             else:
-                store = store if store is not None else self.store
-                result = store.get(job) if store is not None else None
+                result = self.store.get(job) if self.store is not None else None
                 if result is None:
                     return None  # marker ahead of a pruned/absent store entry
             result.cache_hit = bool(marker.get("cache_hit", False))

@@ -1,23 +1,18 @@
-"""Dispatch generalised behind a ``Scheduler`` interface.
+"""The broker :class:`~repro.runtime.Scheduler`: batches over a durable spool.
 
-:func:`repro.runtime.engine.run_jobs` grew up around one execution
-substrate — a local :class:`~repro.runtime.pool.PlannerPool`.  The
-distributed tier generalises the *dispatch* half behind this interface so
-the same batch/portfolio API can target either substrate::
+A :class:`~repro.runtime.Scheduler` decides where a batch executes, so the
+same batch/portfolio API targets either substrate::
 
-    run_jobs(jobs, scheduler=LocalScheduler(max_workers=4))     # today's path
+    run_jobs(jobs, scheduler=LocalScheduler(max_workers=4))        # local pool
     run_jobs(jobs, scheduler=BrokerScheduler("spool", workers=3))  # the queue
 
-* :class:`LocalScheduler` wraps the existing engine path (store probe →
-  warm pool → telemetry), including the supervised variant — it is a
-  configuration object, not a new code path.
-* :class:`BrokerScheduler` spools jobs onto a
-  :class:`~repro.dist.broker.Broker` and collects fenced results, acting
-  as the *driver*: it runs the reaper (lease expiry, worker-death
-  detection, poison quarantine), optionally owns a fleet of worker
-  subprocesses (respawned on death, terminated on close), and resumes
-  naturally — collection is pure spool+store state, so a restarted driver
-  re-enqueues idempotently and picks up where the spool is.
+:class:`BrokerScheduler` spools jobs onto a
+:class:`~repro.dist.broker.Broker` and collects fenced results, acting as
+the *driver*: it runs the reaper (lease expiry, worker-death detection,
+poison quarantine), optionally owns a fleet of worker subprocesses
+(respawned on death, terminated on close), and resumes naturally —
+collection is pure spool+store state, so a restarted driver re-enqueues
+idempotently and picks up where the spool is.
 
 Live ``PlanEvent`` streams do not cross the spool (workers are unrelated
 processes; liveness rides on file mtimes instead).  ``on_event`` is
@@ -39,99 +34,15 @@ import sys
 import time
 import uuid
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
-from repro.events import PlanEvent
 from repro.obs.tracing import span
+from repro.runtime.engine import Scheduler
 from repro.runtime.jobs import JobResult, PlanJob
-from repro.runtime.store import ResultStore
-from repro.runtime.telemetry import Telemetry
 from repro.dist.bells import DONE, Doorbell
 from repro.dist.broker import Broker, BrokerConfig
 
-__all__ = ["Scheduler", "LocalScheduler", "BrokerScheduler"]
-
-
-class Scheduler:
-    """Where a batch executes: the strategy interface behind ``run_jobs``.
-
-    Implementations stream results in submission order from
-    :meth:`iter_jobs`; :meth:`run_jobs` is the list-returning wrapper.
-    Schedulers are context managers; :meth:`close` releases any owned
-    resources (worker fleets, pools) and is idempotent.
-    """
-
-    def iter_jobs(
-        self,
-        jobs: Iterable[PlanJob],
-        *,
-        store: ResultStore | None = None,
-        telemetry: Telemetry | None = None,
-        on_event: Callable[[PlanEvent], None] | None = None,
-        resume: bool = False,
-    ) -> Iterator[JobResult]:
-        raise NotImplementedError
-
-    def run_jobs(self, jobs: Iterable[PlanJob], **kwargs) -> list[JobResult]:
-        return list(self.iter_jobs(jobs, **kwargs))
-
-    def close(self) -> None:  # pragma: no cover - default no-op
-        pass
-
-    def __enter__(self) -> "Scheduler":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-class LocalScheduler(Scheduler):
-    """Today's in-process path (pool / supervised pool) as a scheduler.
-
-    Carries the engine's dispatch knobs; the per-call data knobs (store,
-    telemetry, events, resume) stay call arguments so one scheduler can
-    serve many batches.
-    """
-
-    def __init__(
-        self,
-        max_workers: int = 1,
-        retries: int = 0,
-        pool=None,
-        chunksize: int | None = None,
-        supervise: bool = False,
-        supervisor=None,
-        journal=None,
-        max_attempts: int | None = None,
-    ) -> None:
-        self.max_workers = max_workers
-        self.retries = retries
-        self.pool = pool
-        self.chunksize = chunksize
-        self.supervise = supervise
-        self.supervisor = supervisor
-        self.journal = journal
-        self.max_attempts = max_attempts
-
-    def iter_jobs(self, jobs, *, store=None, telemetry=None, on_event=None,
-                  resume=False) -> Iterator[JobResult]:
-        from repro.runtime.engine import iter_jobs as engine_iter_jobs
-
-        yield from engine_iter_jobs(
-            jobs,
-            max_workers=self.max_workers,
-            retries=self.retries,
-            store=store,
-            telemetry=telemetry,
-            on_event=on_event,
-            pool=self.pool,
-            chunksize=self.chunksize,
-            supervise=self.supervise,
-            supervisor=self.supervisor,
-            journal=self.journal,
-            resume=resume,
-            max_attempts=self.max_attempts,
-        )
+__all__ = ["BrokerScheduler"]
 
 
 def _pdeathsig_preexec() -> None:  # pragma: no cover - runs in the child
@@ -250,15 +161,17 @@ class BrokerScheduler(Scheduler):
     # ------------------------------------------------------------------ #
     # Batch driving
     # ------------------------------------------------------------------ #
-    def iter_jobs(self, jobs, *, store=None, telemetry=None, on_event=None,
-                  resume: bool = False) -> Iterator[JobResult]:
+    def iter_jobs(self, jobs, *, store=None, telemetry=None,
+                  on_event=None) -> Iterator[JobResult]:
         """Spool ``jobs`` and stream fenced results in submission order.
 
-        Store hits never touch the spool.  ``resume`` is implicit — the
+        Store hits (``store``, else the spool's own) never touch the spool.
+        Committed results are read back from the spool's store, the one its
+        workers commit to, whatever ``store`` is.  Resume is implicit — the
         spool *is* the durable state, and enqueueing is idempotent under
         content identity — so a restarted driver pointed at the same spool
         collects committed jobs instantly and only waits on genuine
-        leftovers, exactly like the supervised path's ``resume=True``.
+        leftovers, like the supervised path's ``resume=True``.
         """
         del on_event  # no live event transport crosses the spool
         jobs = list(jobs)
@@ -282,7 +195,7 @@ class BrokerScheduler(Scheduler):
                 if index in hits:
                     result = hits[index]
                 else:
-                    result = self._collect(job, store, bell)
+                    result = self._collect(job, bell)
                 if telemetry is not None:
                     telemetry.record(result)
                 yield result
@@ -290,12 +203,11 @@ class BrokerScheduler(Scheduler):
             if bell is not None:
                 bell.close()
 
-    def _collect(self, job: PlanJob, store: ResultStore | None,
-                 bell: Doorbell) -> JobResult:
+    def _collect(self, job: PlanJob, bell: Doorbell) -> JobResult:
         broker = self.broker
         waited_from = time.monotonic()
         while True:
-            result = broker.fetch(job, store=store)
+            result = broker.fetch(job)
             if result is not None:
                 return result
             summary = broker.reap()

@@ -130,7 +130,6 @@ class WorkerAgent:
                 except (ValueError, OSError):
                     pass
         broker.register_worker(self.worker_id)
-        store = broker.store
         idle_since = time.monotonic()
         outcomes = {"committed": 0, "stale": 0, "requeued": 0, "quarantined": 0}
         # Bound before the first claim: an enqueue that lands between an
@@ -149,7 +148,7 @@ class WorkerAgent:
                     bell.wait(self.poll_interval)
                     continue
                 idle_since = time.monotonic()
-                outcome = self._serve(lease, store)
+                outcome = self._serve(lease)
                 outcomes[outcome] = outcomes.get(outcome, 0) + 1
                 self.jobs_done += 1
                 broker.touch_worker(self.worker_id)
@@ -160,9 +159,10 @@ class WorkerAgent:
         return {"worker": self.worker_id, "jobs": self.jobs_done, **outcomes}
 
     # ------------------------------------------------------------------ #
-    def _serve(self, lease: BrokerLease, store) -> str:
+    def _serve(self, lease: BrokerLease) -> str:
         """Execute one claimed job and commit/release it. Returns the outcome."""
         job = lease.job
+        store = self.broker.store
         heartbeat = _LeaseHeartbeat(
             self.broker, lease, self.broker.config.heartbeat_interval,
             worker=self.worker_id,
@@ -176,10 +176,8 @@ class WorkerAgent:
         finally:
             heartbeat.stop()
         if result.ok:
-            outcome = self.broker.commit(lease, result, store=store)
-        elif result.status in ("error", "timeout", "cancelled"):
-            outcome = self.broker.release(lease, result)
-        else:  # unknown status: treat as a failure, never as a commit
+            outcome = self.broker.commit(lease, result)
+        else:  # any failure, known status or not, is never a commit
             outcome = self.broker.release(lease, result)
         _WORKER_JOBS.inc(outcome=outcome)
         return outcome

@@ -151,10 +151,12 @@ def _build_planner(factory, kind: str):
 def _run_comparison_pooled(
     cases, planners, scale, jobs, store, telemetry, timeout
 ) -> Comparison:
-    from repro.runtime import grid_jobs, run_jobs
+    from repro.runtime import LocalScheduler, grid_jobs, run_jobs
 
     grid = grid_jobs(cases, planners, scale=scale, timeout=timeout)
-    results = run_jobs(grid, max_workers=max(1, jobs), store=store, telemetry=telemetry)
+    results = run_jobs(
+        grid, scheduler=LocalScheduler(jobs), store=store, telemetry=telemetry
+    )
 
     comparison = Comparison()
     row_by_case: dict[str, ComparisonRow] = {}

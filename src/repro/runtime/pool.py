@@ -24,8 +24,6 @@ with the policies a batch planner needs:
   worker that blows through even the grace margin (the alarm is deferred
   while native solver code runs) is reported as timed out and *terminated*
   at shutdown rather than joined, so shutdown stays bounded,
-* **retries** — failed/timed-out jobs are resubmitted (individually, even
-  when they first ran inside a chunk) up to ``retries`` times,
 * **graceful shutdown** — the context manager cancels queued futures, joins
   every worker, and unlinks every arena segment, leaving no orphaned
   processes or ``/dev/shm`` entries behind.
@@ -33,6 +31,9 @@ with the policies a batch planner needs:
 ``max_workers=1`` runs jobs inline in the calling process (no pool at all):
 that is the honest serial baseline the throughput benchmark compares
 against, and it keeps tiny batches free of process-spawn overhead.
+
+The pool only executes: each job runs once, a failed attempt comes back as a
+failed result, and re-running it is the supervisor's call.
 """
 
 from __future__ import annotations
@@ -95,9 +96,6 @@ _POOL_JOBS = obs_metrics.declare_counter(
 _POOL_DISPATCHES = obs_metrics.declare_counter(
     "pool_dispatches_total", "Futures submitted to worker processes"
 )
-_POOL_RETRIES = obs_metrics.declare_counter(
-    "pool_retries_total", "Job re-submissions after a failed or timed-out attempt"
-)
 _POOL_QUEUE_DEPTH = obs_metrics.declare_gauge(
     "pool_queue_depth", "Jobs submitted to the current batch but not yet resolved"
 )
@@ -143,6 +141,21 @@ def labelled_event(
         elapsed=event.elapsed,
         payload={**event.payload, **updates},
     )
+
+
+def inline_sink(
+    job: PlanJob, on_event: Callable[[PlanEvent], None] | None
+) -> Callable[[PlanEvent], None] | None:
+    """``on_event`` for ``job`` run in this process, stamped like a relayed event."""
+    if on_event is None:
+        return None
+    label = job.display_label
+    pid = os.getpid()
+
+    def sink(event: PlanEvent) -> None:
+        on_event(labelled_event(event, label, worker_pid=pid, job_id=job.job_id))
+
+    return sink
 
 
 def _execute_descriptor(
@@ -319,23 +332,24 @@ def _pool_worker_chunk(
 
 
 class PlannerPool:
-    """Execute plan jobs across worker processes with retries and timeouts.
+    """Execute plan jobs across worker processes with timeouts.
 
     The pool is *warm*: its executor (and each worker's instance/kernel
     cache) survives across :meth:`run` / :meth:`imap` calls until
     :meth:`shutdown` — reuse one pool for a whole serving session instead of
     paying process spawn and interpreter import per batch.
+
+    ``chunksize`` pins how many job descriptors ride in one worker dispatch
+    (default: sized from the batch and worker counts, see :meth:`imap`).
     """
 
     def __init__(
         self,
         max_workers: int = 1,
-        retries: int = 0,
         chunksize: int | None = None,
         cancel_grace: float = _CANCEL_GRACE,
     ) -> None:
         self.max_workers = max(1, int(max_workers))
-        self.retries = max(0, int(retries))
         self.chunksize = chunksize if chunksize is None else max(1, int(chunksize))
         self.cancel_grace = max(0.0, float(cancel_grace))
         #: Executor breakages seen over this pool's lifetime (worker deaths).
@@ -521,13 +535,12 @@ class PlannerPool:
         jobs: Iterable[PlanJob],
         event_queue=None,
         on_event: Callable[[PlanEvent], None] | None = None,
-        chunksize: int | None = None,
     ) -> Iterator[JobResult]:
         """Yield results in submission order as jobs complete.
 
-        Jobs are dispatched as descriptor chunks (``chunksize`` defaults to
-        :func:`auto_chunksize`); results of a chunk are yielded as soon as
-        the chunk (and everything before it) finishes.
+        Jobs are dispatched as descriptor chunks (the pool's ``chunksize``,
+        else :func:`auto_chunksize`); results of a chunk are yielded as soon
+        as the chunk (and everything before it) finishes.
 
         ``event_queue`` (an :class:`EventRelay` queue) streams worker events
         back to the parent; ``on_event`` is the in-process equivalent used on
@@ -545,7 +558,8 @@ class PlannerPool:
             _POOL_QUEUE_DEPTH.set(pending)
             try:
                 for job in jobs:
-                    result = self._run_with_retries_inline(job, on_event=on_event)
+                    result = execute_job(job, on_event=inline_sink(job, on_event))
+                    self._note(result, "inline")
                     pending -= 1
                     _POOL_QUEUE_DEPTH.set(pending)
                     yield result
@@ -555,8 +569,7 @@ class PlannerPool:
         executor = self._ensure_executor()
         descriptors = self.describe(jobs)
         collect_metrics = obs_metrics.installed() is not None
-        if chunksize is None:
-            chunksize = self.chunksize
+        chunksize = self.chunksize
         if chunksize is None:
             # With per-job timeouts, dispatch one job per future: a chunk
             # can only be declared lost as a whole, so batching would let a
@@ -581,7 +594,9 @@ class PlannerPool:
         _POOL_QUEUE_DEPTH.set(pending)
         try:
             for (chunk_jobs, _), future in zip(chunks, futures):
-                results = self._await_chunk(chunk_jobs, future, event_queue)
+                with span("dispatch", jobs=len(chunk_jobs),
+                          job_ids=[job.job_id for job in chunk_jobs]):
+                    results = self._collect_chunk(chunk_jobs, future)
                 pending -= len(chunk_jobs)
                 _POOL_QUEUE_DEPTH.set(pending)
                 yield from results
@@ -624,33 +639,6 @@ class PlannerPool:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _run_with_retries_inline(
-        self, job: PlanJob, on_event: Callable[[PlanEvent], None] | None = None
-    ) -> JobResult:
-        sink = None
-        if on_event is not None:
-            label = job.display_label
-            pid = os.getpid()
-
-            def sink(event: PlanEvent) -> None:
-                on_event(
-                    labelled_event(event, label, worker_pid=pid, job_id=job.job_id)
-                )
-
-        attempts = 0
-        while True:
-            attempts += 1
-            result = execute_job(job, on_event=sink)
-            result.attempts = attempts
-            if attempts > 1:
-                # Only re-dispatched jobs carry the attempt count in extra:
-                # a clean first attempt stays byte-identical to a serial run.
-                result.extra["attempt"] = attempts
-            self._note(result, "inline")
-            if result.ok or attempts > self.retries:
-                return result
-            _POOL_RETRIES.inc()
-
     def _wait_bound(self, job: PlanJob) -> float | None:
         return (job.timeout + _WAIT_GRACE) if job.timeout else None
 
@@ -680,96 +668,43 @@ class PlannerPool:
         _POOL_JOB_SECONDS.observe(result.wall_seconds, mode=mode)
 
     def collect(self, job: PlanJob, future: Future) -> JobResult:
-        """Resolve one single-job future into a :class:`JobResult` (no retries)."""
+        """Resolve one single-job future into a :class:`JobResult`."""
         try:
             result = future.result(timeout=self._wait_bound(job))
-        except FutureTimeoutError:
-            future.cancel()
-            self.abandon_running()
-            result = self._failed(job, "timeout", "worker did not respond within the timeout")
-        except CancelledError:
-            result = self._failed(job, "error", "job was cancelled before it ran")
-        except BrokenProcessPool as exc:
-            # The pool is unusable: drop it so a retry gets a fresh one.
-            self.reset_broken()
-            result = self._failed(job, "error", f"worker pool broke: {exc}")
-        except Exception as exc:  # noqa: BLE001 — unexpected submission failure
-            result = self._failed(job, "error", f"{type(exc).__name__}: {exc}")
+        except Exception as exc:  # noqa: BLE001 — mapped onto a failed result
+            [result] = self._failures([job], future, exc)
         self._note(result, "pool")
         return result
 
     def _collect_chunk(
         self, jobs: Sequence[PlanJob], future: Future
     ) -> list[JobResult]:
-        results = self._collect_chunk_raw(jobs, future)
+        """Resolve one chunk future into its jobs' results, in order."""
+        try:
+            results = list(future.result(timeout=self._chunk_wait_bound(jobs)))
+        except Exception as exc:  # noqa: BLE001 — mapped onto failed results
+            results = self._failures(jobs, future, exc)
         for result in results:
             self._note(result, "pool")
         return results
 
-    def _collect_chunk_raw(
-        self, jobs: Sequence[PlanJob], future: Future
+    def _failures(
+        self, jobs: Sequence[PlanJob], future: Future, exc: Exception
     ) -> list[JobResult]:
-        try:
-            return list(future.result(timeout=self._chunk_wait_bound(jobs)))
-        except FutureTimeoutError:
+        """The failed results of ``jobs`` whose future raised ``exc``."""
+        if isinstance(exc, FutureTimeoutError):
             future.cancel()
             self.abandon_running()
-            return [
-                self._failed(job, "timeout", "worker did not respond within the timeout")
-                for job in jobs
-            ]
-        except CancelledError:
-            return [
-                self._failed(job, "error", "job was cancelled before it ran")
-                for job in jobs
-            ]
-        except BrokenProcessPool as exc:
+            status, message = "timeout", "worker did not respond within the timeout"
+        elif isinstance(exc, CancelledError):
+            status, message = "error", "job was cancelled before it ran"
+        elif isinstance(exc, BrokenProcessPool):
+            # The pool is unusable: drop it so the next dispatch gets a fresh one.
             self.reset_broken()
-            return [
-                self._failed(job, "error", f"worker pool broke: {exc}") for job in jobs
-            ]
-        except Exception as exc:  # noqa: BLE001 — unexpected submission failure
-            return [
-                self._failed(job, "error", f"{type(exc).__name__}: {exc}")
-                for job in jobs
-            ]
-
-    def _await_chunk(
-        self, jobs: Sequence[PlanJob], future: Future, event_queue=None
-    ) -> list[JobResult]:
-        with span("dispatch", jobs=len(jobs), job_ids=[job.job_id for job in jobs]):
-            results = self._collect_chunk(jobs, future)
-            for index, result in enumerate(results):
-                result.attempts = 1
-                attempts = 1
-                while not result.ok and attempts <= self.retries:
-                    # Retries run one job per future: a failure inside a chunk
-                    # must not re-run its healthy neighbours.  The job is
-                    # re-described rather than reusing the original descriptor —
-                    # if the pool broke, the arena went down with it, and a
-                    # fresh descriptor re-exports the instance into the new one.
-                    attempts += 1
-                    _POOL_RETRIES.inc()
-                    [desc] = self.describe([jobs[index]])
-                    retry = self._ensure_executor().submit(
-                        _pool_worker,
-                        desc,
-                        event_queue,
-                        None,
-                        obs_metrics.installed() is not None,
-                    )
-                    _POOL_DISPATCHES.inc()
-                    result = self.collect(jobs[index], retry)
-                    result.attempts = attempts
-                # Retry accounting rides on the result itself: the attempt
-                # count lands in telemetry records and, for re-dispatched
-                # jobs only, in extra (and thus the store payload) keyed by
-                # the *unchanged* job_id — a clean first attempt stays
-                # byte-identical to a serial run.
-                if result.attempts > 1:
-                    result.extra["attempt"] = result.attempts
-                results[index] = result
-            return results
+            status, message = "error", f"worker pool broke: {exc}"
+        else:  # unexpected submission failure
+            status, message = "error", f"{type(exc).__name__}: {exc}"
+        return [self._failed(job, status, message) for job in jobs]
 
     @staticmethod
     def _failed(job: PlanJob, status: str, message: str) -> JobResult:
@@ -787,23 +722,23 @@ class PlannerPool:
 # Process-wide warm pools
 # --------------------------------------------------------------------------- #
 
-_SHARED_POOLS: dict[tuple[int, int], PlannerPool] = {}
+_SHARED_POOLS: dict[int, PlannerPool] = {}
 
 
-def shared_pool(max_workers: int, retries: int = 0) -> PlannerPool:
-    """A process-wide warm :class:`PlannerPool` (one per configuration).
+def shared_pool(max_workers: int) -> PlannerPool:
+    """A process-wide warm :class:`PlannerPool` (one per worker count).
 
     The returned pool is owned by the process: callers must *not* close it
     (use it without ``with``); every pool is shut down at interpreter exit
     or explicitly via :func:`close_shared_pools`.  Handing the same pool to
-    successive :func:`~repro.runtime.engine.run_jobs` /
+    successive batches (``LocalScheduler(pool=...)``) and
     :func:`~repro.runtime.portfolio.run_portfolio` calls keeps workers — and
     their per-digest instance caches — warm across batches.
     """
-    key = (max(1, int(max_workers)), max(0, int(retries)))
+    key = max(1, int(max_workers))
     pool = _SHARED_POOLS.get(key)
     if pool is None:
-        pool = PlannerPool(max_workers=key[0], retries=key[1])
+        pool = PlannerPool(max_workers=key)
         _SHARED_POOLS[key] = pool
     return pool
 

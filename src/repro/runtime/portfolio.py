@@ -218,12 +218,9 @@ def run_portfolio(
 
     if resume and journal is None:
         raise ValidationError("resume=True needs journal= (the race's journal path)")
-    if isinstance(journal, JobJournal):
-        journal_obj: JobJournal | None = journal
-    elif journal is not None:
+    journal_obj = journal
+    if journal is not None and not isinstance(journal, JobJournal):
         journal_obj = JobJournal(journal, resume=resume)
-    else:
-        journal_obj = None
     prior = journal_obj.prior if (journal_obj is not None and resume) else {}
     # A budget without per-job timeouts would leave stragglers running
     # unattended in the workers; bound them by the budget itself.

@@ -24,6 +24,11 @@ unparsable / wrong-shape file — as corruption, moving the entry to
 ``<root>/quarantine/`` with a warning and reporting a miss, so a damaged
 cache can degrade a run's speed but never its plans.  Pre-envelope entries
 (bare result dicts) are still readable.
+
+A failed write has the same posture: :meth:`ResultStore.put` never fails the
+plan it was asked to keep.  The plan is still delivered, the first failure
+of each store warns with its cause, and ``store_write_errors_total`` counts
+every one.
 """
 
 from __future__ import annotations
@@ -58,6 +63,9 @@ _STORE_QUARANTINED = obs_metrics.declare_counter(
 )
 _STORE_EVICTIONS = obs_metrics.declare_counter(
     "store_evictions_total", "Store entries evicted by prune (LRU by access time)"
+)
+_STORE_WRITE_ERRORS = obs_metrics.declare_counter(
+    "store_write_errors_total", "Result-store writes that failed (the plan was still delivered)"
 )
 
 #: Envelope schema version of on-disk entries.
@@ -103,6 +111,7 @@ class ResultStore:
     def __init__(self, root: str | Path | None = None, version: str | None = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.version = version or code_version()
+        self._write_warned = False
 
     def path_for(self, job: PlanJob) -> Path:
         shard = job.instance_hash[:2]
@@ -164,7 +173,12 @@ class ResultStore:
         return result
 
     def put(self, job: PlanJob, result: JobResult) -> Path | None:
-        """Persist an ``ok`` result (no-op for errors/timeouts/cache hits)."""
+        """Persist an ``ok`` result; the entry's path, or ``None`` if nothing was written.
+
+        Errors, timeouts and cache hits are not written.  Neither is a
+        result whose write fails (full disk, unwritable root): that costs a
+        later run a cache miss, never this run its plan.
+        """
         if not result.ok or result.cache_hit:
             return None
         body = result.to_dict()
@@ -175,7 +189,20 @@ class ResultStore:
             "result": body,
         }
         payload = faults.on_store_put(job, canonical_json(envelope))
-        path = write_text_atomic(self.path_for(job), payload)
+        try:
+            path = write_text_atomic(self.path_for(job), payload)
+        except OSError as exc:
+            _STORE_WRITE_ERRORS.inc()
+            if not self._write_warned:
+                self._write_warned = True
+                warnings.warn(
+                    f"result store {self.root} rejected a write "
+                    f"({type(exc).__name__}: {exc}); plans are still delivered, "
+                    "but are not cached",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            return None
         _STORE_PUTS.inc()
         _STORE_BYTES.inc(len(payload), direction="written")
         return path

@@ -20,20 +20,26 @@ batches survive all three:
   backoff; a job that keeps failing is quarantined as poison after
   ``max_attempts``; lease expiry first escalates against the owner pid
   (soft cancel → ``SIGTERM`` → ``SIGKILL``, one grace window per rung);
-* **graceful degradation** — after ``unhealthy_after`` consecutive pool
+* **graceful degradation** — after ``UNHEALTHY_AFTER`` consecutive pool
   breakages without progress the pool is abandoned and the remaining jobs
   run inline in the parent instead of erroring the batch;
-* **resume** — :func:`iter_supervised` with ``resume=True`` replays the
-  journal and the :class:`~repro.runtime.store.ResultStore`: finished jobs
-  are served from the store (bit-identical plans, identical job ids),
-  quarantined jobs are reported without re-running, and only genuinely
-  unfinished jobs execute again.
+* **resume** — a :class:`~repro.runtime.engine.LocalScheduler` given a
+  journal and ``resume=True`` replays the journal and the
+  :class:`~repro.runtime.store.ResultStore`: finished jobs are served from
+  the store (bit-identical plans, identical job ids), quarantined jobs are
+  reported without re-running, and only genuinely unfinished jobs execute
+  again.
+
+The lease policy (:class:`LeasePolicy`: attempts, heartbeats, lease timeout
+and backoff) is shared with the broker spool in :mod:`repro.dist.broker`,
+and :meth:`LeasePolicy.requeue_delay` is the one place that decides between
+re-queueing a failed attempt and quarantining its job.
 
 Determinism note: planning itself stays bit-identical under supervision —
-retries re-run the same pure job, and the backoff jitter comes from a
-dedicated seeded RNG, never from the planners' random streams.  The chaos
-suite (``tests/runtime/test_chaos.py``) asserts exactly that, driven by
-:mod:`repro.runtime.faults`.
+a re-queued attempt re-runs the same pure job, and the backoff jitter comes
+from a dedicated seeded RNG, never from the planners' random streams.  The
+chaos suite (``tests/runtime/test_chaos.py``) asserts exactly that, driven
+by :mod:`repro.runtime.faults`.
 """
 
 from __future__ import annotations
@@ -47,14 +53,15 @@ from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
+from repro.errors import ValidationError
 from repro.events import PlanEvent, guarded_sink
 from repro.io.serialization import canonical_json
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import span
 from repro.runtime.jobs import JobResult, PlanJob, execute_job
-from repro.runtime.pool import EventRelay, PlannerPool, labelled_event
+from repro.runtime.pool import EventRelay, PlannerPool, inline_sink
 from repro.runtime.store import ResultStore
 from repro.runtime.telemetry import Telemetry
 
@@ -62,14 +69,19 @@ __all__ = [
     "JOURNAL_VERSION",
     "JobJournal",
     "JobLease",
+    "LeasePolicy",
     "SupervisorConfig",
-    "backoff_delay",
-    "iter_supervised",
-    "run_supervised",
 ]
 
 #: Journal record schema version (the ``"v"`` field of every record).
 JOURNAL_VERSION = 1
+
+#: Seed of the backoff-jitter RNG, so a replayed batch schedules identically.
+BACKOFF_SEED = 0
+
+#: Consecutive pool breakages without progress before the supervisor gives
+#: up on the pool and runs the remaining jobs inline.
+UNHEALTHY_AFTER = 3
 
 _LEASE_OPS = obs_metrics.declare_counter(
     "supervisor_leases_total", "Lease lifecycle transitions by operation", ("op",)
@@ -97,43 +109,61 @@ _JOURNAL_WRITE_ERRORS = obs_metrics.declare_counter(
 
 
 @dataclass(frozen=True)
-class SupervisorConfig:
-    """Tunables of the supervision loop.
+class LeasePolicy:
+    """How a leased job is watched, retried and finally quarantined.
 
-    The defaults suit real batches (sub-second planner runs up to multi
-    second LP solves); the chaos tests shrink ``heartbeat_interval`` /
-    ``lease_timeout`` to keep fault turnaround fast.  ``lease_timeout`` must
-    comfortably exceed the longest stretch a *healthy* planner can hold the
-    GIL in native code (heartbeats come from a worker thread), or busy
-    workers will be escalated against for merely being busy.
+    The in-process supervisor (:class:`SupervisorConfig`) and the broker
+    spool (:class:`~repro.dist.broker.BrokerConfig`) both extend it.
+    ``lease_timeout`` must comfortably exceed the longest stretch a
+    *healthy* planner can hold the GIL in native code (heartbeats come from
+    a worker thread), or busy workers are treated as wedged.
     """
 
+    #: Attempts per job before it is quarantined as poison.
     max_attempts: int = 3
+    #: Worker heartbeat period.
     heartbeat_interval: float = 0.25
+    #: Seconds a lease may go without a heartbeat before it expires.
     lease_timeout: float = 15.0
     backoff_base: float = 0.1
     backoff_cap: float = 5.0
     backoff_jitter: float = 0.5
-    cancel_grace: float = 0.5
-    unhealthy_after: int = 3
-    backoff_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+            raise ValidationError("max_attempts must be >= 1")
         if self.lease_timeout <= 0 or self.heartbeat_interval <= 0:
-            raise ValueError("lease_timeout and heartbeat_interval must be > 0")
+            raise ValidationError("lease_timeout and heartbeat_interval must be > 0")
+
+    def requeue_delay(self, attempt: int, rng: random.Random | None = None) -> float | None:
+        """Seconds to wait before attempt ``attempt + 1``, or ``None`` to quarantine.
+
+        ``attempt`` counts the attempts already spent; once it reaches
+        ``max_attempts`` the job is poison.  Otherwise the delay doubles per
+        spent attempt from ``backoff_base`` up to ``backoff_cap``, stretched
+        by up to ``backoff_jitter`` (a fraction) drawn from ``rng`` — no
+        jitter, and no draw, without one.
+        """
+        if attempt >= self.max_attempts:
+            return None
+        base = min(self.backoff_cap, self.backoff_base * (2 ** max(0, attempt - 1)))
+        if rng is None:
+            return base
+        return base * (1.0 + max(0.0, self.backoff_jitter) * rng.random())
 
 
-def backoff_delay(attempt: int, config: SupervisorConfig, rng: random.Random) -> float:
-    """Jittered exponential backoff before re-dispatching attempt ``attempt + 1``.
+@dataclass(frozen=True)
+class SupervisorConfig(LeasePolicy):
+    """The lease policy of an in-process supervised batch.
 
-    Base doubles per failed attempt up to ``backoff_cap``; jitter stretches
-    the delay by up to ``backoff_jitter`` (a fraction), drawn from the
-    supervisor's own seeded RNG so a replayed batch schedules identically.
+    The defaults suit real batches (sub-second planner runs up to multi
+    second LP solves); the chaos tests shrink ``heartbeat_interval`` /
+    ``lease_timeout`` to keep fault turnaround fast.
     """
-    base = min(config.backoff_cap, config.backoff_base * (2 ** max(0, attempt - 1)))
-    return base * (1.0 + max(0.0, config.backoff_jitter) * rng.random())
+
+    #: Grace window between the rungs of the escalation ladder against an
+    #: expired lease's owner (soft cancel → SIGTERM → SIGKILL).
+    cancel_grace: float = 0.5
 
 
 @dataclass
@@ -141,7 +171,6 @@ class JobLease:
     """Supervisor-side state of one job's execution lifecycle."""
 
     job: PlanJob
-    index: int
     state: str = "queued"  # queued | leased | done | quarantined
     attempt: int = 0
     owner_pid: int | None = None
@@ -159,6 +188,16 @@ class JobLease:
     future: Future | None = None
     result: JobResult | None = None
     last_error: str | None = None
+
+    def arm(self, state: str, future: Future | None = None) -> None:
+        """Enter ``state`` with the liveness bookkeeping of a fresh attempt."""
+        self.state = state
+        self.future = future
+        self.started = False
+        self.expired = False
+        self.owner_pid = None
+        self.deadline = None
+        self.escalation = 0
 
 
 class JobJournal:
@@ -298,7 +337,7 @@ class JobJournal:
 
 
 class _Supervisor:
-    """One supervised batch run (see :func:`iter_supervised`)."""
+    """One supervised batch run (see :class:`~repro.runtime.engine.LocalScheduler`)."""
 
     def __init__(
         self,
@@ -318,9 +357,9 @@ class _Supervisor:
         self.journal = journal
         self.resume = resume
         self._callback = guarded_sink(on_event)
-        self._rng = random.Random(config.backoff_seed)
+        self._rng = random.Random(BACKOFF_SEED)
         self._lock = threading.Lock()
-        self.leases = [JobLease(job=job, index=index) for index, job in enumerate(jobs)]
+        self.leases = [JobLease(job=job) for job in jobs]
         self._by_job_id: dict[str, list[JobLease]] = {}
         for lease in self.leases:
             self._by_job_id.setdefault(lease.job.job_id, []).append(lease)
@@ -357,8 +396,16 @@ class _Supervisor:
             self.telemetry.record(result)
 
     def _quarantine(self, lease: JobLease, reason: str) -> None:
+        _QUARANTINED.inc()
+        self._note_op(
+            "quarantined", lease, reason=reason, error=lease.last_error, attempt=lease.attempt
+        )
+        self._settle_quarantined(lease, quarantine_reason=reason)
+
+    def _settle_quarantined(self, lease: JobLease, **extra) -> None:
+        """Finish ``lease`` as poison: its result, its state, its telemetry record."""
         job = lease.job
-        result = JobResult(
+        lease.result = JobResult(
             job_id=job.job_id,
             case=job.case_name,
             label=job.display_label,
@@ -366,17 +413,12 @@ class _Supervisor:
             status="quarantined",
             error=lease.last_error,
             attempts=lease.attempt,
-            extra={"attempt": lease.attempt, "quarantine_reason": reason},
+            extra={"attempt": lease.attempt, **extra},
         )
         lease.state = "quarantined"
         lease.future = None
-        lease.result = result
-        _QUARANTINED.inc()
-        self._note_op(
-            "quarantined", lease, reason=reason, error=lease.last_error, attempt=lease.attempt
-        )
         if self.telemetry is not None:
-            self.telemetry.record(result)
+            self.telemetry.record(lease.result)
 
     def _requeue(self, lease: JobLease, reason: str, count_attempt: bool = True) -> None:
         """Put a lease back in the queue (or quarantine it) after a failure."""
@@ -387,19 +429,13 @@ class _Supervisor:
             # enough delay for the fresh executor to come up.
             lease.attempt = max(0, lease.attempt - 1)
             delay = self.config.backoff_base
-        elif lease.attempt >= self.config.max_attempts:
-            self._quarantine(lease, reason)
-            return
         else:
-            delay = backoff_delay(lease.attempt, self.config, self._rng)
+            delay = self.config.requeue_delay(lease.attempt, self._rng)
+            if delay is None:
+                self._quarantine(lease, reason)
+                return
         with self._lock:
-            lease.state = "queued"
-            lease.future = None
-            lease.started = False
-            lease.expired = False
-            lease.owner_pid = None
-            lease.deadline = None
-            lease.escalation = 0
+            lease.arm("queued")
         lease.retry_at = time.monotonic() + delay
         self._note_op(
             "requeued", lease, reason=reason, attempt=lease.attempt, retry_in=round(delay, 4)
@@ -443,20 +479,7 @@ class _Supervisor:
                     # journal instead of re-running it (clear the journal to
                     # retry).  Not re-journaled — the terminal record exists.
                     lease.last_error = info.get("error")
-                    result = JobResult(
-                        job_id=job.job_id,
-                        case=job.case_name,
-                        label=job.display_label,
-                        planner=job.spec.planner,
-                        status="quarantined",
-                        error=lease.last_error,
-                        attempts=lease.attempt,
-                        extra={"attempt": lease.attempt, "resumed": True},
-                    )
-                    lease.state = "quarantined"
-                    lease.result = result
-                    if self.telemetry is not None:
-                        self.telemetry.record(result)
+                    self._settle_quarantined(lease, resumed=True)
                     continue
                 cached = self.store.get(job) if self.store is not None else None
                 if cached is not None:
@@ -493,22 +516,9 @@ class _Supervisor:
     # ------------------------------------------------------------------ #
     # Inline execution (``max_workers == 1`` or degraded pool)
     # ------------------------------------------------------------------ #
-    def _inline_sink(self, job: PlanJob):
-        if self._callback is None:
-            return None
-        label = job.display_label
-        pid = os.getpid()
-
-        def _sink(event: PlanEvent) -> None:
-            self._callback(labelled_event(event, label, worker_pid=pid, job_id=job.job_id))
-
-        return _sink
-
     def _run_inline(self, degraded: bool) -> Iterator[JobResult]:
         for lease in self.leases:
-            if lease.state in ("done", "quarantined"):
-                pass
-            else:
+            if lease.state not in ("done", "quarantined"):
                 if degraded:
                     _FALLBACKS.inc()
                     self._note_op("fallback", lease, attempt=lease.attempt)
@@ -516,19 +526,14 @@ class _Supervisor:
             yield from self._emit_ready()
 
     def _run_inline_lease(self, lease: JobLease) -> None:
-        sink = self._inline_sink(lease.job)
+        sink = inline_sink(lease.job, self._callback)
         while lease.state == "queued":
             delay = lease.retry_at - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
             lease.attempt += 1
             self._note_op("leased", lease, attempt=lease.attempt, pid=os.getpid())
-            result = execute_job(lease.job, on_event=sink)
-            if result.ok:
-                self._complete(lease, result)
-            else:
-                lease.last_error = result.error
-                self._requeue(lease, result.status)
+            self._settle(lease, execute_job(lease.job, on_event=sink))
 
     # ------------------------------------------------------------------ #
     # Pooled execution
@@ -585,13 +590,7 @@ class _Supervisor:
                 lease.retry_at = time.monotonic() + self.config.backoff_base
                 return
             with self._lock:
-                lease.state = "leased"
-                lease.future = future
-                lease.started = False
-                lease.expired = False
-                lease.owner_pid = None
-                lease.deadline = None
-                lease.escalation = 0
+                lease.arm("leased", future)
             self._note_op("leased", lease, attempt=lease.attempt)
 
     def _next_wakeup(self) -> float:
@@ -636,6 +635,7 @@ class _Supervisor:
             # One dead worker breaks *every* in-flight future of the
             # executor; drain the rest of the wave now so it is accounted
             # as one death, not one per future.
+            _WORKER_DEATHS.inc()
             self._on_pool_break()
             survivors = [
                 (future, lease)
@@ -648,7 +648,13 @@ class _Supervisor:
                     if future.done() and self._resolve(lease, future) == "broken":
                         broken.append(lease)
             for lease in broken:
-                self._fail_or_requeue_broken(lease)
+                if lease.started:
+                    # The job was genuinely running when its worker died:
+                    # that attempt is spent (a poison job that *kills* its
+                    # worker must still hit quarantine, not retry forever).
+                    self._requeue(lease, "lease_expired" if lease.expired else "worker_death")
+                else:
+                    self._requeue(lease, "pool_reset", count_attempt=False)
 
     def _resolve(self, lease: JobLease, future: Future) -> str | None:
         """Fold one settled future into its lease; returns ``"broken"`` on BPP."""
@@ -668,29 +674,22 @@ class _Supervisor:
         # supervised path bypasses PlannerPool.collect, which normally does
         # this) — counters from failed attempts accumulate too.
         PlannerPool._note(result, "supervised")
+        self._settle(lease, result)
+        return None
+
+    def _settle(self, lease: JobLease, result: JobResult) -> None:
+        """Complete ``lease`` with an ``ok`` attempt, else re-queue (or quarantine) it."""
         if result.ok:
             self._complete(lease, result)
         else:
             lease.last_error = result.error
-            reason = "lease_expired" if lease.expired else result.status
-            self._requeue(lease, reason)
-        return None
-
-    def _fail_or_requeue_broken(self, lease: JobLease) -> None:
-        if lease.started:
-            # The job was genuinely running when its worker died: that
-            # attempt is spent (a poison job that *kills* its worker must
-            # still hit quarantine, not retry forever).
-            reason = "lease_expired" if lease.expired else "worker_death"
-            self._requeue(lease, reason)
-        else:
-            self._requeue(lease, "pool_reset", count_attempt=False)
+            self._requeue(lease, "lease_expired" if lease.expired else result.status)
 
     def _on_pool_break(self) -> None:
-        _WORKER_DEATHS.inc()
+        """Reset the executor; too many breaks in a row degrade to inline."""
         self._breaks_in_a_row += 1
         self.pool.reset_broken()
-        if self._breaks_in_a_row >= self.config.unhealthy_after:
+        if self._breaks_in_a_row >= UNHEALTHY_AFTER:
             self._degraded = True
 
     def _check_leases(self) -> None:
@@ -739,79 +738,3 @@ class _Supervisor:
         except Exception:  # noqa: BLE001 — platform without the signal
             pass
 
-
-def iter_supervised(
-    jobs: Iterable[PlanJob],
-    max_workers: int = 1,
-    config: SupervisorConfig | None = None,
-    store: ResultStore | None = None,
-    telemetry: Telemetry | None = None,
-    journal: JobJournal | str | os.PathLike | None = None,
-    resume: bool = False,
-    on_event: Callable[[PlanEvent], None] | None = None,
-    pool: PlannerPool | None = None,
-) -> Iterator[JobResult]:
-    """Stream supervised results for ``jobs`` in submission order.
-
-    The fault-tolerant sibling of :func:`repro.runtime.engine.iter_jobs`:
-    same streaming contract (store hits served instantly, fresh ``ok``
-    results persisted before they are yielded, every outcome recorded to
-    ``telemetry``), plus leases, heartbeat supervision, retry with backoff,
-    poison quarantine (``status="quarantined"`` results), inline fallback,
-    and — given a ``journal`` — crash resumability via ``resume=True``.
-    """
-    jobs = list(jobs)
-    config = config or SupervisorConfig()
-    if resume and journal is None:
-        raise ValueError("resume=True needs journal= (the run's journal path)")
-    if isinstance(journal, JobJournal):
-        journal_obj: JobJournal | None = journal
-    elif journal is not None:
-        journal_obj = JobJournal(journal, resume=resume)
-    else:
-        journal_obj = None
-    owns_pool = pool is None
-    if owns_pool:
-        pool = PlannerPool(max_workers=max(1, max_workers))
-    try:
-        supervisor = _Supervisor(
-            jobs,
-            pool=pool,
-            config=config,
-            store=store,
-            telemetry=telemetry,
-            journal=journal_obj,
-            resume=resume,
-            on_event=on_event,
-        )
-        yield from supervisor.run()
-    finally:
-        if owns_pool:
-            pool.shutdown(wait=True)
-
-
-def run_supervised(
-    jobs: Iterable[PlanJob],
-    max_workers: int = 1,
-    config: SupervisorConfig | None = None,
-    store: ResultStore | None = None,
-    telemetry: Telemetry | None = None,
-    journal: JobJournal | str | os.PathLike | None = None,
-    resume: bool = False,
-    on_event: Callable[[PlanEvent], None] | None = None,
-    pool: PlannerPool | None = None,
-) -> list[JobResult]:
-    """Run all jobs under supervision; results in submission order."""
-    return list(
-        iter_supervised(
-            jobs,
-            max_workers=max_workers,
-            config=config,
-            store=store,
-            telemetry=telemetry,
-            journal=journal,
-            resume=resume,
-            on_event=on_event,
-            pool=pool,
-        )
-    )

@@ -901,10 +901,7 @@ class PlanServer:
             [future] = self._pool.submit([job], event_queue=self._relay.queue)
         result = self._pool.collect(job, future)
         if self._store is not None:
-            try:
-                self._store.put(job, result)
-            except Exception:  # noqa: BLE001 — a failed cache write is not a failed plan
-                pass
+            self._store.put(job, result)
         return result
 
     def _run_portfolio(self, flight: Flight, params: dict):

@@ -84,6 +84,8 @@ RUNTIME_EXPORTS = sorted(
         "default_workers",
         "shared_pool",
         "close_shared_pools",
+        "Scheduler",
+        "LocalScheduler",
         "grid_jobs",
         "iter_jobs",
         "run_jobs",
@@ -98,9 +100,8 @@ RUNTIME_EXPORTS = sorted(
         "summarize_manifest",
         "JobJournal",
         "JobLease",
+        "LeasePolicy",
         "SupervisorConfig",
-        "iter_supervised",
-        "run_supervised",
         "FaultPlan",
         "FaultSpec",
         "InjectedFaultError",

@@ -148,10 +148,10 @@ class TestLifecycle:
         assert fetched.writing_time == result.writing_time
 
     def test_failed_store_write_ships_the_result_on_the_marker(self, tmp_path, monkeypatch):
-        def full(self, job, result):
+        def full(path, text):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(ResultStore, "put", full)
+        monkeypatch.setattr("repro.runtime.store.write_text_atomic", full)
         broker = Broker.create(
             tmp_path / "spool", config=BrokerConfig(store_dir=str(tmp_path / "store"))
         )

@@ -89,17 +89,17 @@ def test_stale_late_finish_is_exactly_once(tmp_path_factory, reference,
     if late_commit_first:
         # The stale worker finishes before anyone re-claims: its epoch is
         # still the current one, so exactly this commit lands.
-        assert broker.commit(stale_lease, reference, store=store) == "committed"
+        assert broker.commit(stale_lease, reference) == "committed"
         assert broker.claim("w-fresh") is None  # done: nothing left to claim
     else:
         fresh_lease = broker.claim("w-fresh")
         assert fresh_lease is not None and fresh_lease.epoch == 2
-        assert broker.commit(fresh_lease, reference, store=store) == "committed"
+        assert broker.commit(fresh_lease, reference) == "committed"
         # Now the original worker wakes up and finishes late — discarded.
-        assert broker.commit(stale_lease, reference, store=store) == "stale"
+        assert broker.commit(stale_lease, reference) == "stale"
 
     for _ in range(extra_stale_commits):
-        assert broker.commit(stale_lease, reference, store=store) == "stale"
+        assert broker.commit(stale_lease, reference) == "stale"
 
     # Exactly one done marker, one store entry, and a clean spool.
     assert len(list(broker.done.glob("*.json"))) == 1
@@ -117,6 +117,6 @@ def test_stale_late_finish_is_exactly_once(tmp_path_factory, reference,
         assert ops.count("stale_discarded") >= 1
 
     # The surviving result is bit-identical to the fault-free reference.
-    fetched = broker.fetch(job, store=store)
+    fetched = broker.fetch(job)
     assert fetched is not None and fetched.ok
     _assert_same_plan(reference, fetched)

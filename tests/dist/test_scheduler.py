@@ -10,10 +10,12 @@ import threading
 
 import pytest
 
-from repro.dist import Broker, BrokerConfig, BrokerScheduler, LocalScheduler, WorkerAgent
+from repro.dist import Broker, BrokerConfig, BrokerScheduler, WorkerAgent
 from repro.runtime import (
+    LocalScheduler,
     PlannerSpec,
     ResultStore,
+    SupervisorConfig,
     Telemetry,
     grid_jobs,
     run_jobs,
@@ -73,7 +75,7 @@ class TestLocalScheduler:
             _assert_same_plan(a, b)
 
     def test_supervised_variant(self, tmp_path, baseline):
-        scheduler = LocalScheduler(max_workers=1, supervise=True,
+        scheduler = LocalScheduler(max_workers=1, supervisor=SupervisorConfig(),
                                    journal=tmp_path / "j.jsonl")
         results = run_jobs(_grid(), scheduler=scheduler)
         assert all(r.ok for r in results)
@@ -127,12 +129,27 @@ class TestBrokerScheduler:
                 second = run_jobs(_grid(), scheduler=scheduler)
                 assert [r.cache_hit for r in second] == [True] * 4
 
+    def test_driver_with_another_store_collects_from_the_spools(self, tmp_path, baseline):
+        # The spool was created with store A, so its workers commit into A;
+        # the driver is configured with, and probes, store B.
+        Broker.create(tmp_path / "spool", config=BrokerConfig(store_dir=str(tmp_path / "A")))
+        config = BrokerConfig(store_dir=str(tmp_path / "B"))
+        with BrokerScheduler(tmp_path / "spool", config=config, workers=0,
+                             poll_interval=0.02, wait_timeout=5.0) as scheduler:
+            with _WorkerThread(scheduler.broker):
+                results = run_jobs(_grid()[:2], scheduler=scheduler,
+                                   store=ResultStore(tmp_path / "B"))
+        assert [r.ok for r in results] == [True, True]
+        for a, b in zip(baseline, results):
+            _assert_same_plan(a, b)
+        assert ResultStore(tmp_path / "A").stats()["entries"] == 2
+
     def test_driver_collects_a_plan_whose_store_write_failed(self, tmp_path, baseline,
                                                              monkeypatch):
-        def full(self, job, result):
+        def full(path, text):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(ResultStore, "put", full)
+        monkeypatch.setattr("repro.runtime.store.write_text_atomic", full)
         config = BrokerConfig(store_dir=str(tmp_path / "store"))
         with BrokerScheduler(tmp_path / "spool", config=config, workers=0,
                              poll_interval=0.02, wait_timeout=3.0) as scheduler:

@@ -73,11 +73,12 @@ class TestCrossProcessSpans:
     def test_relayed_spans_reassemble_into_one_tree(self):
         collector = TraceCollector()
         from repro.obs.tracing import span
-        from repro.runtime import iter_jobs
+        from repro.runtime import LocalScheduler, iter_jobs
 
         with PlannerPool(max_workers=2) as pool:
             with emitting(collector), span("batch", jobs=2):
-                results = list(iter_jobs(JOBS, pool=pool, on_event=collector))
+                scheduler = LocalScheduler(pool=pool)
+                results = list(iter_jobs(JOBS, scheduler=scheduler, on_event=collector))
         assert all(r.ok for r in results)
         tree = collector.tree()
         assert tree.name == "batch"

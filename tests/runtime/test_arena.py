@@ -19,6 +19,7 @@ import pytest
 
 from repro.runtime import (
     InstanceArena,
+    LocalScheduler,
     PlanJob,
     PlannerPool,
     PlannerSpec,
@@ -154,8 +155,8 @@ class TestPooledPlansBitIdentical:
     def test_inline_instance_jobs_match_serial_per_planner(self, planner, case):
         instance = build_instance(case, 1.0)
         jobs = grid_jobs([instance], {planner: PlannerSpec(planner)})
-        serial = run_jobs(jobs, max_workers=1)
-        pooled = run_jobs(jobs, max_workers=2)
+        serial = run_jobs(jobs)
+        pooled = run_jobs(jobs, scheduler=LocalScheduler(2))
         wall = ("runtime_seconds", "lp_solve_seconds", "stage_seconds")
         for a, b in zip(serial, pooled):
             assert b.ok, b.error
@@ -275,10 +276,10 @@ class TestWarmPoolReuse:
     def test_pool_survives_across_run_jobs_calls(self):
         jobs = grid_jobs(["1T-1", "1T-2"], {"g": PlannerSpec("greedy-1d")}, scale=1.0)
         with PlannerPool(max_workers=2) as pool:
-            first = run_jobs(jobs, pool=pool)
+            first = run_jobs(jobs, scheduler=LocalScheduler(pool=pool))
             executor = pool._executor
             assert executor is not None
-            second = run_jobs(jobs, pool=pool)
+            second = run_jobs(jobs, scheduler=LocalScheduler(pool=pool))
             # Same executor object: no respawn between batches.
             assert pool._executor is executor
         for a, b in zip(first, second):
@@ -311,8 +312,8 @@ class TestChunkedDispatch:
     def test_order_preserved_for_every_chunksize(self, chunksize):
         cases = ["1T-3", "1T-1", "1T-5", "1T-2", "1T-4"]
         jobs = grid_jobs(cases, {"g": PlannerSpec("greedy-1d")}, scale=1.0)
-        with PlannerPool(max_workers=2) as pool:
-            seen = [r.case for r in pool.imap(jobs, chunksize=chunksize)]
+        with PlannerPool(max_workers=2, chunksize=chunksize) as pool:
+            seen = [r.case for r in pool.imap(jobs)]
         assert seen == cases
 
     def test_auto_chunksize_bounds(self):
@@ -339,14 +340,3 @@ class TestChunkedDispatch:
         assert [r.label for r in results] == ["ok1", "bad", "ok2"]
         assert results[0].ok and results[2].ok
         assert results[1].status == "error"
-
-    def test_pooled_retries_rerun_single_jobs_and_count_attempts(self):
-        job = PlanJob(
-            spec=PlannerSpec("eblow-1d", {"ablated": "not-a-bool"}),
-            case="1T-1",
-            scale=1.0,
-        )
-        with PlannerPool(max_workers=2, retries=2) as pool:
-            [result] = pool.run([job])
-        assert result.status == "error"
-        assert result.attempts == 3

@@ -16,12 +16,12 @@ from repro.obs import metrics as obs_metrics
 from repro.runtime import (
     FaultPlan,
     FaultSpec,
+    LocalScheduler,
     PlannerSpec,
     ResultStore,
     SupervisorConfig,
     grid_jobs,
     run_jobs,
-    run_supervised,
 )
 from repro.runtime import faults
 from repro.runtime.jobs import execute_job
@@ -78,9 +78,8 @@ class TestKillRecovery:
         )
         (tmp_path / "scratch").mkdir()
         with obs_metrics.collecting() as registry, faults.injecting(plan):
-            results = run_supervised(
-                _grid(), max_workers=2, config=_FAST, journal=tmp_path / "j.jsonl"
-            )
+            scheduler = LocalScheduler(2, supervisor=_FAST, journal=tmp_path / "j.jsonl")
+            results = run_jobs(_grid(), scheduler=scheduler)
         assert all(r.ok for r in results), [(r.status, r.error) for r in results]
         snapshot = registry.snapshot()
         assert _counter_value(snapshot, "worker_deaths_total") >= 1
@@ -98,7 +97,7 @@ class TestKillRecovery:
         (tmp_path / "scratch").mkdir()
         jobs = [j for j in _grid() if j.case_name == "1T-1"]
         with faults.injecting(plan):
-            results = run_supervised(jobs, max_workers=2, config=_FAST)
+            results = run_jobs(jobs, scheduler=LocalScheduler(2, supervisor=_FAST))
         assert all(r.ok for r in results)
         # Exactly one of the two 1T-1 jobs was killed; its retry is attempt 2.
         assert sorted(r.attempts for r in results) == [1, 2]
@@ -122,9 +121,8 @@ class TestStallRecovery:
         config = SupervisorConfig(**{**_FAST.__dict__, "lease_timeout": 0.6})
         jobs = [j for j in _grid() if j.display_label == "e-blow"]
         with obs_metrics.collecting() as registry, faults.injecting(plan):
-            results = run_supervised(
-                jobs, max_workers=2, config=config, journal=tmp_path / "j.jsonl"
-            )
+            scheduler = LocalScheduler(2, supervisor=config, journal=tmp_path / "j.jsonl")
+            results = run_jobs(jobs, scheduler=scheduler)
         assert all(r.ok for r in results), [(r.status, r.error) for r in results]
         snapshot = registry.snapshot()
         assert _counter_value(snapshot, "supervisor_lease_expiries_total") >= 1
@@ -140,7 +138,7 @@ class TestPoisonQuarantine:
         config = SupervisorConfig(**{**_FAST.__dict__, "max_attempts": 2})
         jobs = [j for j in _grid() if j.display_label == "greedy"]
         with obs_metrics.collecting() as registry, faults.injecting(plan):
-            results = run_supervised(jobs, max_workers=2, config=config)
+            results = run_jobs(jobs, scheduler=LocalScheduler(2, supervisor=config))
         poisoned = [r for r in results if r.case == "1T-1"]
         healthy = [r for r in results if r.case == "1T-2"]
         assert [r.status for r in poisoned] == ["quarantined"]
@@ -166,7 +164,7 @@ class TestStoreCorruption:
             store.put(job, clean)  # the corrupt_store fault mangles this write
             with pytest.warns(RuntimeWarning, match="corrupt result-store entry"):
                 assert store.get(job) is None  # quarantined, not served
-            rerun = run_supervised([job], config=_FAST, store=store)[0]
+            rerun = run_jobs([job], scheduler=LocalScheduler(supervisor=_FAST), store=store)[0]
         assert rerun.ok and not rerun.cache_hit
         assert rerun.writing_time == clean.writing_time
         assert _counter_value(registry.snapshot(), "store_quarantined_total") >= 1
@@ -213,7 +211,7 @@ class TestFaultInterleavingsProperty:
             specs=tuple(_FAULT_MENU[name] for name in chosen), scratch=scratch
         )
         with faults.injecting(plan):
-            results = run_supervised(_grid(), max_workers=2, config=_FAST)
+            results = run_jobs(_grid(), scheduler=LocalScheduler(2, supervisor=_FAST))
         assert all(r.ok for r in results), [(r.status, r.error) for r in results]
         for a, b in zip(self._reference(), results):
             _assert_same_plan(a, b)

@@ -7,9 +7,11 @@ import pytest
 from repro.events import emit
 from repro.model import StencilPlan
 from repro.runtime import (
+    LocalScheduler,
     PlanJob,
     PlannerSpec,
     ResultStore,
+    SupervisorConfig,
     Telemetry,
     grid_jobs,
     iter_jobs,
@@ -73,7 +75,7 @@ class TestEngine:
             raise RuntimeError("observer bug")
 
         with pytest.warns(RuntimeWarning, match="dropped") as caught:
-            results = run_jobs(_grid()[:2], max_workers=2, on_event=broken)
+            results = run_jobs(_grid()[:2], scheduler=LocalScheduler(2), on_event=broken)
         assert [r.status for r in results] == ["ok", "ok"]
         assert len(calls) == 1
         assert sum("dropped" in str(w.message) for w in caught) == 1
@@ -87,25 +89,29 @@ class TestEngine:
             raise RuntimeError("observer bug")
 
         with pytest.warns(RuntimeWarning, match="dropped") as caught:
-            results = run_jobs(_grid()[:2], max_workers=max_workers, on_event=broken)
+            results = run_jobs(
+                _grid()[:2], scheduler=LocalScheduler(max_workers), on_event=broken
+            )
         assert [r.status for r in results] == ["ok", "ok"]
         assert len(calls) == 1
         assert sum("dropped" in str(w.message) for w in caught) == 1
 
     def test_timeout_inside_an_inline_sink_times_the_job_out(self):
         start = time.monotonic()
-        [result] = run_jobs(_loud_jobs(1), max_workers=1, on_event=_slow_consumer)
+        [result] = run_jobs(_loud_jobs(1), on_event=_slow_consumer)
         assert result.status == "timeout", result.error
         assert time.monotonic() - start < 3.0
 
     def test_timeout_inside_a_pooled_sink_times_the_job_out(self):
-        results = run_jobs(_loud_jobs(2), max_workers=2, on_event=_slow_consumer)
+        results = run_jobs(
+            _loud_jobs(2), scheduler=LocalScheduler(2), on_event=_slow_consumer
+        )
         assert [r.status for r in results] == ["timeout", "timeout"]
 
     @pytest.mark.parametrize("max_workers", [1, 2])
     def test_timeout_inside_a_supervised_sink_times_the_job_out(self, max_workers):
-        results = run_jobs(_loud_jobs(2), max_workers=max_workers, supervise=True,
-                           max_attempts=1, on_event=_slow_consumer)
+        scheduler = LocalScheduler(max_workers, supervisor=SupervisorConfig(max_attempts=1))
+        results = run_jobs(_loud_jobs(2), scheduler=scheduler, on_event=_slow_consumer)
         for result in results:
             assert result.status == "quarantined"
             assert result.extra["quarantine_reason"] == "timeout"
@@ -122,11 +128,12 @@ class TestEngine:
         manifest_path = tmp_path / "run.jsonl"
         telemetry = Telemetry(manifest_path)
 
-        first = run_jobs(_grid(), max_workers=2, store=store, telemetry=telemetry)
+        pooled = LocalScheduler(2)
+        first = run_jobs(_grid(), scheduler=pooled, store=store, telemetry=telemetry)
         assert all(r.ok for r in first)
         assert not any(r.cache_hit for r in first)
 
-        second = run_jobs(_grid(), max_workers=2, store=store, telemetry=telemetry)
+        second = run_jobs(_grid(), scheduler=pooled, store=store, telemetry=telemetry)
         assert all(r.cache_hit for r in second)
         for a, b in zip(first, second):
             assert a.job_id == b.job_id
@@ -145,7 +152,7 @@ class TestEngine:
         jobs = _grid()
         # Warm only the greedy cells; e-blow cells must still come back in place.
         run_jobs([j for j in jobs if j.display_label == "greedy"], store=store)
-        streamed = list(iter_jobs(jobs, max_workers=2, store=store))
+        streamed = list(iter_jobs(jobs, scheduler=LocalScheduler(2), store=store))
         assert [(r.case, r.label) for r in streamed] == [
             (j.case, j.display_label) for j in jobs
         ]
@@ -153,5 +160,5 @@ class TestEngine:
 
     def test_store_is_populated_even_without_telemetry(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
-        run_jobs(_grid(), max_workers=1, store=store)
+        run_jobs(_grid(), store=store)
         assert store.stats()["entries"] == 6

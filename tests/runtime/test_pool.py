@@ -1,4 +1,4 @@
-"""Pool execution: serial equivalence, streaming order, retries, cleanup, events."""
+"""Pool execution: serial equivalence, streaming order, cleanup, events."""
 
 import itertools
 import multiprocessing
@@ -17,6 +17,7 @@ from repro.experiments import planners_table3
 from repro.model import StencilPlan
 from repro.runtime import (
     EventRelay,
+    LocalScheduler,
     PlanJob,
     PlannerPool,
     PlannerSpec,
@@ -25,28 +26,6 @@ from repro.runtime import (
     run_jobs,
 )
 from repro.runtime.relay import RelayQueue
-
-_FLAKY_CALLS = {"count": 0}
-
-
-class _FlakyPlanner:
-    """Fails until the configured attempt number, then succeeds (inline only)."""
-
-    def __init__(self, succeed_on: int) -> None:
-        self.succeed_on = succeed_on
-
-    def plan(self, instance) -> StencilPlan:
-        _FLAKY_CALLS["count"] += 1
-        if _FLAKY_CALLS["count"] < self.succeed_on:
-            raise RuntimeError(f"flaky failure #{_FLAKY_CALLS['count']}")
-        return StencilPlan.empty(instance)
-
-
-register_planner(
-    "test-flaky",
-    lambda options: _FlakyPlanner(int(options.get("succeed_on", 2))),
-    description="test-only planner that fails its first attempts",
-)
 
 register_planner(
     "test-slow",
@@ -143,8 +122,8 @@ class TestSerialEquivalence:
             {"e-blow": PlannerSpec("eblow-1d"), "greedy": PlannerSpec("greedy-1d")},
             scale=1.0,
         )
-        inline = run_jobs(jobs, max_workers=1)
-        pooled = run_jobs(jobs, max_workers=2)
+        inline = run_jobs(jobs)
+        pooled = run_jobs(jobs, scheduler=LocalScheduler(2))
         for a, b in zip(inline, pooled):
             assert a.job_id == b.job_id
             assert _strip_runtime(a.plan) == _strip_runtime(b.plan)
@@ -163,24 +142,6 @@ class TestStreaming:
     def test_empty_batch(self):
         with PlannerPool(max_workers=2) as pool:
             assert pool.run([]) == []
-
-
-class TestRetries:
-    def test_inline_retries_until_success(self):
-        _FLAKY_CALLS["count"] = 0
-        job = PlanJob(spec=PlannerSpec("test-flaky", {"succeed_on": 3}), case="1T-1", scale=1.0)
-        with PlannerPool(max_workers=1, retries=3) as pool:
-            [result] = pool.run([job])
-        assert result.ok
-        assert result.attempts == 3
-
-    def test_inline_retries_exhausted(self):
-        _FLAKY_CALLS["count"] = 0
-        job = PlanJob(spec=PlannerSpec("test-flaky", {"succeed_on": 10}), case="1T-1", scale=1.0)
-        with PlannerPool(max_workers=1, retries=1) as pool:
-            [result] = pool.run([job])
-        assert result.status == "error"
-        assert result.attempts == 2
 
 
 class TestCleanup:
@@ -319,7 +280,9 @@ class TestEventRelay:
                     for label in sorted(labels)
                 ]
                 seen = []
-                results = run_jobs(jobs, pool=pool, on_event=seen.append)
+                results = run_jobs(
+                    jobs, scheduler=LocalScheduler(pool=pool), on_event=seen.append
+                )
                 assert all(result.ok for result in results)
                 # Each batch's events reach its own consumer only.
                 assert {event.payload["label"] for event in seen} == labels

@@ -247,3 +247,69 @@ class TestPrune:
             snapshot = registry.snapshot()
         series = snapshot["metrics"]["store_evictions_total"]["series"]
         assert series[0]["value"] == 3.0
+
+
+_FAILED_WRITE_PATHS = ["inline", "pooled", "supervised", "portfolio-serial", "portfolio", "serve"]
+
+
+def _plan_with_unwritable_store(path, tmp_path, cases):
+    """Plan ``cases`` with greedy-1d on ``path``; returns (results, metrics snapshot)."""
+    from repro.obs import metrics as obs_metrics
+    from repro.runtime import LocalScheduler, SupervisorConfig, grid_jobs, run_jobs
+    from repro.runtime.portfolio import run_portfolio
+
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")  # a file where the store root's parent should be
+    root = blocker / "cache"
+    if path == "serve":
+        from repro.serve import ServeClient, ServeConfig, start_in_thread
+
+        snapshot_path = tmp_path / "serve-metrics.json"
+        config = ServeConfig(socket=str(tmp_path / "serve.sock"), workers=1,
+                             cache_dir=str(root), metrics_out=str(snapshot_path))
+        with start_in_thread(config) as handle:
+            with ServeClient(socket=handle.address) as client:
+                results = [client.plan(case, planner="greedy-1d", scale=1.0) for case in cases]
+        return results, json.loads(snapshot_path.read_text())
+    store = ResultStore(root)
+    planners = {"greedy": PlannerSpec("greedy-1d")}
+    with obs_metrics.collecting() as registry:
+        if path.startswith("portfolio"):
+            workers = 1 if path == "portfolio-serial" else 2
+            results = [
+                run_portfolio(case, planners, scale=1.0, store=store, max_workers=workers).winner
+                for case in cases
+            ]
+        else:
+            scheduler = {
+                "inline": LocalScheduler(),
+                "pooled": LocalScheduler(2),
+                "supervised": LocalScheduler(2, supervisor=SupervisorConfig()),
+            }[path]
+            jobs = grid_jobs(cases, planners, scale=1.0)
+            results = run_jobs(jobs, scheduler=scheduler, store=store)
+    return results, registry.snapshot()
+
+
+class TestFailedWrites:
+    @pytest.mark.parametrize("path", _FAILED_WRITE_PATHS)
+    def test_plans_are_delivered_and_the_failure_is_counted(self, tmp_path, path):
+        import warnings
+
+        cases = ["1T-1", "1T-2"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            results, snapshot = _plan_with_unwritable_store(path, tmp_path, cases)
+        assert [r.ok for r in results] == [True, True]
+        for case, result in zip(cases, results):
+            serial = execute_job(_job(case=case))
+            assert result.writing_time == serial.writing_time
+            assert {k: v for k, v in result.plan.items() if k != "stats"} == {
+                k: v for k, v in serial.plan.items() if k != "stats"
+            }
+        rejected = [w for w in caught if issubclass(w.category, RuntimeWarning)
+                    and "rejected a write" in str(w.message)]
+        assert len(rejected) == 1, [str(w.message) for w in caught]
+        assert "NotADirectoryError" in str(rejected[0].message)
+        series = snapshot["metrics"]["store_write_errors_total"]["series"]
+        assert sum(s["value"] for s in series) == len(cases)

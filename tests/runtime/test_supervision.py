@@ -1,22 +1,25 @@
 """Supervised execution: journal, leases, retries, quarantine, resume."""
 
+import errno
 import random
 
 import pytest
 
+from repro.errors import ValidationError
+from repro.obs import metrics as obs_metrics
 from repro.runtime import (
     JobJournal,
+    LocalScheduler,
     PlanJob,
+    PlannerPool,
     PlannerSpec,
     ResultStore,
     SupervisorConfig,
     Telemetry,
     grid_jobs,
     run_jobs,
-    run_supervised,
     summarize_manifest,
 )
-from repro.runtime.supervision import backoff_delay
 
 _PLANNERS = {"e-blow": PlannerSpec("eblow-1d"), "greedy": PlannerSpec("greedy-1d")}
 
@@ -137,30 +140,38 @@ class TestJobJournal:
 
 class TestBackoff:
     def test_deterministic_and_capped(self):
-        config = SupervisorConfig(backoff_base=0.1, backoff_cap=0.8, backoff_jitter=0.5)
-        a = [backoff_delay(n, config, random.Random(0)) for n in range(1, 8)]
-        b = [backoff_delay(n, config, random.Random(0)) for n in range(1, 8)]
+        config = SupervisorConfig(
+            backoff_base=0.1, backoff_cap=0.8, backoff_jitter=0.5, max_attempts=8
+        )
+        a = [config.requeue_delay(n, random.Random(0)) for n in range(1, 8)]
+        b = [config.requeue_delay(n, random.Random(0)) for n in range(1, 8)]
         assert a == b  # seeded RNG -> identical schedule
         assert all(delay <= 0.8 * 1.5 for delay in a)  # cap * (1 + jitter)
         bases = [
-            backoff_delay(n, SupervisorConfig(backoff_jitter=0.0), random.Random(0))
+            SupervisorConfig(backoff_jitter=0.0, max_attempts=8).requeue_delay(
+                n, random.Random(0)
+            )
             for n in range(1, 5)
         ]
         assert bases == [0.1, 0.2, 0.4, 0.8]  # doubling, no jitter
 
+    def test_spent_attempts_quarantine(self):
+        config = SupervisorConfig(max_attempts=2)
+        assert config.requeue_delay(1, random.Random(0)) is not None
+        assert config.requeue_delay(2, random.Random(0)) is None
+
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             SupervisorConfig(max_attempts=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             SupervisorConfig(lease_timeout=0.0)
 
 
 class TestSupervisedBatch:
     def test_matches_unsupervised_run(self, tmp_path):
         plain = run_jobs(_grid())
-        supervised = run_supervised(
-            _grid(), max_workers=2, config=_FAST, journal=tmp_path / "j.jsonl"
-        )
+        scheduler = LocalScheduler(2, supervisor=_FAST, journal=tmp_path / "j.jsonl")
+        supervised = run_jobs(_grid(), scheduler=scheduler)
         assert [(r.case, r.label) for r in supervised] == [
             (r.case, r.label) for r in plain
         ]
@@ -170,7 +181,7 @@ class TestSupervisedBatch:
 
     def test_journal_records_full_lifecycle(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        results = run_supervised(_grid(), config=_FAST, journal=path)
+        results = run_jobs(_grid(), scheduler=LocalScheduler(supervisor=_FAST, journal=path))
         assert all(r.ok for r in results)
         state = JobJournal.replay(path)
         assert set(state) == {r.job_id for r in results}
@@ -179,15 +190,15 @@ class TestSupervisedBatch:
         assert ops == ["queued", "leased", "done"]
 
     def test_attempt_is_stamped_into_result_and_extra(self, tmp_path):
-        results = run_supervised(_grid(), max_workers=2, config=_FAST)
+        results = run_jobs(_grid(), scheduler=LocalScheduler(2, supervisor=_FAST))
         for result in results:
             assert result.attempts == 1
             assert result.extra["attempt"] == 1
 
     def test_store_hits_skip_the_pool(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
-        first = run_supervised(_grid(), config=_FAST, store=store)
-        second = run_supervised(_grid(), config=_FAST, store=store)
+        first = run_jobs(_grid(), scheduler=LocalScheduler(supervisor=_FAST), store=store)
+        second = run_jobs(_grid(), scheduler=LocalScheduler(supervisor=_FAST), store=store)
         assert not any(r.cache_hit for r in first)
         assert all(r.cache_hit for r in second)
         for a, b in zip(first, second):
@@ -195,15 +206,45 @@ class TestSupervisedBatch:
 
     def test_engine_delegates_to_supervision(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        results = run_jobs(_grid(), supervise=True, supervisor=_FAST, journal=path)
+        scheduler = LocalScheduler(supervisor=_FAST, journal=path)
+        results = run_jobs(_grid(), scheduler=scheduler)
         assert all(r.ok for r in results)
         assert all(e["state"] == "done" for e in JobJournal.replay(path).values())
 
     def test_engine_max_attempts_override(self):
-        results = run_jobs([_poison_job()], supervise=True, supervisor=_FAST, max_attempts=1)
+        config = SupervisorConfig(**{**_FAST.__dict__, "max_attempts": 1})
+        results = run_jobs([_poison_job()], scheduler=LocalScheduler(supervisor=config))
         [result] = results
         assert result.status == "quarantined"
         assert result.attempts == 1
+
+
+class TestInlineFallback:
+    def test_unspawnable_pool_degrades_to_inline(self, tmp_path, monkeypatch):
+        def unspawnable(self, jobs, **kwargs):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(PlannerPool, "submit", unspawnable)
+        path = tmp_path / "j.jsonl"
+        jobs = _grid()
+        with obs_metrics.collecting() as registry:
+            results = run_jobs(
+                jobs, scheduler=LocalScheduler(2, supervisor=_FAST, journal=path)
+            )
+        for a, b in zip(run_jobs(_grid()), results):
+            assert b.ok
+            _assert_same_plan(a, b)
+        ops = [record["op"] for record in JobJournal.read(path)]
+        assert ops.count("fallback") == len(jobs)
+        metrics = registry.snapshot()["metrics"]
+
+        def total(name):
+            return sum(s["value"] for s in metrics.get(name, {"series": []})["series"])
+
+        assert total("supervisor_inline_fallbacks_total") == len(jobs)
+        # Every dispatch raised, so no worker ever started, let alone died.
+        assert total("pool_breaks_total") == 3
+        assert total("worker_deaths_total") == 0
 
 
 class TestQuarantine:
@@ -213,7 +254,7 @@ class TestQuarantine:
             **{**_FAST.__dict__, "max_attempts": 2}
         )
         jobs = [_poison_job(), PlanJob(spec=PlannerSpec("greedy-1d"), case="1T-2", scale=1.0)]
-        results = run_supervised(jobs, config=config, journal=path)
+        results = run_jobs(jobs, scheduler=LocalScheduler(supervisor=config, journal=path))
         assert results[0].status == "quarantined"
         assert results[0].attempts == 2
         assert results[0].error  # the underlying failure is preserved
@@ -227,7 +268,7 @@ class TestQuarantine:
     def test_quarantined_results_reach_telemetry(self, tmp_path):
         telemetry = Telemetry(tmp_path / "run.jsonl")
         config = SupervisorConfig(**{**_FAST.__dict__, "max_attempts": 1})
-        run_supervised([_poison_job()], config=config, telemetry=telemetry)
+        run_jobs([_poison_job()], scheduler=LocalScheduler(supervisor=config), telemetry=telemetry)
         summary = summarize_manifest(telemetry.records)
         assert summary["quarantined"] == 1
         assert summary["cancelled"] == 0
@@ -236,20 +277,19 @@ class TestQuarantine:
 class TestResume:
     def test_resume_without_journal_raises(self):
         with pytest.raises(ValueError):
-            run_supervised(_grid(), resume=True)
+            LocalScheduler(resume=True)
 
     def test_resume_runs_only_unfinished_jobs(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
         path = tmp_path / "j.jsonl"
         jobs = _grid()
         # "Crash" after the first two jobs: only they reach store + journal.
-        run_supervised(jobs[:2], config=_FAST, store=store, journal=path)
+        run_jobs(jobs[:2], scheduler=LocalScheduler(supervisor=_FAST, journal=path), store=store)
         assert store.stats()["entries"] == 2
 
         journal = JobJournal(path, resume=True)
-        resumed = run_supervised(
-            jobs, config=_FAST, store=store, journal=journal, resume=True
-        )
+        scheduler = LocalScheduler(supervisor=_FAST, journal=journal, resume=True)
+        resumed = run_jobs(jobs, scheduler=scheduler, store=store)
         assert [r.cache_hit for r in resumed] == [True, True, False, False]
         assert all(r.ok for r in resumed)
 
@@ -262,10 +302,12 @@ class TestResume:
         path = tmp_path / "j.jsonl"
         config = SupervisorConfig(**{**_FAST.__dict__, "max_attempts": 1})
         job = _poison_job()
-        run_supervised([job], config=config, journal=path)
+        run_jobs([job], scheduler=LocalScheduler(supervisor=config, journal=path))
 
         journal = JobJournal(path, resume=True)
-        [resumed] = run_supervised([job], config=config, journal=journal, resume=True)
+        [resumed] = run_jobs(
+            [job], scheduler=LocalScheduler(supervisor=config, journal=journal, resume=True)
+        )
         assert resumed.status == "quarantined"
         assert resumed.extra["resumed"] is True
         # The journal gained no new lease ops for the poisoned job.
@@ -278,7 +320,7 @@ class TestSummarizeManifest:
     def test_counts_cancelled_and_quarantined(self):
         telemetry = Telemetry()
         config = SupervisorConfig(**{**_FAST.__dict__, "max_attempts": 1})
-        run_supervised([_poison_job()], config=config, telemetry=telemetry)
+        run_jobs([_poison_job()], scheduler=LocalScheduler(supervisor=config), telemetry=telemetry)
         summary = summarize_manifest(telemetry.records)
         assert summary["jobs"] == 1
         assert summary["quarantined"] == 1

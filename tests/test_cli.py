@@ -150,6 +150,29 @@ def test_batch_without_cases_errors(capsys):
     assert "no cases" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("broker", [False, True], ids=["local", "broker"])
+def test_batch_rejects_zero_max_attempts(tmp_path, capsys, broker):
+    argv = ["batch", "--suite", "1T", "--no-cache", "--max-attempts", "0"]
+    if broker:
+        argv += ["--broker", str(tmp_path / "spool"), "--jobs", "0", "--broker-timeout", "5"]
+    assert main(argv) == 2
+    assert "--max-attempts: max_attempts must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [["--supervise"], ["--journal", "run.journal.jsonl"], ["--resume"], ["--chunksize", "2"]],
+    ids=lambda flag: flag[0],
+)
+def test_batch_rejects_flags_the_broker_would_ignore(tmp_path, capsys, flag):
+    spool = tmp_path / "spool"
+    argv = ["batch", "--suite", "1T", "--no-cache", "--broker", str(spool),
+            "--jobs", "0", "--broker-timeout", "5", *flag]
+    assert main(argv) == 2
+    assert f"{flag[0]} cannot be combined with --broker" in capsys.readouterr().err
+    assert not spool.exists()
+
+
 def test_batch_list_planners(capsys):
     rc = main(["batch", "--list-planners"])
     assert rc == 0
