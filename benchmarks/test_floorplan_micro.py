@@ -10,9 +10,9 @@ Three families:
   the ratio of the two means is the per-move packing speedup recorded in
   the ``BENCH_<date>.json`` trajectory.
 * *Annealing engines* — the end-to-end fixed-outline search with the
-  copy-based reference engine vs. the mutate/undo engine, identical seeds
-  and schedules (the results are bit-identical; only the throughput
-  differs).
+  copy-based reference engine (the oracle in ``tests/oracles/annealing.py``)
+  vs. the planner's mutate/undo engine, identical seeds and schedules (the
+  results are bit-identical; only the throughput differs).
 * *Per-move cost by size* — the mutate/undo engine under the 2D planner's
   default schedule at n = 9 (a tiny 2T plan), 40 and 132 blocks, recorded
   as ``us_per_move``.
@@ -36,6 +36,7 @@ from repro.floorplan.packing import (
     SwapNegative,
     SwapPositive,
 )
+from tests.oracles.annealing import CopyEngine
 
 N_BLOCKS = 64
 N_MOVES = 300
@@ -203,7 +204,7 @@ def test_micro_annealing_per_move(benchmark, n):
     )
     schedule = EBlow2DConfig().resolved_schedule(n)
     result = benchmark.pedantic(
-        lambda: packer.pack(schedule=schedule, seed=1, engine="incremental"),
+        lambda: packer.pack(schedule=schedule, seed=1),
         rounds=3,
         iterations=1,
     )
@@ -213,18 +214,20 @@ def test_micro_annealing_per_move(benchmark, n):
     benchmark.extra_info["us_per_move"] = round(
         benchmark.stats.stats.min / moves * 1e6, 1
     )
-    assert result.engine == "incremental"
+    assert sum(s.proposed for s in result.annealing.move_stats.values()) == moves
 
 
 @pytest.mark.parametrize("engine", ["copy", "incremental"])
 def test_micro_annealing_engine(benchmark, engine):
     """Fixed-outline annealing throughput per engine (identical results)."""
     packer = _engine_packer()
+    search = CopyEngine(packer) if engine == "copy" else packer
     result = benchmark.pedantic(
-        lambda: packer.pack(schedule=_ENGINE_SCHEDULE, seed=1, engine=engine),
+        lambda: search.pack(schedule=_ENGINE_SCHEDULE, seed=1),
         rounds=1,
         iterations=1,
     )
     benchmark.extra_info["moves"] = result.annealing.moves
     benchmark.extra_info["best_cost"] = round(result.cost, 3)
-    assert result.engine == engine
+    if engine == "copy":
+        assert result.cost == packer.pack(schedule=_ENGINE_SCHEDULE, seed=1).cost

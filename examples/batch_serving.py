@@ -38,7 +38,7 @@ def main() -> None:
 
     planners = {
         "greedy": PlannerSpec("greedy-1d"),
-        "e-blow": PlannerSpec("eblow-1d", {"deterministic": True}),
+        "e-blow": PlannerSpec("eblow-1d"),
     }
     jobs = grid_jobs(["1T-1", "1T-2", "1T-3", "1T-4", "1T-5"], planners, scale=1.0)
 
@@ -66,7 +66,7 @@ def main() -> None:
         {
             "greedy": PlannerSpec("greedy-1d"),
             "e-blow-0": PlannerSpec("eblow-1d", {"ablated": True}),
-            "e-blow-1": PlannerSpec("eblow-1d", {"deterministic": True}),
+            "e-blow-1": PlannerSpec("eblow-1d"),
         },
         scale=0.05,
         max_workers=3,

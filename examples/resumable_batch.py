@@ -43,7 +43,7 @@ def main() -> None:
 
     planners = {
         "greedy": PlannerSpec("greedy-1d"),
-        "e-blow": PlannerSpec("eblow-1d", {"deterministic": True}),
+        "e-blow": PlannerSpec("eblow-1d"),
     }
     jobs = grid_jobs(["1T-1", "1T-2", "1T-3"], planners, scale=1.0)
 

@@ -81,7 +81,7 @@ def plan(
         Callback receiving each :class:`~repro.events.PlanEvent` live.
     options / ``**extra_options``:
         Planner options, validated against the planner's declared schema
-        (``repro.plan(inst, "eblow-2d", seed=3, engine="incremental")``).
+        (``repro.plan(inst, "eblow-2d", seed=3)``).
     timeout:
         Wall-clock bound in seconds for the run.
     store:

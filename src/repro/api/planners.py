@@ -44,19 +44,9 @@ def _build_rows_1d(options: dict):
 
 
 def _build_eblow_1d(options: dict):
-    from dataclasses import replace
-
     from repro.core.onedim import EBlow1DConfig, EBlow1DPlanner
 
     config = EBlow1DConfig.ablated() if options.get("ablated") else EBlow1DConfig()
-    if options.get("deterministic"):
-        # Historically this dropped the fast-convergence ILP's 5-second
-        # wall-clock cap.  The flow is deterministic by default now (the ILP
-        # stops on a relative MIP gap instead of wall clock); the option is
-        # kept so existing specs — and their job hashes / store keys — stay
-        # valid, and it still guarantees no cap even if a caller's config
-        # reintroduced one.
-        config.convergence = replace(config.convergence, time_limit=None)
     return EBlow1DPlanner(config)
 
 
@@ -69,25 +59,13 @@ def _build_greedy_2d(options: dict):
 def _build_sa_2d(options: dict):
     from repro.baselines import Floorplan2DConfig, Floorplan2DPlanner
 
-    return Floorplan2DPlanner(
-        Floorplan2DConfig(
-            seed=int(options.get("seed", 0)),
-            engine=str(options.get("engine", "auto")),
-        )
-    )
+    return Floorplan2DPlanner(Floorplan2DConfig(seed=int(options.get("seed", 0))))
 
 
 def _build_eblow_2d(options: dict):
     from repro.core.twodim import EBlow2DConfig, EBlow2DPlanner
 
-    # "deterministic" is accepted for symmetry with eblow-1d; the 2D flow is
-    # already reproducible (seeded annealing, no wall-clock cut-offs).
-    return EBlow2DPlanner(
-        EBlow2DConfig(
-            seed=int(options.get("seed", 0)),
-            engine=str(options.get("engine", "auto")),
-        )
-    )
+    return EBlow2DPlanner(EBlow2DConfig(seed=int(options.get("seed", 0))))
 
 
 def _build_ilp_1d(options: dict):
@@ -105,23 +83,9 @@ def _build_ilp_2d(options: dict):
 def _ilp_config(options: dict):
     from repro.baselines import ExactILPConfig
 
-    return ExactILPConfig(
-        time_limit=options.get("time_limit", 300.0),
-        backend=options.get("backend", "scipy"),
-    )
+    return ExactILPConfig(time_limit=options.get("time_limit", 300.0))
 
 
-_ENGINE_FIELD = OptionField(
-    name="engine",
-    type="str",
-    default="auto",
-    choices=("auto", "copy", "incremental"),
-    description=(
-        "annealing engine; placements and writing times are bit-identical "
-        "across engines under RNG lockstep (copy is the reference, "
-        "incremental the fast mutate/undo one)"
-    ),
-)
 _SEED_FIELD = OptionField(
     name="seed", type="int", default=0, description="annealing RNG seed"
 )
@@ -199,7 +163,6 @@ STABLE_PLANNERS: tuple[PlannerHandle, ...] = (
                 # wall-clock cap), so the whole flow is reproducible across
                 # machines and load.
                 deterministic=True,
-                supports_warm_start=True,
                 event_types=("stage", "stage_done", "lp_solve", "iteration"),
             ),
             schema=OptionSchema(
@@ -209,15 +172,6 @@ STABLE_PLANNERS: tuple[PlannerHandle, ...] = (
                         type="bool",
                         default=False,
                         description="run E-BLOW-0 (no fast ILP convergence, no post-insertion)",
-                    ),
-                    OptionField(
-                        name="deterministic",
-                        type="bool",
-                        default=False,
-                        description=(
-                            "kept for compatibility: the flow is deterministic "
-                            "by default now (gap-based ILP stop, no wall clock)"
-                        ),
                     ),
                 )
             ),
@@ -246,12 +200,8 @@ STABLE_PLANNERS: tuple[PlannerHandle, ...] = (
         PlannerHandle(
             name="sa-2d",
             description="plain fixed-outline annealer baseline (SA[24])",
-            capabilities=PlannerCapabilities(
-                kind="2D",
-                supports_engine=True,
-                event_types=_ANNEAL_EVENTS,
-            ),
-            schema=OptionSchema(fields=(_SEED_FIELD, _ENGINE_FIELD)),
+            capabilities=PlannerCapabilities(kind="2D", event_types=_ANNEAL_EVENTS),
+            schema=OptionSchema(fields=(_SEED_FIELD,)),
             builder=_build_sa_2d,
         )
     ),
@@ -261,28 +211,16 @@ STABLE_PLANNERS: tuple[PlannerHandle, ...] = (
             description="E-BLOW 2DOSP flow (pre-filter + clustering + annealing)",
             capabilities=PlannerCapabilities(
                 kind="2D",
-                supports_engine=True,
                 event_types=("stage", "stage_done") + _ANNEAL_EVENTS,
             ),
-            schema=OptionSchema(
-                fields=(
-                    _SEED_FIELD,
-                    OptionField(
-                        name="deterministic",
-                        type="bool",
-                        default=True,
-                        description="accepted for symmetry with eblow-1d (the 2D flow is already reproducible)",
-                    ),
-                    _ENGINE_FIELD,
-                )
-            ),
+            schema=OptionSchema(fields=(_SEED_FIELD,)),
             builder=_build_eblow_2d,
         )
     ),
     register(
         PlannerHandle(
             name="ilp-1d",
-            description="exact 1DOSP ILP (options: time_limit, backend)",
+            description="exact 1DOSP ILP (option: time_limit)",
             capabilities=PlannerCapabilities(
                 kind="1D",
                 deterministic=False,  # time-limited MILP returns its incumbent
@@ -296,12 +234,6 @@ STABLE_PLANNERS: tuple[PlannerHandle, ...] = (
                         default=300.0,
                         description="MILP wall-clock budget in seconds",
                     ),
-                    OptionField(
-                        name="backend",
-                        type="str",
-                        default="scipy",
-                        description="MILP backend",
-                    ),
                 )
             ),
             builder=_build_ilp_1d,
@@ -310,7 +242,7 @@ STABLE_PLANNERS: tuple[PlannerHandle, ...] = (
     register(
         PlannerHandle(
             name="ilp-2d",
-            description="exact 2DOSP ILP (options: time_limit, backend)",
+            description="exact 2DOSP ILP (option: time_limit)",
             capabilities=PlannerCapabilities(
                 kind="2D",
                 deterministic=False,
@@ -323,12 +255,6 @@ STABLE_PLANNERS: tuple[PlannerHandle, ...] = (
                         type="float",
                         default=300.0,
                         description="MILP wall-clock budget in seconds",
-                    ),
-                    OptionField(
-                        name="backend",
-                        type="str",
-                        default="scipy",
-                        description="MILP backend",
                     ),
                 )
             ),

@@ -222,8 +222,6 @@ class PlannerCapabilities:
 
     kind: str | None = None
     deterministic: bool = True
-    supports_engine: bool = False
-    supports_warm_start: bool = False
     supports_time_limit: bool = False
     event_types: tuple[str, ...] = ()
 
@@ -231,8 +229,6 @@ class PlannerCapabilities:
         return {
             "kind": self.kind,
             "deterministic": self.deterministic,
-            "supports_engine": self.supports_engine,
-            "supports_warm_start": self.supports_warm_start,
             "supports_time_limit": self.supports_time_limit,
             "event_types": list(self.event_types),
         }
@@ -242,8 +238,6 @@ class PlannerCapabilities:
         return cls(
             kind=data.get("kind"),
             deterministic=bool(data.get("deterministic", True)),
-            supports_engine=bool(data.get("supports_engine", False)),
-            supports_warm_start=bool(data.get("supports_warm_start", False)),
             supports_time_limit=bool(data.get("supports_time_limit", False)),
             event_types=tuple(data.get("event_types", ())),
         )

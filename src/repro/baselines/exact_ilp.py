@@ -28,8 +28,7 @@ class ExactILPConfig:
     """Configuration shared by the exact planners."""
 
     time_limit: float | None = 300.0
-    backend: str = "scipy"  # "scipy" (HiGHS) or "bnb" (from-scratch branch & bound)
-    # HiGHS node cap (scipy backend only): a load-independent stop.
+    # HiGHS node cap: a load-independent stop.
     node_limit: int | None = None
 
 
@@ -47,7 +46,6 @@ class ExactILP1DPlanner:
         program, index = build_full_ilp(instance)
         solution = solve_ilp(
             program,
-            backend=self.config.backend,
             time_limit=self.config.time_limit,
             node_limit=self.config.node_limit,
         )
@@ -95,7 +93,6 @@ class ExactILP2DPlanner:
         program, index = build_full_ilp_2d(instance)
         solution = solve_ilp(
             program,
-            backend=self.config.backend,
             time_limit=self.config.time_limit,
             node_limit=self.config.node_limit,
         )

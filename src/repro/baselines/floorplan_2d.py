@@ -27,10 +27,6 @@ class Floorplan2DConfig:
 
     schedule: AnnealingSchedule | None = None
     seed: int = 0
-    # Annealing engine ("auto" | "incremental" | "copy"); bit-identical
-    # placements and writing times under RNG lockstep (stats record the
-    # engine) — the copy engine is the reference implementation.
-    engine: str = "auto"
 
 
 class Floorplan2DPlanner:
@@ -50,7 +46,6 @@ class Floorplan2DPlanner:
                 use_clustering=False,
                 schedule=self.config.schedule,
                 seed=self.config.seed,
-                engine=self.config.engine,
             )
         )
         plan = inner.plan(instance)

@@ -103,15 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="wall-clock seconds for the run (also passed to ILP planners)",
     )
     plan.add_argument(
-        "--engine",
-        choices=["auto", "copy", "incremental"],
-        default=None,
-        help="annealing engine for the 2D planners (placements, selection, and "
-        "writing time are bit-identical under RNG lockstep; stats record which "
-        "engine ran; copy is the reference engine, incremental the fast "
-        "mutate/undo one)",
-    )
-    plan.add_argument(
         "--progress",
         action="store_true",
         help="stream the planner's PlanEvent protocol (stages, LP solves, "
@@ -175,13 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="dispatch attempts per job before quarantine: the only retry "
         "knob (implies --supervise; default 3)",
-    )
-    batch.add_argument(
-        "--best-effort",
-        action="store_true",
-        help="keep E-BLOW's wall-clock ILP cap (faster under load, but plans may "
-        "vary between runs; the default deterministic mode drops the cap so "
-        "batch plans are bit-identical to serial runs)",
     )
     batch.add_argument("--no-cache", action="store_true", help="bypass the result store")
     batch.add_argument("--cache-dir", default=None, help="result-store root (default ~/.cache/eblow)")
@@ -487,12 +471,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _planner_options(
-    planner: str,
-    kind: str,
-    time_limit: float | None,
-    engine: str | None = None,
-) -> dict:
+def _planner_options(planner: str, kind: str, time_limit: float | None) -> dict:
     """Options implied by CLI flags (ILP planners also get the time limit)."""
     from repro.runtime import resolve_planner
 
@@ -500,8 +479,6 @@ def _planner_options(
     resolved = resolve_planner(planner, kind)
     if time_limit is not None and resolved.startswith("ilp"):
         options["time_limit"] = time_limit
-    if engine is not None and resolved in ("eblow-2d", "sa-2d"):
-        options["engine"] = engine
     return options
 
 
@@ -516,10 +493,6 @@ def _cmd_planners(args: argparse.Namespace) -> int:
         flags = [caps.kind or "any"]
         if caps.deterministic:
             flags.append("deterministic")
-        if caps.supports_engine:
-            flags.append("engine=")
-        if caps.supports_warm_start:
-            flags.append("warm-start")
         if caps.supports_time_limit:
             flags.append("time-limit")
         if caps.event_types:
@@ -551,9 +524,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
     instance = load_instance(args.instance)
     try:
-        options = _planner_options(
-            args.planner, instance.kind, args.time_limit, getattr(args, "engine", None)
-        )
+        options = _planner_options(args.planner, instance.kind, args.time_limit)
     except ValidationError as exc:
         print(f"plan: {exc}", file=sys.stderr)
         return 2
@@ -593,16 +564,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         save_plan(result.plan_object(instance), args.out)
         print(f"wrote plan to {args.out}")
     return 0
-
-
-def _batch_spec(name: str, deterministic: bool):
-    """Planner spec for a batch column (E-BLOW gets reproducible-plan mode)."""
-    from repro.runtime import PlannerSpec
-
-    options = {}
-    if deterministic and name.lower().replace("e-blow", "eblow").startswith("eblow"):
-        options["deterministic"] = True
-    return PlannerSpec(name, options)
 
 
 def _batch_store(args):
@@ -682,10 +643,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     except ValidationError as exc:
         print(f"batch: {exc}", file=sys.stderr)
         return 2
-    planners = {
-        name: _batch_spec(name, deterministic=not args.best_effort)
-        for name in (args.planner or ["eblow"])
-    }
+    planners = {name: name for name in (args.planner or ["eblow"])}
     scale = args.scale if args.scale is not None else default_scale()
 
     broker_mode = args.broker is not None

@@ -3,14 +3,12 @@
 from repro.core.kernels import InstanceKernels, RunningTimes, kernels_of
 from repro.core.profits import (
     compute_profits,
-    compute_profits_scalar,
     initial_region_times,
     profit_of,
 )
 
 __all__ = [
     "compute_profits",
-    "compute_profits_scalar",
     "profit_of",
     "initial_region_times",
     "InstanceKernels",

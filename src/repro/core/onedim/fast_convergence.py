@@ -28,7 +28,6 @@ class FastConvergenceConfig:
 
     lower_threshold: float = 0.1  # L_th
     upper_threshold: float = 0.9  # U_th
-    ilp_backend: str = "scipy"
     # The hand-over ILP stops on the *relative MIP gap*, not a wall-clock
     # cap: a near-optimal assignment is enough (post-swap / post-insertion
     # refine the result anyway), and a gap criterion is deterministic — the
@@ -107,7 +106,6 @@ def fast_ilp_convergence(
             )
     solution = solve_ilp(
         formulation.program,
-        backend=config.ilp_backend,
         time_limit=config.time_limit,
         mip_rel_gap=config.mip_rel_gap,
     )

@@ -168,15 +168,9 @@ class SimplifiedLPStructure:
         instance: OSPInstance,
         characters: Sequence[int],
         row_capacity: Sequence[float],
-        warm_start: bool = True,
     ) -> None:
         self.instance = instance
         self.characters = sorted(characters)
-        # Warm-start successive solves with the previous iteration's solution
-        # vector (clipped to the shrinking bounds by solve_lp_arrays).
-        self.warm_start = warm_start
-        self._warm_values: np.ndarray | None = None
-        self.last_warm_started = False
         m = len(row_capacity)
         self.num_rows = m
 
@@ -283,10 +277,9 @@ class SimplifiedLPStructure:
         Returns the ``a_ij`` values of the admissible pairs (empty dict when
         no unsolved character fits any row).  Raises
         :class:`~repro.errors.SolverError` when the LP does not solve to
-        optimality, mirroring the object-based path.
+        optimality: the simplified formulation is always feasible.
         """
         m = self.num_rows
-        self.last_warm_started = False
         active = self.active_pairs(row_capacity, unsolved)
         if not active.any():
             return {}
@@ -303,13 +296,7 @@ class SimplifiedLPStructure:
         c[m:][active] = profits_arr[self.pair_char[active]]
 
         solution = solve_lp_arrays(
-            c,
-            self.a_ub,
-            rhs,
-            self._lower,
-            upper,
-            maximize=True,
-            x0=self._warm_values if self.warm_start else None,
+            c, self.a_ub, rhs, self._lower, upper, maximize=True
         )
         if solution.status != SolveStatus.OPTIMAL:
             raise SolverError(
@@ -317,9 +304,6 @@ class SimplifiedLPStructure:
                 "the simplified formulation should always be feasible"
             )
         values = solution.values
-        self.last_warm_started = bool(solution.metadata.get("warm_start"))
-        if self.warm_start:
-            self._warm_values = np.asarray(values, dtype=float)
         return {
             (int(self.pair_char[t]), int(self.pair_row[t])): values[m + t]
             for t in np.nonzero(active)[0]

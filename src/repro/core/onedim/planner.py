@@ -122,7 +122,6 @@ class EBlow1DPlanner:
                 "lp_iterations": state.lp_iterations,
                 "stage_seconds": dict(stage_seconds),
                 "lp_solve_seconds": [round(t, 6) for t in state.lp_solve_seconds],
-                "lp_warm_hinted": state.lp_warm_hinted,
                 "unsolved_history": list(state.unsolved_history),
                 "last_lp_values": sorted(state.last_lp_values.values()),
                 "post_swaps": swaps,

@@ -28,24 +28,18 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.kernels import RunningTimes, kernels_of
-from repro.core.onedim.formulation import (
-    SimplifiedLPStructure,
-    build_simplified_formulation,
-)
+from repro.core.onedim.formulation import SimplifiedLPStructure
 from repro.core.onedim.row import RowState
 from repro.core.profits import compute_profits
-from repro.errors import SolverError
 from repro.events import emit
 from repro.model import OSPInstance
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import record_span
-from repro.solver import solve_lp
-from repro.solver.result import SolveStatus
 
 __all__ = ["RoundingState", "SuccessiveRoundingConfig", "successive_rounding"]
 
 _LP_SOLVES = obs_metrics.declare_counter(
-    "lp_solves_total", "LP relaxations solved by successive rounding", ("warm",)
+    "lp_solves_total", "LP relaxations solved by successive rounding"
 )
 _LP_SECONDS = obs_metrics.declare_histogram(
     "lp_solve_seconds", "Wall seconds per LP relaxation solve"
@@ -58,13 +52,9 @@ class SuccessiveRoundingConfig:
 
     thinv: float = 0.9  # rounding threshold relative to the max a_ij
     max_iterations: int = 50
-    lp_backend: str = "scipy"
     # Stop early and hand over to fast ILP convergence when an iteration
     # assigns fewer than this many characters (0 disables the early hand-over).
     convergence_trigger: int = 3
-    # Hand the previous iteration's LP solution to the solver as a warm-start
-    # hint (silently ignored where the backend has no use for it).
-    warm_start: bool = True
 
 
 @dataclass
@@ -79,10 +69,9 @@ class RoundingState:
     unsolved_history: list[int] = field(default_factory=list)
     last_lp_values: dict[tuple[int, int], float] = field(default_factory=dict)
     lp_iterations: int = 0
-    # Per-iteration LP solve wall times (seconds) + how many solves carried a
-    # warm-start hint; recorded into plan stats / telemetry manifests.
+    # Per-iteration LP solve wall times (seconds); recorded into plan stats
+    # and telemetry manifests.
     lp_solve_seconds: list[float] = field(default_factory=list)
-    lp_warm_hinted: int = 0
     _times: RunningTimes | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -128,34 +117,6 @@ def initial_state(instance: OSPInstance, num_rows: int | None = None) -> Roundin
     return RoundingState(instance=instance, rows=rows, unsolved=unsolved, rejected=rejected)
 
 
-def _solve_iteration_legacy(
-    instance: OSPInstance,
-    state: RoundingState,
-    profits: list[float],
-    row_capacity: list[float],
-    row_min_blank: list[float],
-    backend: str,
-) -> dict[tuple[int, int], float]:
-    """Object-based LP build + solve (used by non-SciPy backends)."""
-    formulation = build_simplified_formulation(
-        instance=instance,
-        profits=profits,
-        characters=sorted(state.unsolved),
-        row_capacity=row_capacity,
-        row_min_blank=row_min_blank,
-        relax=True,
-    )
-    if not formulation.assign_index:
-        return {}
-    solution = solve_lp(formulation.program, backend=backend)
-    if solution.status != SolveStatus.OPTIMAL:
-        raise SolverError(
-            f"successive rounding LP returned {solution.status}; "
-            "the simplified formulation should always be feasible"
-        )
-    return formulation.assignment_values(solution.values)
-
-
 def successive_rounding(
     state: RoundingState, config: SuccessiveRoundingConfig | None = None
 ) -> RoundingState:
@@ -167,16 +128,15 @@ def successive_rounding(
     config = config or SuccessiveRoundingConfig()
     instance = state.instance
 
+    if not state.unsolved:
+        return state
     # The constraint structure is shared by every iteration; only rhs,
-    # bounds, and the objective are refreshed (SciPy backend fast path).
-    structure: SimplifiedLPStructure | None = None
-    if config.lp_backend == "scipy" and state.unsolved:
-        structure = SimplifiedLPStructure(
-            instance,
-            sorted(state.unsolved),
-            [row.capacity - row.body_width for row in state.rows],
-            warm_start=config.warm_start,
-        )
+    # bounds, and the objective are refreshed.
+    structure = SimplifiedLPStructure(
+        instance,
+        sorted(state.unsolved),
+        [row.capacity - row.body_width for row in state.rows],
+    )
 
     for _ in range(config.max_iterations):
         if not state.unsolved:
@@ -185,31 +145,18 @@ def successive_rounding(
         row_capacity = [row.capacity - row.body_width for row in state.rows]
         row_min_blank = [row.max_blank for row in state.rows]
         solve_start = time.perf_counter()
-        if structure is not None:
-            values = structure.solve_relaxation(
-                profits, row_capacity, row_min_blank, state.unsolved
-            )
-            if structure.last_warm_started:
-                state.lp_warm_hinted += 1
-        else:
-            values = _solve_iteration_legacy(
-                instance, state, profits, row_capacity, row_min_blank,
-                config.lp_backend,
-            )
+        values = structure.solve_relaxation(
+            profits, row_capacity, row_min_blank, state.unsolved
+        )
         state.lp_solve_seconds.append(time.perf_counter() - solve_start)
-        warm = bool(structure is not None and structure.last_warm_started)
-        _LP_SOLVES.inc(warm=str(warm).lower())
+        _LP_SOLVES.inc()
         _LP_SECONDS.observe(state.lp_solve_seconds[-1])
         record_span(
-            "lp_solve",
-            state.lp_solve_seconds[-1],
-            warm=warm,
-            unsolved=len(state.unsolved),
+            "lp_solve", state.lp_solve_seconds[-1], unsolved=len(state.unsolved)
         )
         emit(
             "lp_solve",
             seconds=state.lp_solve_seconds[-1],
-            warm=warm,
             unsolved=len(state.unsolved),
             variables=len(values),
         )

@@ -11,9 +11,7 @@ system writing time therefore weigh more, which is how E-BLOW balances the
 throughput of the different CP regions of an MCC system.
 
 :func:`compute_profits` evaluates the whole vector as one matvec over the
-cached instance arrays (see :mod:`repro.core.kernels`);
-:func:`compute_profits_scalar` keeps the loop-based reference implementation
-that the property tests compare against.
+cached instance arrays (see :mod:`repro.core.kernels`).
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from repro.model import OSPInstance
 
 __all__ = [
     "compute_profits",
-    "compute_profits_scalar",
     "profit_of",
     "initial_region_times",
 ]
@@ -53,28 +50,6 @@ def compute_profits(
         times (i.e. nothing selected yet).
     """
     return kernels_of(instance).profits(region_times).tolist()
-
-
-def compute_profits_scalar(
-    instance: OSPInstance,
-    region_times: Sequence[float] | None = None,
-) -> list[float]:
-    """Loop-based reference implementation of :func:`compute_profits`."""
-    times = list(region_times) if region_times is not None else instance.vsb_times()
-    t_max = max(times) if times else 0.0
-    if t_max <= 0:
-        return [0.0] * instance.num_characters
-    weightings = [t / t_max for t in times]
-    regions = range(instance.num_regions)
-    return [
-        float(
-            sum(
-                weightings[c] * (ch.vsb_shots - ch.cp_shots) * ch.repeats_in(c)
-                for c in regions
-            )
-        )
-        for ch in instance.characters
-    ]
 
 
 def profit_of(

@@ -43,11 +43,6 @@ class EBlow2DConfig:
     use_prefilter: bool = True
     use_clustering: bool = True
     seed: int = 0
-    # Annealing engine: "auto" (incremental mutate/undo when possible),
-    # "incremental", or "copy" (the reference engine).  All produce
-    # bit-identical placements and writing times under RNG lockstep (plan
-    # stats record which engine ran); they differ only in speed.
-    engine: str = "auto"
 
     def resolved_schedule(self, num_blocks: int) -> AnnealingSchedule:
         """The annealing schedule, sized to the number of blocks if not given."""
@@ -120,10 +115,7 @@ class EBlow2DPlanner:
             )
             initial_pair = _shelf_initial_pair(clusters, instance.stencil.width)
             result = packer.pack(
-                schedule=schedule,
-                seed=config.seed,
-                initial=initial_pair,
-                engine=config.engine,
+                schedule=schedule, seed=config.seed, initial=initial_pair
             )
 
         # Stage 4: unfold clusters into per-character placements.
@@ -150,7 +142,6 @@ class EBlow2DPlanner:
                 "num_clusters": len(clusters),
                 "annealing_moves": result.annealing.moves,
                 "annealing_accepted": result.annealing.accepted,
-                "annealing_engine": result.engine,
                 "move_acceptance": {
                     kind: [stats.proposed, stats.accepted, stats.improved]
                     for kind, stats in sorted(result.annealing.move_stats.items())
@@ -202,8 +193,8 @@ class ClusterTimeModel:
     one pre-aggregated reduction vector.  The model is both a plain
     ``writing_time_of`` callback (set of names -> system writing time) and a
     :class:`~repro.floorplan.fixed_outline.RegionTimeModel`, which lets the
-    fixed-outline packer evaluate annealing moves incrementally through the
-    delta-cost protocol.
+    fixed-outline packer score annealing moves by incremental region-time
+    updates.
     """
 
     def __init__(self, instance: OSPInstance, clusters: dict[str, CharacterCluster]) -> None:

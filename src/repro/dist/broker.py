@@ -468,7 +468,9 @@ class Broker:
 
         A failed store write does not fail the commit: the marker then
         carries the whole result, as on a storeless queue, so the driver
-        still collects the plan.
+        still collects the plan.  A stored result's marker names the store
+        version (:func:`~repro.runtime.store.code_version`) it was written
+        under, so a driver running other code still finds it.
         """
         job_id = lease.job_id
         meta = self._read_meta(job_id)
@@ -484,7 +486,9 @@ class Broker:
             "status": result.status, "writing_time": result.writing_time,
             "cache_hit": result.cache_hit, "ts": round(time.time(), 6),
         }
-        if not stored:
+        if stored:
+            marker["store_version"] = self.store.version
+        else:
             # Failed results never enter the store; storeless queues and
             # failed store writes ship the whole result on the marker so
             # drivers can collect it.
@@ -656,16 +660,21 @@ class Broker:
         """The terminal result for ``job`` (done or quarantined), or ``None``.
 
         A marker without a result points into :attr:`store`, the store the
-        workers committed to.  A committed result is a cache hit only if
-        the committing worker served it from the store; reading it back here
-        does not make it one.
+        workers committed to, under the version the marker names (the
+        committing worker's code version, which need not be this process's).
+        A committed result is a cache hit only if the committing worker
+        served it from the store; reading it back here does not make it one.
         """
         marker = _read_json(self.done / f"{job.job_id}.json")
         if marker is not None:
             if marker.get("result") is not None:
                 result = JobResult.from_dict(marker["result"])
             else:
-                result = self.store.get(job) if self.store is not None else None
+                store = self.store
+                version = marker.get("store_version")
+                if store is not None and version is not None and version != store.version:
+                    store = ResultStore(store.root, version=version)
+                result = store.get(job) if store is not None else None
                 if result is None:
                     return None  # marker ahead of a pruned/absent store entry
             result.cache_hit = bool(marker.get("cache_hit", False))

@@ -60,10 +60,11 @@ class BrokerScheduler(Scheduler):
 
     ``workers`` > 0 makes the scheduler own a fleet of ``eblow worker``
     subprocesses (spawned lazily on the first batch, ``SIGTERM``'d then
-    ``SIGKILL``'d on :meth:`close`, and — with ``respawn=True`` — replaced
-    when they die, because worker death is a normal event here, not an
-    error).  ``workers=0`` relies on externally launched workers attached
-    to the same spool.
+    ``SIGKILL``'d on :meth:`close`, and replaced when they die, because
+    worker death is a normal event here, not an error).  At most
+    ``max_respawns`` replacements are spawned over the scheduler's life;
+    ``max_respawns=0`` never replaces a worker.  ``workers=0`` relies on
+    externally launched workers attached to the same spool.
 
     ``poll_interval`` is the longest a collecting driver waits between
     result checks and reaper passes (a same-host commit wakes it sooner);
@@ -80,14 +81,12 @@ class BrokerScheduler(Scheduler):
         *,
         config: BrokerConfig | None = None,
         workers: int = 0,
-        respawn: bool = True,
         max_respawns: int = 8,
         poll_interval: float = 0.05,
         wait_timeout: float | None = None,
     ) -> None:
         self.broker = Broker.create(root, queue=queue, config=config)
         self.workers = max(0, int(workers))
-        self.respawn = respawn
         self.max_respawns = max_respawns
         self.poll_interval = poll_interval
         self.wait_timeout = wait_timeout
@@ -100,7 +99,6 @@ class BrokerScheduler(Scheduler):
     # Worker fleet
     # ------------------------------------------------------------------ #
     def _spawn_worker(self) -> subprocess.Popen:
-        self._spawned += 1
         worker_id = f"spawn-{os.getpid()}-{self._spawned}"
         self._worker_ids.append(worker_id)
         import repro
@@ -131,6 +129,7 @@ class BrokerScheduler(Scheduler):
         self._procs = [p for p in self._procs if p.poll() is None]
         budget = self.workers + self.max_respawns
         while len(self._procs) < self.workers and self._spawned < budget:
+            self._spawned += 1
             self._procs.append(self._spawn_worker())
 
     def close(self) -> None:

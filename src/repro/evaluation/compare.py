@@ -113,10 +113,10 @@ def run_comparison(
     ``jobs > 1`` — or a result ``store`` / ``telemetry`` manifest — the grid
     executes through the batch runtime (:mod:`repro.runtime`), which requires
     the spec form.  Plans are identical to serial runs provided the planner
-    configs are load-independent: every config here is, except E-BLOW-1's
-    fast-convergence ILP wall-clock cap — pass the ``deterministic`` spec
-    option to drop it (as ``eblow batch`` does by default) when bit-identical
-    results matter more than the paper's capped-solver configuration.
+    configs are load-independent.  Every default config is, E-BLOW's
+    included (its fast-convergence ILP stops on a MIP gap, not on wall
+    clock); only the exact ILP planners' ``time_limit`` returns whatever
+    incumbent the wall clock allowed.
     """
     if jobs > 1 or store is not None or telemetry is not None:
         return _run_comparison_pooled(

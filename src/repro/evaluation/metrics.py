@@ -70,12 +70,10 @@ def result_from_plan(
                 "lp_iterations",
                 "lp_solve_seconds",
                 "stage_seconds",
-                "lp_warm_hinted",
                 "post_swaps",
                 "post_insertions",
                 "num_clusters",
                 "annealing_moves",
-                "annealing_engine",
                 "optimal",
                 "ilp_binary_variables",
             )

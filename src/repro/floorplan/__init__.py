@@ -5,7 +5,6 @@ from repro.floorplan.annealing import (
     AnnealingSchedule,
     Move,
     MoveTypeStats,
-    simulated_annealing,
     simulated_annealing_in_place,
 )
 from repro.floorplan.fixed_outline import (
@@ -47,7 +46,6 @@ __all__ = [
     "AnnealingResult",
     "Move",
     "MoveTypeStats",
-    "simulated_annealing",
     "simulated_annealing_in_place",
     "FixedOutlinePacker",
     "FixedOutlineResult",

@@ -1,27 +1,22 @@
 """A small, generic simulated-annealing engine.
 
 Both the E-BLOW 2D packer and the [24]-style baseline floorplanner drive the
-same engine; they differ only in their state, neighbour, and cost functions.
+same engine; they differ only in their state, move, and cost functions.
 The engine uses a geometric cooling schedule with a fixed number of moves per
 temperature and keeps track of the best state ever visited.
 
-Two execution models are provided:
+:func:`simulated_annealing_in_place` is a mutate/undo engine: a single
+mutable state is perturbed in place through the :class:`Move` protocol
+(``propose() -> Move``, ``move.apply(state)``, ``move.revert(state)``);
+rejected moves are undone instead of re-deriving the whole state.  Combined
+with incremental cost evaluation this turns a move from O(state) into
+O(changed).  Per-move-type acceptance statistics are collected so movers
+can adapt their proposal mix.
 
-* :func:`simulated_annealing` — the copy-based reference engine.  Every move
-  materialises a fresh candidate state (``neighbor(current, rng)``); rejected
-  candidates are simply dropped.  Simple, allocation-heavy, and the
-  equivalence oracle for the fast path.
-* :func:`simulated_annealing_in_place` — the mutate/undo engine.  A single
-  mutable state is perturbed in place through the :class:`Move` protocol
-  (``propose() -> Move``, ``move.apply(state)``, ``move.revert(state)``);
-  rejected moves are undone instead of re-deriving the whole state.  Combined
-  with incremental cost evaluation this turns a move from O(state) into
-  O(changed).  Per-move-type acceptance statistics are collected so movers
-  can adapt their proposal mix.
-
-Both engines walk the identical schedule and consume the RNG in the identical
-pattern, so a mover that mirrors its copy-based ``neighbor`` produces a
-bit-identical trajectory (asserted in ``tests/floorplan/``).
+The test suite keeps a copy-based engine as its reference oracle
+(``tests/oracles/annealing.py``): it walks the identical schedule and
+consumes the RNG in the identical pattern, so a mover that mirrors its
+copy-based ``neighbor`` produces a bit-identical trajectory.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ __all__ = [
     "AnnealingResult",
     "Move",
     "MoveTypeStats",
-    "simulated_annealing",
     "simulated_annealing_in_place",
 ]
 
@@ -47,18 +41,18 @@ S = TypeVar("S")
 B = TypeVar("B")
 
 # End-of-run annealing counters (repro.obs).  Deliberately *not* updated
-# per move: the pre-bound instruments are cheap but the inner loops run
-# hundreds of thousands of times, so the engines account one batch of
+# per move: the pre-bound instruments are cheap but the inner loop runs
+# hundreds of thousands of times, so the engine accounts one batch of
 # increments per run — zero cost inside the loop, zero RNG interaction,
 # bit-identical trajectories with or without a registry installed.
 _ANNEAL_RUNS = obs_metrics.declare_counter(
-    "anneal_runs_total", "Annealing searches completed", ("engine",)
+    "anneal_runs_total", "Annealing searches completed"
 )
 _ANNEAL_MOVES = obs_metrics.declare_counter(
-    "anneal_moves_total", "Annealing moves proposed", ("engine",)
+    "anneal_moves_total", "Annealing moves proposed"
 )
 _ANNEAL_ACCEPTS = obs_metrics.declare_counter(
-    "anneal_accepts_total", "Annealing moves accepted", ("engine",)
+    "anneal_accepts_total", "Annealing moves accepted"
 )
 
 
@@ -145,76 +139,6 @@ class _TraceSampler:
         return self.trace
 
 
-def simulated_annealing(
-    initial_state: S,
-    cost: Callable[[S], float],
-    neighbor: Callable[[S, random.Random], S],
-    schedule: AnnealingSchedule | None = None,
-    rng: random.Random | None = None,
-    delta_cost: Callable[[S, S, float], float] | None = None,
-) -> AnnealingResult[S]:
-    """Minimize ``cost`` over states reachable through ``neighbor``.
-
-    The initial temperature is auto-scaled to the magnitude of the initial
-    cost so callers can use the default schedule regardless of cost units.
-
-    ``delta_cost`` is the optional *delta-cost protocol*: when given, it is
-    called as ``delta_cost(current, candidate, current_cost)`` instead of
-    ``cost(candidate)`` for every move.  ``current`` is always the last
-    accepted state (the one ``candidate`` was derived from), so an
-    implementation can evaluate only the perturbed sub-problem against
-    cached state instead of re-scoring from scratch.  It must return the
-    same value as ``cost(candidate)`` up to floating-point noise.
-    """
-    schedule = schedule or AnnealingSchedule()
-    rng = rng or random.Random(0)
-
-    current = initial_state
-    current_cost = cost(current)
-    best = current
-    best_cost = current_cost
-    scale = max(abs(current_cost), 1.0)
-
-    moves = 0
-    accepted = 0
-    sampler = _TraceSampler(current_cost, schedule.trace_stride)
-
-    for temperature in schedule.temperatures():
-        effective_t = temperature * scale
-        for _ in range(schedule.moves_per_temperature):
-            if moves >= schedule.max_total_moves:
-                break
-            moves += 1
-            candidate = neighbor(current, rng)
-            if delta_cost is not None:
-                candidate_cost = delta_cost(current, candidate, current_cost)
-            else:
-                candidate_cost = cost(candidate)
-            delta = candidate_cost - current_cost
-            if delta <= 0 or rng.random() < math.exp(-delta / max(effective_t, 1e-12)):
-                current = candidate
-                current_cost = candidate_cost
-                accepted += 1
-                if current_cost < best_cost:
-                    best = current
-                    best_cost = current_cost
-                    emit("incumbent", cost=best_cost, moves=moves)
-        sampler.step(current_cost)
-        emit("temperature", temperature=temperature, cost=current_cost, moves=moves)
-        if moves >= schedule.max_total_moves:
-            break
-    _ANNEAL_RUNS.inc(engine="copy")
-    _ANNEAL_MOVES.inc(moves, engine="copy")
-    _ANNEAL_ACCEPTS.inc(accepted, engine="copy")
-    return AnnealingResult(
-        best_state=best,
-        best_cost=best_cost,
-        moves=moves,
-        accepted=accepted,
-        cost_trace=sampler.finish(current_cost),
-    )
-
-
 def simulated_annealing_in_place(
     state: S,
     cost: Callable[[S], float],
@@ -223,7 +147,7 @@ def simulated_annealing_in_place(
     schedule: AnnealingSchedule | None = None,
     rng: random.Random | None = None,
 ) -> AnnealingResult[B]:
-    """Mutate/undo variant of :func:`simulated_annealing`.
+    """Minimize ``cost`` by mutating ``state`` in place through moves.
 
     ``state`` is mutated in place for the whole search.  Each iteration asks
     ``propose(state, rng)`` for a :class:`Move`, applies it, evaluates
@@ -232,9 +156,8 @@ def simulated_annealing_in_place(
     ``snapshot(state)`` captures an immutable copy whenever a new best state
     is found — that is the only time the full state is materialised.
 
-    The schedule walk, acceptance rule, auto-scaling, and RNG consumption are
-    identical to the copy-based engine: a proposer that draws the same random
-    numbers as its ``neighbor`` counterpart yields a bit-identical trajectory.
+    The initial temperature is auto-scaled to the magnitude of the initial
+    cost so callers can use the default schedule regardless of cost units.
     """
     schedule = schedule or AnnealingSchedule()
     rng = rng or random.Random(0)
@@ -282,9 +205,9 @@ def simulated_annealing_in_place(
         emit("temperature", temperature=temperature, cost=current_cost, moves=moves)
         if moves >= schedule.max_total_moves:
             break
-    _ANNEAL_RUNS.inc(engine="incremental")
-    _ANNEAL_MOVES.inc(moves, engine="incremental")
-    _ANNEAL_ACCEPTS.inc(accepted, engine="incremental")
+    _ANNEAL_RUNS.inc()
+    _ANNEAL_MOVES.inc(moves)
+    _ANNEAL_ACCEPTS.inc(accepted)
     return AnnealingResult(
         best_state=best,
         best_cost=best_cost,

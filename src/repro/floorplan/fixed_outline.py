@@ -13,10 +13,8 @@ pure-VSB region times and the per-block reduction vectors, see
 per-region writing-time vector of the current state is cached and each
 candidate is scored by applying only the reduction rows of the blocks whose
 inside/outside status actually changed — O(changed x P) instead of
-O(inside x P) per move.  The copy engine finds those blocks by comparing
-inside masks (the annealer's delta-cost protocol); the in-place engine
-re-tests only the blocks at the positions the :class:`IncrementalPacker`
-reports as touched by the move.
+O(inside x P) per move.  Only the blocks at the positions the
+:class:`IncrementalPacker` reports as touched by the move are re-tested.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from repro.events import emit
 from repro.floorplan.annealing import (
     AnnealingResult,
     AnnealingSchedule,
-    simulated_annealing,
     simulated_annealing_in_place,
 )
 from repro.floorplan.packing import (
@@ -72,7 +69,6 @@ class FixedOutlineResult:
     pair: SequencePair
     cost: float
     annealing: AnnealingResult
-    engine: str = "copy"
 
 
 class FixedOutlinePacker:
@@ -90,9 +86,9 @@ class FixedOutlinePacker:
         the block-to-character mapping).
     time_model:
         Optional :class:`RegionTimeModel` equivalent of ``writing_time_of``.
-        When given, moves are scored incrementally through the annealer's
-        delta-cost protocol; results are identical up to floating-point
-        noise (cross-checked in the test suite).
+        When given, moves are scored by incremental region-time updates;
+        results are identical up to floating-point noise (cross-checked in
+        the test suite).
     """
 
     # Rebuild the cached region-time vector from scratch every this many
@@ -124,17 +120,6 @@ class FixedOutlinePacker:
         else:
             self._model_reductions = None
             self._model_vsb = None
-        # Delta-evaluation cache: inside mask + region times of the last
-        # evaluated states (base = last accepted, last = last candidate).
-        # Pair objects are held by reference (not id()) so identity checks
-        # cannot be fooled by CPython address reuse after garbage collection.
-        self._base_pair: SequencePair | None = None
-        self._base_mask: np.ndarray | None = None
-        self._base_times: np.ndarray | None = None
-        self._last_pair: SequencePair | None = None
-        self._last_mask: np.ndarray | None = None
-        self._last_times: np.ndarray | None = None
-        self._deltas_since_rebase = 0
 
     # ------------------------------------------------------------------ #
     # Cost model
@@ -148,129 +133,33 @@ class FixedOutlinePacker:
                 inside[name] = (x, y)
         return inside
 
-    def _inside_mask(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        context = self._context
-        return (x + context.widths <= self.width + 1e-9) & (
-            y + context.heights <= self.height + 1e-9
-        )
-
-    def _penalized(self, writing_time: float, x: np.ndarray, y: np.ndarray) -> float:
+    def _penalized_dims(
+        self, writing_time: float, packed_width: float, packed_height: float
+    ) -> float:
         """Writing time with the small out-of-outline bounding-box penalty.
 
         The pressure to shrink the overall bounding box helps more blocks
         migrate inside the outline in later moves.
         """
-        context = self._context
-        packed_width = float((x + context.widths).max()) if len(x) else 0.0
-        packed_height = float((y + context.heights).max()) if len(y) else 0.0
-        return self._penalized_dims(writing_time, packed_width, packed_height)
-
-    def _penalized_dims(
-        self, writing_time: float, packed_width: float, packed_height: float
-    ) -> float:
         overshoot = max(0.0, packed_width - self.width) + max(
             0.0, packed_height - self.height
         )
         return writing_time * (1.0 + self.area_weight * overshoot / max(self.width, 1.0))
 
-    def cost_of(self, pair: SequencePair) -> float:
-        """Cost of a sequence pair: writing time + small out-of-outline penalty."""
-        context = self._context
-        if context is None:
-            return self.writing_time_of(set())
-        x, y = context.pack_arrays(pair)
-        inside_mask = self._inside_mask(x, y)
-        if self._model_reductions is not None:
-            times = self._model_vsb - self._model_reductions[inside_mask].sum(axis=0)
-            writing_time = float(times.max())
-            self._remember_last(pair, inside_mask, times)
-        else:
-            inside = {context.names[i] for i in np.nonzero(inside_mask)[0]}
-            writing_time = self.writing_time_of(inside)
-        return self._penalized(writing_time, x, y)
-
-    # ------------------------------------------------------------------ #
-    # Delta-cost protocol (incremental evaluation)
-    # ------------------------------------------------------------------ #
-    def _remember_last(
-        self, pair: SequencePair, mask: np.ndarray, times: np.ndarray
-    ) -> None:
-        self._last_pair = pair
-        self._last_mask = mask
-        self._last_times = times
-
-    def _base_for(self, current: SequencePair) -> tuple[np.ndarray, np.ndarray]:
-        """Inside mask + region times of the annealer's current state."""
-        if self._base_pair is not current:
-            if self._last_pair is current:
-                # The previous candidate was accepted: promote its evaluation.
-                self._base_mask = self._last_mask
-                self._base_times = self._last_times
-            else:
-                x, y = self._context.pack_arrays(current)
-                self._base_mask = self._inside_mask(x, y)
-                self._base_times = (
-                    self._model_vsb
-                    - self._model_reductions[self._base_mask].sum(axis=0)
-                )
-            self._base_pair = current
-        return self._base_mask, self._base_times
-
-    def delta_cost(
-        self, current: SequencePair, candidate: SequencePair, current_cost: float
-    ) -> float:
-        """Candidate cost via incremental region-time update vs. ``current``.
-
-        Only the reduction rows of blocks whose inside/outside status changed
-        are applied to the cached time vector of the current state.
-        """
-        base_mask, base_times = self._base_for(current)
-        x, y = self._context.pack_arrays(candidate)
-        mask = self._inside_mask(x, y)
-        changed = mask ^ base_mask
-        if not changed.any():
-            times = base_times
-        else:
-            entered = mask & changed
-            left = base_mask & changed
-            times = base_times.copy()
-            if entered.any():
-                times -= self._model_reductions[entered].sum(axis=0)
-            if left.any():
-                times += self._model_reductions[left].sum(axis=0)
-        self._deltas_since_rebase += 1
-        if self._deltas_since_rebase >= self.REBASE_INTERVAL:
-            self._deltas_since_rebase = 0
-            times = self._model_vsb - self._model_reductions[mask].sum(axis=0)
-            _REBASES.inc(scope="region-times")
-            emit("rebase", scope="region-times", interval=self.REBASE_INTERVAL)
-        self._remember_last(candidate, mask, times)
-        return self._penalized(float(times.max()), x, y)
-
     # ------------------------------------------------------------------ #
     # In-place (mutate/undo) engine
     # ------------------------------------------------------------------ #
-    def _reset_delta_cache(self) -> None:
-        """Forget cached evaluations from a previous ``pack`` run."""
-        self._base_pair = None
-        self._base_mask = None
-        self._base_times = None
-        self._last_pair = None
-        self._last_mask = None
-        self._last_times = None
-        self._deltas_since_rebase = 0
-
     def _inplace_cost(self, state: "_InPlaceState") -> float:
         """Cost of the in-place state's current configuration.
 
-        Mirrors :meth:`cost_of` (first call) and :meth:`delta_cost` (every
-        later call) operation for operation: the entered/left blocks against
-        the last *accepted* state are applied as sorted row indices through
-        the same ``reductions[...].sum(axis=0)`` calls a boolean mask would
-        make, with the same periodic rebase — so a trajectory through this
-        function is bit-identical to the copy engine's.  Only the blocks at
-        the positions the last move touched are re-tested against the
-        outline; every other block kept its coordinates.
+        The first call scores the full inside selection; every later call
+        applies the entered/left blocks against the last *accepted* state as
+        sorted row indices through the same ``reductions[...].sum(axis=0)``
+        calls a boolean mask would make, with a periodic rebase.  This
+        mirrors the copy engine of ``tests/oracles/annealing.py`` operation
+        for operation, so their trajectories are bit-identical.  Only the
+        blocks at the positions the last move touched are re-tested against
+        the outline; every other block kept its coordinates.
         """
         packer = state.packer
         if self._model_reductions is None:
@@ -279,7 +168,7 @@ class FixedOutlinePacker:
             writing_time = self.writing_time_of(inside)
             return self._penalized_dims(writing_time, packer.width, packer.height)
         if state.inside is None:
-            # Initial full evaluation (the copy engine's cost_of path).
+            # Initial full evaluation.
             state.inside = self._inside_flags(packer)
             state.base_times = self._region_times(state.inside)
             return self._penalized_dims(
@@ -363,7 +252,6 @@ class FixedOutlinePacker:
         schedule: AnnealingSchedule | None = None,
         seed: int = 0,
         initial: SequencePair | None = None,
-        engine: str = "auto",
     ) -> FixedOutlineResult:
         """Run the annealer and return the best packing found.
 
@@ -371,52 +259,40 @@ class FixedOutlinePacker:
         shelf packing); the annealer keeps the best state ever visited, so the
         result is never worse than that starting point.
 
-        ``engine`` selects the search engine: ``"incremental"`` runs the
-        mutate/undo engine over an :class:`IncrementalPacker` (one mutable
-        state, dirty-suffix packing updates, O(changed) cost updates);
-        ``"copy"`` runs the copy-based reference engine; ``"auto"`` picks the
-        incremental engine.  Both engines visit bit-identical states under
-        RNG lockstep (asserted in the test suite); they differ only in speed.
+        The search is the mutate/undo engine over an
+        :class:`IncrementalPacker`: one mutable state, dirty-suffix packing
+        updates, O(changed) cost updates.  With no blocks there is nothing to
+        anneal: the result is the empty packing after 0 moves, at cost
+        ``writing_time_of(set())``.
         """
-        if engine not in ("auto", "copy", "incremental"):
-            raise ValueError(f"unknown annealing engine {engine!r}")
-        resolved = "copy" if engine == "copy" or self._context is None else "incremental"
-        self._reset_delta_cache()
-
-        rng = random.Random(seed)
-        names = sorted(self.blocks)
-        if initial is None:
-            initial = SequencePair.initial(names, rng)
-
-        if resolved == "incremental":
-            state = _InPlaceState(IncrementalPacker(self._context, initial))
+        if self._context is None:
+            cost = self.writing_time_of(set())
+            result = AnnealingResult(
+                best_state=SequencePair(positive=(), negative=()),
+                best_cost=cost,
+                moves=0,
+                accepted=0,
+                cost_trace=[cost],
+            )
+        else:
+            rng = random.Random(seed)
+            if initial is None:
+                initial = SequencePair.initial(sorted(self.blocks), rng)
             result = simulated_annealing_in_place(
-                state,
+                _InPlaceState(IncrementalPacker(self._context, initial)),
                 cost=self._inplace_cost,
                 propose=self._propose_swap,
                 snapshot=lambda s: s.packer.snapshot_pair(),
                 schedule=schedule,
                 rng=rng,
             )
-        else:
-            use_delta = self._model_reductions is not None and self._context is not None
-            result = simulated_annealing(
-                initial_state=initial,
-                cost=self.cost_of,
-                neighbor=lambda pair, r: pair.random_neighbor(r),
-                schedule=schedule,
-                rng=rng,
-                delta_cost=self.delta_cost if use_delta else None,
-            )
         packing = pack_sequence_pair(result.best_state, self.blocks)
-        inside = self.inside_blocks(packing)
         return FixedOutlineResult(
-            inside=inside,
+            inside=self.inside_blocks(packing),
             packing=packing,
             pair=result.best_state,
             cost=result.best_cost,
             annealing=result,
-            engine=resolved,
         )
 
 
@@ -427,9 +303,8 @@ class _InPlaceState:
     bookkeeping: ``inside`` flags each block of the last *accepted*
     configuration and ``base_times`` is its region-time vector; ``pending``
     holds the last evaluated candidate's ``(entered, left, times)``.  The
-    candidate is promoted to base lazily on the next evaluation — mirroring
-    the copy engine's ``_base_for`` promotion — and discarded when the move
-    is reverted.
+    candidate is promoted to base lazily on the next evaluation and
+    discarded when the move is reverted.
     """
 
     def __init__(self, packer: IncrementalPacker) -> None:
@@ -474,8 +349,8 @@ def _sample_two(rng: random.Random, n: int) -> tuple[int, int]:
     in-place engine samples once per move.  This reproduces its two code
     paths for ``k=2`` over ``range(n)`` exactly (the pool shuffle below 22
     elements, rejection sampling above), drawing the same ``_randbelow``
-    sequence so the in-place engine stays in RNG lockstep with the copy
-    engine's ``random_neighbor``.  Guarded by a test that checks agreement
+    sequence so the in-place engine stays in RNG lockstep with
+    ``SequencePair.random_neighbor``.  Guarded by a test that checks agreement
     with ``rng.sample`` across sizes, so a future stdlib change cannot
     silently break lockstep.
     """

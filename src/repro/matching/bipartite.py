@@ -4,27 +4,16 @@ Section 3.5 of the paper formulates post-insertion as a maximum weighted
 matching between "additional characters" and stencil rows (at most one
 inserted character per row).  This module implements the matching substrate
 from scratch as a successive-shortest-augmenting-path assignment algorithm
-(a sparse Kuhn–Munkres / Hungarian variant) and is cross-checked against
-NetworkX in the test suite.
-
-Three interchangeable solvers sit behind :func:`max_weight_matching`:
-
-* ``"numpy"`` (default) — the Hungarian algorithm with the augmenting-path
-  inner loops vectorized over NumPy slack arrays.  Bit-identical to the
-  pure-Python solver (same operations, same tie-breaking), roughly an order
-  of magnitude faster on dense instances.
-* ``"python"`` — the original pure-Python implementation; kept as the
-  reference oracle per the PERFORMANCE.md lockstep rule.
-* ``"scipy"`` — ``scipy.optimize.linear_sum_assignment`` on the padded
-  weight matrix.  Fastest, but ties may be broken differently (the matching
-  *weight* is always identical — asserted in the test suite), so it is an
-  opt-in fast path rather than the default.
+(a sparse Kuhn–Munkres / Hungarian variant) with the augmenting-path inner
+loops vectorized over NumPy slack arrays.  The test suite checks it against
+a pure-Python Hungarian oracle (bit-identical matchings), SciPy's
+``linear_sum_assignment`` (equal weight) and NetworkX.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Hashable, Mapping, Sequence, TypeVar
+from typing import Hashable, Mapping, TypeVar
 
 import numpy as np
 
@@ -33,13 +22,8 @@ __all__ = ["max_weight_matching", "matching_weight"]
 L = TypeVar("L", bound=Hashable)
 R = TypeVar("R", bound=Hashable)
 
-_METHODS = ("numpy", "python", "scipy")
 
-
-def max_weight_matching(
-    weights: Mapping[tuple[L, R], float],
-    method: str = "numpy",
-) -> dict[L, R]:
+def max_weight_matching(weights: Mapping[tuple[L, R], float]) -> dict[L, R]:
     """Maximum-weight matching of a bipartite graph given by an edge-weight map.
 
     Parameters
@@ -48,10 +32,6 @@ def max_weight_matching(
         ``{(left, right): weight}``.  Only edges present in the map may be
         matched; weights may be any finite floats.  Edges with non-positive
         weight are allowed but will only be used if they increase the total.
-    method:
-        ``"numpy"`` (default), ``"python"`` (reference implementation), or
-        ``"scipy"`` (``linear_sum_assignment`` fast path; equal weight,
-        possibly different tie-breaking).
 
     Returns
     -------
@@ -60,8 +40,6 @@ def max_weight_matching(
         (maximum *weight*, not maximum cardinality: an edge is only used when
         it improves the objective).
     """
-    if method not in _METHODS:
-        raise ValueError(f"unknown matching method {method!r}; expected one of {_METHODS}")
     if not weights:
         return {}
 
@@ -81,12 +59,7 @@ def max_weight_matching(
     for (l, r), w in weights.items():
         weight_matrix[left_index[l], right_index[r]] = max(w, 0.0)
 
-    if method == "scipy":
-        assignment = _assignment_scipy(weight_matrix)
-    elif method == "python":
-        assignment = _hungarian_max_scalar([list(row) for row in weight_matrix])
-    else:
-        assignment = _hungarian_max(weight_matrix)
+    assignment = _hungarian_max(weight_matrix)
 
     result: dict[L, R] = {}
     for i, j in enumerate(assignment):
@@ -104,19 +77,6 @@ def matching_weight(
     return float(sum(weights[(l, r)] for l, r in matching.items()))
 
 
-def _assignment_scipy(weight_matrix: np.ndarray) -> list[int | None]:
-    """``linear_sum_assignment`` fast path (optional; equal total weight)."""
-    try:
-        from scipy.optimize import linear_sum_assignment
-    except ImportError:  # pragma: no cover — scipy is a hard dep elsewhere
-        return _hungarian_max(weight_matrix)
-    rows, cols = linear_sum_assignment(weight_matrix, maximize=True)
-    assignment: list[int | None] = [None] * len(weight_matrix)
-    for i, j in zip(rows, cols):
-        assignment[int(i)] = int(j)
-    return assignment
-
-
 def _hungarian_max(weight_matrix: np.ndarray) -> list[int | None]:
     """Hungarian algorithm maximizing total weight on a square matrix.
 
@@ -126,7 +86,7 @@ def _hungarian_max(weight_matrix: np.ndarray) -> list[int | None]:
     each augmenting step — the slack (``minv``) update and the potential
     update — vectorized over NumPy arrays.  Operation-for-operation (and
     tie-break-for-tie-break: ``argmin`` keeps the first minimum exactly like
-    the scalar scan) identical to :func:`_hungarian_max_scalar`.
+    a scalar scan) identical to the pure-Python oracle of the test suite.
     """
     n = len(weight_matrix)
     if n == 0:
@@ -169,61 +129,6 @@ def _hungarian_max(weight_matrix: np.ndarray) -> list[int | None]:
                 break
         while j0:
             j1 = int(way[j0])
-            p[j0] = p[j1]
-            j0 = j1
-
-    assignment: list[int | None] = [None] * n
-    for j in range(1, n + 1):
-        if p[j]:
-            assignment[p[j] - 1] = j - 1
-    return assignment
-
-
-def _hungarian_max_scalar(weight_matrix: Sequence[Sequence[float]]) -> list[int | None]:
-    """Pure-Python reference implementation of :func:`_hungarian_max`."""
-    n = len(weight_matrix)
-    if n == 0:
-        return []
-    max_weight = max(max(row) for row in weight_matrix)
-    cost = [[max_weight - w for w in row] for row in weight_matrix]
-
-    # Potentials and matching arrays use 1-based indexing internally.
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)  # p[j] = row matched to column j
-    way = [0] * (n + 1)
-
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [math.inf] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = math.inf
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
 

@@ -21,7 +21,6 @@ from repro.model.placement import StencilPlan
 __all__ = [
     "WritingTimeReport",
     "region_writing_times",
-    "region_writing_times_scalar",
     "system_writing_time",
     "evaluate_plan",
     "writing_time_of_selection",
@@ -61,8 +60,7 @@ def region_writing_times(
     """Writing time of every region given the set of selected character names.
 
     Vectorized: one row-gather + column sum over the cached ``(n, P)``
-    reduction matrix.  :func:`region_writing_times_scalar` keeps the original
-    loop as the reference implementation for the equivalence tests.
+    reduction matrix.
     """
     # Sorted so the float sum never follows a set's string-hash order.
     indices = sorted(instance.indices_of(set(selected)))
@@ -70,19 +68,6 @@ def region_writing_times(
         return instance.vsb_times()
     times = instance.vsb_times_array() - instance.reduction_matrix_array()[indices].sum(axis=0)
     return times.tolist()
-
-
-def region_writing_times_scalar(
-    instance: OSPInstance, selected: Iterable[str]
-) -> list[float]:
-    """Loop-based reference implementation of :func:`region_writing_times`."""
-    selected_set = set(selected)
-    times = instance.vsb_times()
-    for i, ch in enumerate(instance.characters):
-        if ch.name in selected_set:
-            for c in range(instance.num_regions):
-                times[c] -= instance.reduction(i, c)
-    return times
 
 
 def system_writing_time(instance: OSPInstance, selected: Iterable[str]) -> float:

@@ -61,9 +61,9 @@ __all__ = ["PlannerPool", "EventRelay", "default_workers", "shared_pool", "close
 # it lost; the in-worker alarm should always fire first.
 _WAIT_GRACE = 10.0
 
-# Default grace window between the rungs of escalating cancellation
-# (soft cancel → SIGTERM → SIGKILL); see PlannerPool.cancel_running.
-_CANCEL_GRACE = 0.5
+#: Grace window between the rungs of escalating cancellation (soft cancel →
+#: SIGTERM → SIGKILL); see PlannerPool.cancel_running.
+CANCEL_GRACE = 0.5
 
 # Target number of chunks per worker when no explicit chunksize is given:
 # large enough to amortise IPC, small enough to keep ordered streaming and
@@ -347,11 +347,9 @@ class PlannerPool:
         self,
         max_workers: int = 1,
         chunksize: int | None = None,
-        cancel_grace: float = _CANCEL_GRACE,
     ) -> None:
         self.max_workers = max(1, int(max_workers))
         self.chunksize = chunksize if chunksize is None else max(1, int(chunksize))
-        self.cancel_grace = max(0.0, float(cancel_grace))
         #: Executor breakages seen over this pool's lifetime (worker deaths).
         self.break_count = 0
         self._executor: ProcessPoolExecutor | None = None
@@ -430,7 +428,7 @@ class PlannerPool:
     def _escalate_stop(self, executor: ProcessPoolExecutor) -> None:
         """Escalating teardown of abandoned workers: cancel → TERM → KILL.
 
-        Each rung gets a ``cancel_grace`` window: a worker that merely sits
+        Each rung gets a :data:`CANCEL_GRACE` window: a worker that merely sits
         in cancellable Python (a long pure-Python loop) absorbs the soft
         cancel, resolves its future, and exits via the executor's sentinel;
         one that reaches signal delivery later dies on the SIGTERM it has
@@ -443,7 +441,7 @@ class PlannerPool:
             return
         self.cancel_running()
         executor.shutdown(wait=False, cancel_futures=True)
-        if self._await_exit(processes, self.cancel_grace):
+        if self._await_exit(processes, CANCEL_GRACE):
             return
         for process in processes:
             if process.is_alive():
@@ -451,7 +449,7 @@ class PlannerPool:
                     process.terminate()
                 except Exception:  # noqa: BLE001
                     pass
-        if self._await_exit(processes, self.cancel_grace):
+        if self._await_exit(processes, CANCEL_GRACE):
             return
         for process in processes:
             if process.is_alive():

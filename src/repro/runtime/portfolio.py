@@ -176,8 +176,6 @@ def run_portfolio(
     store: ResultStore | None = None,
     telemetry: Telemetry | None = None,
     pool: PlannerPool | None = None,
-    journal=None,
-    resume: bool = False,
     scheduler=None,
 ) -> PortfolioOutcome:
     """Race the ``entries`` on one instance and return the best plan.
@@ -199,12 +197,6 @@ def run_portfolio(
     past the race; pass ``timeout=`` or ``budget=`` as a further backstop
     for entrants stuck in uncancellable native code.
 
-    ``journal`` (a path or :class:`~repro.runtime.supervision.JobJournal`)
-    records each entrant's lifecycle next to the telemetry manifest;
-    ``resume=True`` replays it so a crashed race re-runs only entrants that
-    never finished — finished ``ok`` entrants come back bit-identical from
-    the store, finished failures are reported without re-running.
-
     ``scheduler`` (see :mod:`repro.dist.scheduler`) swaps the execution
     substrate for the non-cached entrants — e.g. a
     :class:`~repro.dist.BrokerScheduler` races the portfolio across broker
@@ -214,14 +206,6 @@ def run_portfolio(
     """
     if not entries:
         raise ValidationError("portfolio needs at least one planner entry")
-    from repro.runtime.supervision import JobJournal
-
-    if resume and journal is None:
-        raise ValidationError("resume=True needs journal= (the race's journal path)")
-    journal_obj = journal
-    if journal is not None and not isinstance(journal, JobJournal):
-        journal_obj = JobJournal(journal, resume=resume)
-    prior = journal_obj.prior if (journal_obj is not None and resume) else {}
     # A budget without per-job timeouts would leave stragglers running
     # unattended in the workers; bound them by the budget itself.
     job_timeout = timeout if timeout is not None else budget
@@ -237,37 +221,7 @@ def run_portfolio(
         if cached is not None:
             outcome.results.append(cached)
             race.take(cached)
-            if journal_obj is not None:
-                journal_obj.append(
-                    "done", job.job_id, status=cached.status, cache_hit=True
-                )
             continue
-        info = prior.get(job.job_id)
-        if info and info.get("state") == "done" and info.get("status") != "ok":
-            # The previous run finished this entrant with a failure; resume
-            # reports it instead of re-racing it (only ok results are
-            # store-backed).
-            outcome.results.append(
-                JobResult(
-                    job_id=job.job_id,
-                    case=job.case_name,
-                    label=job.display_label,
-                    planner=job.spec.planner,
-                    status=str(info.get("status", "error")),
-                    error=info.get("error"),
-                    attempts=max(1, int(info.get("attempts", 1))),
-                    extra={"resumed": True},
-                )
-            )
-            continue
-        if journal_obj is not None:
-            journal_obj.append(
-                "queued",
-                job.job_id,
-                case=job.case_name,
-                label=job.display_label,
-                planner=job.spec.planner,
-            )
         pending_jobs.append(job)
 
     if pending_jobs and race.target_reached:
@@ -285,17 +239,9 @@ def run_portfolio(
             pending=len(pending_jobs),
             scheduler=type(scheduler).__name__,
         ):
-            for job, result in zip(
-                pending_jobs,
-                scheduler.run_jobs(pending_jobs, store=store, on_event=on_event),
-            ):
+            for result in scheduler.run_jobs(pending_jobs, store=store, on_event=on_event):
                 outcome.results.append(result)
                 race.take(result)
-                if journal_obj is not None:
-                    journal_obj.append(
-                        "done", job.job_id, status=result.status,
-                        attempts=result.attempts,
-                    )
         pending_jobs = []
     if pending_jobs:
         owns_pool = pool is None
@@ -314,14 +260,13 @@ def run_portfolio(
                     _run_serial(
                         pending_jobs, outcome, race, start,
                         budget=budget, straggler_grace=straggler_grace,
-                        on_event=on_event, store=store, journal=journal_obj,
+                        on_event=on_event, store=store,
                     )
                 else:
                     _run_race(
                         pool, pending_jobs, outcome, race, start,
                         budget=budget, straggler_grace=straggler_grace,
                         on_event=on_event, store=store, owns_pool=owns_pool,
-                        journal=journal_obj,
                     )
         finally:
             if owns_pool:
@@ -356,7 +301,6 @@ def _run_serial(
     straggler_grace: float | None,
     on_event,
     store: ResultStore | None,
-    journal=None,
 ) -> None:
     """Single worker: no true race — run in order, honouring the stops.
 
@@ -398,8 +342,6 @@ def _run_serial(
         outcome.results.append(result)
         if store is not None:
             store.put(job, result)
-        if journal is not None:
-            journal.append("done", job.job_id, status=result.status, error=result.error)
         race.take(result)
 
 
@@ -414,7 +356,6 @@ def _run_race(
     on_event,
     store: ResultStore | None,
     owns_pool: bool = True,
-    journal=None,
 ) -> None:
     """True race across worker processes."""
     relay: EventRelay | None = None
@@ -460,10 +401,6 @@ def _run_race(
                 outcome.results.append(result)
                 if store is not None:
                     store.put(job, result)
-                if journal is not None:
-                    journal.append(
-                        "done", job.job_id, status=result.status, error=result.error
-                    )
                 race.take(result)
                 if straggler_grace is not None and grace_deadline is None and race.winner_at is not None:
                     grace_deadline = race.winner_at + straggler_grace

@@ -105,7 +105,7 @@ class Telemetry:
             "attempts": result.attempts,
             "error": result.error,
             # Planner-specific counters (LP iteration solve times, annealing
-            # engine, ...) ride along so manifests carry the full picture.
+            # moves, ...) ride along so manifests carry the full picture.
             "extra": dict(result.extra),
         }
         return self._write(entry, extra)

@@ -61,7 +61,7 @@ from repro.errors import ValidationError
 from repro.events import PlanEvent
 from repro.obs import metrics as obs_metrics
 from repro.runtime.jobs import JobResult, PlannerSpec
-from repro.runtime.pool import EventRelay, PlannerPool
+from repro.runtime.pool import CANCEL_GRACE, EventRelay, PlannerPool
 from repro.runtime.store import ResultStore
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -395,7 +395,7 @@ class PlanServer:
             for pool in [self._pool, *self._aux_pools]:
                 if pool is not None:
                     pool.cancel_running()
-            settle = time.monotonic() + max(0.5, self._pool.cancel_grace if self._pool else 0.5)
+            settle = time.monotonic() + CANCEL_GRACE
             while self._running and time.monotonic() < settle:
                 await asyncio.sleep(0.05)
             if self._running:

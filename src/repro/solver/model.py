@@ -1,14 +1,8 @@
 """A small linear/integer-programming model builder.
 
 The paper solves its formulations with GUROBI; this library replaces that
-proprietary dependency with a thin, dependency-light modelling layer plus
-interchangeable backends:
-
-* :mod:`repro.solver.scipy_backend` — SciPy's HiGHS ``linprog``/``milp``
-  (fast, used by default),
-* :mod:`repro.solver.simplex` — a from-scratch dense two-phase simplex,
-* :mod:`repro.solver.branch_and_bound` — a from-scratch ILP branch & bound
-  on top of either LP backend.
+proprietary dependency with a thin, dependency-light modelling layer solved
+by SciPy's HiGHS ``linprog``/``milp`` (:mod:`repro.solver.scipy_backend`).
 
 The modelling layer intentionally supports exactly what the E-BLOW
 formulations (3), (4), and (7) need: bounded continuous/binary variables,

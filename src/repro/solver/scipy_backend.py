@@ -1,9 +1,8 @@
 """SciPy (HiGHS) backends for :class:`~repro.solver.model.LinearProgram`.
 
 These wrappers translate the natural-form model into the matrix form SciPy
-expects.  They are the default production backends; the from-scratch
-:mod:`repro.solver.simplex` and :mod:`repro.solver.branch_and_bound`
-implementations are cross-checked against them in the test suite.
+expects.  They are the only solvers the library runs; the test suite checks
+them against from-scratch simplex and branch & bound oracles.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
-import warnings
 
 import numpy as np
 from scipy import optimize, sparse
@@ -148,7 +146,6 @@ def solve_lp_arrays(
     lower: np.ndarray,
     upper: np.ndarray,
     maximize: bool = False,
-    x0: np.ndarray | None = None,
 ) -> Solution:
     """Solve an LP given directly in matrix form (no ``LinearProgram`` object).
 
@@ -157,47 +154,12 @@ def solve_lp_arrays(
     structure of the successive-rounding loop.  ``a_ub`` may be any SciPy
     sparse matrix (or ``None`` for a bounds-only problem); ``lower``/``upper``
     are per-variable bound vectors (``np.inf`` for unbounded).
-
-    ``x0`` is a warm-start hint (e.g. the previous iteration's solution in a
-    successive-rounding loop).  It is clipped to the current bounds and
-    handed to ``linprog``; solver versions whose HiGHS wrapper does not
-    consume the hint silently ignore it (current SciPy releases do exactly
-    that), and if the solver rejects the argument outright — wrong shape,
-    unknown parameter — the call silently falls back to a cold start.  The
-    returned solution is identical either way, only the iteration count can
-    change.  ``metadata["warm_start"]`` records whether the hint was
-    *passed*, not whether the backend consumed it.
     """
     cost = -c if maximize else c
     bounds = np.column_stack((lower, upper))
     b = b_ub if a_ub is not None else None
-    result = None
-    warm = False
-    if x0 is not None:
-        try:
-            hint = np.clip(np.asarray(x0, dtype=float), lower, upper)
-            with warnings.catch_warnings():
-                # HiGHS wrappers that do not consume x0 warn that it only
-                # applies to the removed "revised simplex" method; suppress
-                # exactly that warning (real solver warnings still surface).
-                warnings.filterwarnings(
-                    "ignore",
-                    message=r".*x0 is used only when method.*",
-                    category=optimize.OptimizeWarning,
-                )
-                result = optimize.linprog(
-                    cost, A_ub=a_ub, b_ub=b, bounds=bounds, method="highs", x0=hint
-                )
-            warm = True
-        except (TypeError, ValueError):
-            result = None
-    if result is None:
-        result = optimize.linprog(
-            cost, A_ub=a_ub, b_ub=b, bounds=bounds, method="highs"
-        )
-    solution = _linprog_solution(result, lambda values: c @ values)
-    solution.metadata["warm_start"] = warm
-    return solution
+    result = optimize.linprog(cost, A_ub=a_ub, b_ub=b, bounds=bounds, method="highs")
+    return _linprog_solution(result, lambda values: c @ values)
 
 
 def solve_milp_scipy(

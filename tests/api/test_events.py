@@ -83,9 +83,19 @@ class TestPlannerInstrumentation:
         assert len(counts) >= 3
 
     def test_both_engines_emit_temperature_steps(self, small_2d_instance):
-        for engine in ("copy", "incremental"):
-            result = plan(small_2d_instance, planner="sa-2d", engine=engine)
-            assert result.event_counts().get("temperature", 0) >= 1
+        """The planner's engine and the copy-engine oracle share the protocol."""
+        from repro.events import emitting
+        from repro.floorplan import Block, FixedOutlinePacker
+        from tests.oracles.annealing import CopyEngine
+
+        result = plan(small_2d_instance, planner="sa-2d")
+        assert result.event_counts().get("temperature", 0) >= 1
+        blocks = {f"b{i}": Block(f"b{i}", 20 + 3 * i, 24, 2, 2, 2, 2) for i in range(6)}
+        packer = FixedOutlinePacker(60, 60, blocks, writing_time_of=lambda s: 99.0 - len(s))
+        seen = []
+        with emitting(seen.append):
+            CopyEngine(packer).pack(seed=1)
+        assert any(event.type == "temperature" for event in seen)
 
     def test_instrumentation_does_not_change_plans(self, small_2d_instance):
         silent = plan(small_2d_instance, planner="eblow-2d", collect_events=False)

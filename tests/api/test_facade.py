@@ -23,9 +23,12 @@ class TestPlanCall:
         assert result.ok and result.planner == "greedy"
 
     def test_options_as_keywords(self, small_2d_instance):
-        result = repro.plan(small_2d_instance, planner="eblow-2d", seed=3, engine="copy")
+        result = repro.plan(small_2d_instance, planner="eblow-2d", seed=3)
         assert result.ok
-        assert result.stats["annealing_engine"] == "copy"
+        explicit = repro.plan(small_2d_instance, planner="eblow-2d", options={"seed": 3})
+        default = repro.plan(small_2d_instance, planner="eblow-2d")
+        assert result.job_id == explicit.job_id != default.job_id
+        assert result.writing_time == explicit.writing_time
 
     def test_keyword_and_options_conflict_rejected(self, small_2d_instance):
         with pytest.raises(ValidationError, match="both"):

@@ -34,13 +34,6 @@ class TestCatalogue:
             assert handle.capabilities.kind in ("1D", "2D")
             assert handle.description
 
-    def test_engine_capability_matches_schema(self):
-        for handle in iter_handles():
-            if handle.schema.open_schema:
-                continue
-            has_engine = "engine" in handle.schema.names
-            assert handle.capabilities.supports_engine == has_engine
-
     def test_time_limit_capability_matches_schema(self):
         for name in EXPECTED:
             handle = get_handle(name)
@@ -97,8 +90,26 @@ class TestOptionSchemas:
             get_handle("eblow-1d").build({"bogus": 1})
 
     def test_choices_enforced(self):
+        schema = OptionSchema(fields=(OptionField("mode", choices=("fast", "exact")),))
+        assert schema.validate({"mode": "exact"}, "toy") == {"mode": "exact"}
         with pytest.raises(ValidationError, match="must be one of"):
-            get_handle("eblow-2d").build({"engine": "warp-drive"})
+            schema.validate({"mode": "warp-drive"}, "toy")
+
+    @pytest.mark.parametrize(
+        "planner, option, value",
+        [
+            ("eblow-2d", "engine", "copy"),
+            ("sa-2d", "engine", "incremental"),
+            ("eblow-1d", "deterministic", True),
+            ("eblow-2d", "deterministic", True),
+            ("ilp-1d", "backend", "scipy"),
+            ("ilp-2d", "backend", "bnb"),
+        ],
+    )
+    def test_removed_options_are_rejected(self, planner, option, value):
+        """Options that only selected a reference oracle, or did nothing, are gone."""
+        with pytest.raises(ValidationError, match=rf"unknown option\(s\) \['{option}'\]"):
+            get_handle(planner).build({option: value})
 
     def test_values_coerced_to_declared_types(self):
         schema = get_handle("eblow-2d").schema

@@ -14,12 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.kernels import RunningTimes, kernels_of
-from repro.core.profits import compute_profits, compute_profits_scalar
+from repro.core.profits import compute_profits
 from repro.model import Character, OSPInstance, Region, StencilSpec
-from repro.model.writing_time import (
-    region_writing_times,
-    region_writing_times_scalar,
-)
+from repro.model.writing_time import region_writing_times
+from tests.oracles.kernels import compute_profits_scalar, region_writing_times_scalar
 
 ATOL = 1e-9
 

@@ -147,6 +147,27 @@ class TestLifecycle:
         fetched = broker.fetch(job)
         assert fetched.writing_time == result.writing_time
 
+    def test_driver_on_other_code_fetches_the_workers_commit(self, tmp_path, monkeypatch):
+        """The store namespaces by code version; fetch reads the committer's."""
+        config = BrokerConfig(store_dir=str(tmp_path / "store"))
+        monkeypatch.setenv("REPRO_CACHE_VERSION", "ci-old")
+        worker_side = Broker.create(tmp_path / "spool", config=config)
+        job = _job()
+        worker_side.enqueue(job)
+        lease = worker_side.claim("w1")
+        assert worker_side.commit(lease, _ok_result(job)) == "committed"
+
+        monkeypatch.setenv("REPRO_CACHE_VERSION", "ci-new")
+        driver_side = Broker.open(tmp_path / "spool")
+        assert driver_side.store.version == "ci-new"
+        assert driver_side.store.get(job) is None  # not a hit for new code...
+        fetched = driver_side.fetch(job)  # ...but the committed result is found
+        assert fetched is not None and fetched.ok
+        assert fetched.writing_time == _ok_result(job).writing_time
+        assert fetched.cache_hit is False
+        marker = json.loads((worker_side.done / f"{job.job_id}.json").read_text())
+        assert marker["store_version"] == "ci-old" and "result" not in marker
+
     def test_failed_store_write_ships_the_result_on_the_marker(self, tmp_path, monkeypatch):
         def full(path, text):
             raise OSError(errno.ENOSPC, "No space left on device")

@@ -159,6 +159,28 @@ class TestBrokerScheduler:
         assert result.ok
         _assert_same_plan(baseline[0], result)
 
+    @pytest.mark.parametrize("max_respawns, spawned", [(0, 2), (3, 5)])
+    def test_fleet_is_bounded_by_max_respawns(self, tmp_path, monkeypatch,
+                                              max_respawns, spawned):
+        """Dead workers are replaced at most ``max_respawns`` times in all."""
+
+        class _Dead:
+            def poll(self):
+                return 1
+
+            def wait(self, timeout=None):
+                return 1
+
+        calls = []
+        monkeypatch.setattr(
+            BrokerScheduler, "_spawn_worker", lambda self: calls.append(1) or _Dead()
+        )
+        with BrokerScheduler(tmp_path / "spool", workers=2,
+                             max_respawns=max_respawns) as scheduler:
+            for _ in range(5):
+                scheduler.ensure_workers()
+        assert len(calls) == spawned
+
     def test_no_workers_times_out_with_diagnostics(self, tmp_path):
         with BrokerScheduler(tmp_path / "spool", workers=0, poll_interval=0.02,
                              wait_timeout=0.3) as scheduler:

@@ -1,31 +1,52 @@
-"""Unit tests for the generic simulated-annealing engine."""
+"""Unit tests for the generic (mutate/undo) simulated-annealing engine."""
 
 import random
 
 import pytest
 
-from repro.floorplan import AnnealingSchedule, simulated_annealing
+from repro.floorplan import AnnealingSchedule, simulated_annealing_in_place
+
+
+class _Step:
+    """Reversible move on a one-element list state: add ``delta``."""
+
+    kind = "step"
+
+    def __init__(self, delta):
+        self.delta = delta
+
+    def apply(self, state):
+        self.before = state[0]
+        state[0] += self.delta
+
+    def revert(self, state):
+        state[0] = self.before
+
+
+def _anneal(initial, cost, draw, schedule, seed):
+    return simulated_annealing_in_place(
+        state=[initial],
+        cost=lambda s: cost(s[0]),
+        propose=lambda s, rng: _Step(draw(rng)),
+        snapshot=lambda s: s[0],
+        schedule=schedule,
+        rng=random.Random(seed),
+    )
 
 
 def test_minimizes_simple_quadratic():
-    # State: an integer in [-50, 50]; cost: (x - 17)^2.
-    def cost(x):
-        return float((x - 17) ** 2)
-
-    def neighbor(x, rng):
-        return max(-50, min(50, x + rng.choice([-3, -2, -1, 1, 2, 3])))
-
-    result = simulated_annealing(
-        initial_state=-40,
-        cost=cost,
-        neighbor=neighbor,
-        schedule=AnnealingSchedule(
+    # State: an integer; cost: (x - 17)^2.
+    result = _anneal(
+        -40,
+        lambda x: float((x - 17) ** 2),
+        lambda rng: rng.choice([-3, -2, -1, 1, 2, 3]),
+        AnnealingSchedule(
             initial_temperature=1.0,
             final_temperature=1e-3,
             cooling_rate=0.9,
             moves_per_temperature=50,
         ),
-        rng=random.Random(0),
+        seed=0,
     )
     assert abs(result.best_state - 17) <= 2
     assert result.best_cost <= 4.0
@@ -35,27 +56,23 @@ def test_minimizes_simple_quadratic():
 
 
 def test_best_cost_never_worse_than_initial():
-    def cost(x):
-        return float(x)
-
-    result = simulated_annealing(
-        initial_state=10.0,
-        cost=cost,
-        neighbor=lambda x, rng: x + rng.uniform(-1, 1),
-        schedule=AnnealingSchedule(moves_per_temperature=5, cooling_rate=0.7),
-        rng=random.Random(1),
+    result = _anneal(
+        10.0,
+        float,
+        lambda rng: rng.uniform(-1, 1),
+        AnnealingSchedule(moves_per_temperature=5, cooling_rate=0.7),
+        seed=1,
     )
     assert result.best_cost <= 10.0
 
 
 def test_max_total_moves_limit():
-    schedule = AnnealingSchedule(moves_per_temperature=100, max_total_moves=37)
-    result = simulated_annealing(
-        initial_state=0.0,
-        cost=lambda x: abs(x),
-        neighbor=lambda x, rng: x + rng.uniform(-1, 1),
-        schedule=schedule,
-        rng=random.Random(2),
+    result = _anneal(
+        0.0,
+        abs,
+        lambda rng: rng.uniform(-1, 1),
+        AnnealingSchedule(moves_per_temperature=100, max_total_moves=37),
+        seed=2,
     )
     assert result.moves == 37
 

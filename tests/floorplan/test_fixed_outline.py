@@ -6,6 +6,7 @@ import pytest
 
 from repro.floorplan import Block, FixedOutlinePacker
 from repro.floorplan.fixed_outline import _sample_two
+from tests.oracles.annealing import CopyEngine
 
 
 def writing_time_by_count(selected: set) -> float:
@@ -102,18 +103,20 @@ def test_delta_cost_protocol_matches_full_evaluation(fast_schedule):
     assert rd.cost == pytest.approx(rf.cost, abs=1e-9)
     assert rd.pair == rf.pair
 
-    # Move-by-move: delta_cost must equal cost_of for arbitrary transitions.
+    # Move-by-move (the copy engine's cost path): delta_cost must equal
+    # cost_of for arbitrary transitions.
+    delta_engine, full_engine = CopyEngine(delta), CopyEngine(full)
     rng = random.Random(11)
     current = SequencePair.initial(sorted(blocks), rng)
-    current_cost = delta.cost_of(current)
+    current_cost = delta_engine.cost_of(current)
     for _ in range(100):
         candidate = current.random_neighbor(rng)
-        assert delta.delta_cost(current, candidate, current_cost) == pytest.approx(
-            full.cost_of(candidate), abs=1e-9
-        )
+        assert delta_engine.delta_cost(
+            current, candidate, current_cost
+        ) == pytest.approx(full_engine.cost_of(candidate), abs=1e-9)
         if rng.random() < 0.5:
             current = candidate
-            current_cost = full.cost_of(current)
+            current_cost = full_engine.cost_of(current)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 10, 21, 22, 30, 48, 100])

@@ -1,9 +1,10 @@
 """Equivalence of the mutate/undo annealing engine with the copy engine.
 
-The in-place engine must walk the *identical* trajectory: same RNG
-consumption, same costs (via the same incremental region-time updates and
-rebase points), same acceptances — so with the same seed and schedule the
-best state and best cost are bit-identical, not merely close.
+The in-place engine must walk the *identical* trajectory as the copy-based
+oracle (``tests/oracles/annealing.py``): same RNG consumption, same costs
+(via the same incremental region-time updates and rebase points), same
+acceptances — so with the same seed and schedule the best state and best
+cost are bit-identical, not merely close.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from repro.floorplan import (
     AnnealingSchedule,
     Block,
     FixedOutlinePacker,
-    simulated_annealing,
     simulated_annealing_in_place,
 )
+from tests.oracles.annealing import CopyEngine
 
 
 class _ToyTimeModel:
@@ -72,11 +73,9 @@ def test_engines_visit_identical_best_states(seed, with_model):
     copy_packer = FixedOutlinePacker(90, 90, blocks, writing_time_of=model, **kwargs)
     inc_packer = FixedOutlinePacker(90, 90, blocks, writing_time_of=model, **kwargs)
 
-    reference = copy_packer.pack(schedule=_schedule(), seed=seed, engine="copy")
-    incremental = inc_packer.pack(schedule=_schedule(), seed=seed, engine="incremental")
+    reference = CopyEngine(copy_packer).pack(schedule=_schedule(), seed=seed)
+    incremental = inc_packer.pack(schedule=_schedule(), seed=seed)
 
-    assert reference.engine == "copy"
-    assert incremental.engine == "incremental"
     assert incremental.pair == reference.pair
     assert incremental.cost == reference.cost  # exact, not approx
     assert incremental.inside == reference.inside
@@ -93,44 +92,47 @@ def test_engines_identical_across_rebase_boundaries():
 
     blocks = _blocks(16)
     model = _ToyTimeModel(sorted(blocks))
-    reference = SmallRebase(
-        80, 80, blocks, writing_time_of=model, time_model=model
-    ).pack(schedule=_schedule(), seed=3, engine="copy")
+    reference = CopyEngine(
+        SmallRebase(80, 80, blocks, writing_time_of=model, time_model=model)
+    ).pack(schedule=_schedule(), seed=3)
     incremental = SmallRebase(
         80, 80, blocks, writing_time_of=model, time_model=model
-    ).pack(schedule=_schedule(), seed=3, engine="incremental")
+    ).pack(schedule=_schedule(), seed=3)
     assert incremental.pair == reference.pair
     assert incremental.cost == reference.cost
     assert incremental.annealing.accepted == reference.annealing.accepted
 
 
 def test_auto_engine_selects_incremental():
+    """``pack`` runs the mutate/undo engine, the only one recording move kinds."""
     blocks = _blocks(6)
     model = _ToyTimeModel(sorted(blocks))
     packer = FixedOutlinePacker(90, 90, blocks, writing_time_of=model, time_model=model)
-    result = packer.pack(schedule=_schedule(), seed=0)
-    assert result.engine == "incremental"
+    assert packer.pack(schedule=_schedule(), seed=0).annealing.move_stats
+    assert CopyEngine(packer).pack(schedule=_schedule(), seed=0).annealing.move_stats == {}
 
 
-def test_unknown_engine_rejected():
-    blocks = _blocks(4)
-    packer = FixedOutlinePacker(90, 90, blocks, writing_time_of=lambda s: 1.0)
-    with pytest.raises(ValueError):
-        packer.pack(schedule=_schedule(), seed=0, engine="teleport")
+def test_empty_block_set_returns_the_empty_packing():
+    """No blocks, nothing to anneal: 0 moves, no events, cost of the empty set."""
+    from repro.events import emitting
 
-
-def test_empty_block_set_falls_back_to_copy_engine():
-    packer = FixedOutlinePacker(10, 10, {}, writing_time_of=lambda s: 42.0)
-    result = packer.pack(schedule=_schedule(), seed=0, engine="incremental")
-    assert result.engine == "copy"
-    assert result.cost == pytest.approx(42.0)
+    seen = []
+    packer = FixedOutlinePacker(10, 10, {}, writing_time_of=lambda s: 40.0 + len(s))
+    with emitting(seen.append):
+        result = packer.pack(schedule=_schedule(), seed=0)
+    assert result.inside == {}
+    assert result.packing.positions == {}
+    assert result.annealing.moves == 0
+    assert result.annealing.accepted == 0
+    assert result.cost == packer.writing_time_of(set()) == 40.0
+    assert seen == []
 
 
 def test_move_stats_cover_all_moves():
     blocks = _blocks(12)
     model = _ToyTimeModel(sorted(blocks))
     packer = FixedOutlinePacker(70, 70, blocks, writing_time_of=model, time_model=model)
-    result = packer.pack(schedule=_schedule(), seed=5, engine="incremental")
+    result = packer.pack(schedule=_schedule(), seed=5)
     stats = result.annealing.move_stats
     assert set(stats) <= {"swap_positive", "swap_negative", "swap_both", "none"}
     assert sum(s.proposed for s in stats.values()) == result.annealing.moves
@@ -144,32 +146,32 @@ def test_single_block_runs_null_moves():
     """One block has nothing to swap: both engines walk the ladder in place."""
     blocks = _blocks(1)
     model = _ToyTimeModel(sorted(blocks))
-    reference, incremental = [
-        FixedOutlinePacker(90, 90, blocks, writing_time_of=model, time_model=model).pack(
-            schedule=_schedule(), seed=0, engine=engine
-        )
-        for engine in ("copy", "incremental")
-    ]
-    assert incremental.engine == "incremental"
+    packer = FixedOutlinePacker(90, 90, blocks, writing_time_of=model, time_model=model)
+    reference = CopyEngine(packer).pack(schedule=_schedule(), seed=0)
+    incremental = packer.pack(schedule=_schedule(), seed=0)
     assert incremental.cost == reference.cost
     assert incremental.annealing.moves == reference.annealing.moves > 0
     assert set(incremental.annealing.move_stats) == {"none"}
 
 
+class _Shift:
+    """Reversible move on a one-element list state: add ``delta``."""
+
+    kind = "shift"
+
+    def __init__(self, delta):
+        self.delta = delta
+
+    def apply(self, state):
+        self.before = state[0]
+        state[0] += self.delta
+
+    def revert(self, state):
+        state[0] = self.before
+
+
 def test_in_place_engine_generic_state():
     """The engine is generic: a toy integer state with mutate/undo moves."""
-
-    class _Shift:
-        kind = "shift"
-
-        def __init__(self, delta):
-            self.delta = delta
-
-        def apply(self, state):
-            state[0] += self.delta
-
-        def revert(self, state):
-            state[0] -= self.delta
 
     def propose(state, rng):
         return _Shift(rng.choice([-3, -2, -1, 1, 2, 3]))
@@ -192,30 +194,22 @@ def test_in_place_engine_generic_state():
     assert result.move_stats["shift"].proposed == result.moves
 
 
-def test_trace_stride_samples_temperatures():
-    """trace_stride=k keeps every k-th temperature (+ initial + final)."""
-
-    def cost(x):
-        return float(x)
-
-    def neighbor(x, rng):
-        return x + rng.uniform(-1, 1)
-
-    dense = simulated_annealing(
-        10.0,
-        cost,
-        neighbor,
-        schedule=AnnealingSchedule(moves_per_temperature=2, cooling_rate=0.7),
+def _walk(schedule):
+    return simulated_annealing_in_place(
+        state=[10.0],
+        cost=lambda s: float(s[0]),
+        propose=lambda s, rng: _Shift(rng.uniform(-1, 1)),
+        snapshot=lambda s: s[0],
+        schedule=schedule,
         rng=random.Random(1),
     )
-    strided = simulated_annealing(
-        10.0,
-        cost,
-        neighbor,
-        schedule=AnnealingSchedule(
-            moves_per_temperature=2, cooling_rate=0.7, trace_stride=4
-        ),
-        rng=random.Random(1),
+
+
+def test_trace_stride_samples_temperatures():
+    """trace_stride=k keeps every k-th temperature (+ initial + final)."""
+    dense = _walk(AnnealingSchedule(moves_per_temperature=2, cooling_rate=0.7))
+    strided = _walk(
+        AnnealingSchedule(moves_per_temperature=2, cooling_rate=0.7, trace_stride=4)
     )
     # Identical search; only the sampling density differs.
     assert strided.best_cost == dense.best_cost
@@ -231,13 +225,7 @@ def test_trace_stride_samples_temperatures():
 
 
 def test_trace_stride_default_keeps_existing_behaviour():
-    result = simulated_annealing(
-        10.0,
-        lambda x: float(x),
-        lambda x, rng: x + rng.uniform(-1, 1),
-        schedule=AnnealingSchedule(moves_per_temperature=5, cooling_rate=0.7),
-        rng=random.Random(1),
-    )
+    result = _walk(AnnealingSchedule(moves_per_temperature=5, cooling_rate=0.7))
     # One entry per temperature plus the initial cost (the pre-stride shape).
     temps = len(list(AnnealingSchedule(moves_per_temperature=5, cooling_rate=0.7).temperatures()))
     assert len(result.cost_trace) == temps + 1

@@ -6,6 +6,7 @@ import networkx as nx
 import pytest
 
 from repro.matching import matching_weight, max_weight_matching
+from tests.oracles import matching as oracle
 
 
 def networkx_weight(weights):
@@ -96,8 +97,8 @@ def test_numpy_solver_identical_to_pure_python(seed):
     weights = _random_weights(rng, negative=(seed % 3 == 0))
     if not weights:
         return
-    assert max_weight_matching(weights, method="numpy") == max_weight_matching(
-        weights, method="python"
+    assert max_weight_matching(weights) == oracle.max_weight_matching(
+        weights, oracle.hungarian_max_scalar
     )
 
 
@@ -108,16 +109,11 @@ def test_scipy_fast_path_equal_weight(seed):
     weights = _random_weights(rng)
     if not weights:
         return
-    reference = max_weight_matching(weights, method="python")
-    fast = max_weight_matching(weights, method="scipy")
+    reference = max_weight_matching(weights)
+    fast = oracle.max_weight_matching(weights, oracle.assignment_scipy)
     assert matching_weight(fast, weights) == pytest.approx(
         matching_weight(reference, weights), abs=1e-9
     )
     # Structural sanity on the fast path: one-to-one, only real edges.
     assert len(set(fast.values())) == len(fast)
     assert all(pair in weights for pair in fast.items())
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        max_weight_matching({("a", "b"): 1.0}, method="quantum")

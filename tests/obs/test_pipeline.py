@@ -46,7 +46,7 @@ class TestCrossProcessMetrics:
         snap = registry.snapshot()
         # Planner-side families crossed the process boundary...
         assert _value(snap, "plans_total", planner="eblow-1d", status="ok") == 2.0
-        assert _value(snap, "lp_solves_total", warm="false") >= 1.0
+        assert _value(snap, "lp_solves_total") >= 1.0
         # ...and the pool accounted the same jobs on the parent side.
         assert _value(snap, "pool_jobs_total", mode="pool", status="ok") == 2.0
         # Snapshots are consumed at merge time, never persisted on results.

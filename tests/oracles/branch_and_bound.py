@@ -1,15 +1,10 @@
-"""A from-scratch branch & bound solver for mixed-integer programs.
+"""A from-scratch branch & bound solver: the MILP reference oracle.
 
-The E-BLOW flow needs exact ILP solves in two places:
-
-* the *fast ILP convergence* step (Alg. 2 of the paper), where the number of
-  remaining binary variables is small, and
-* the Table 5 comparison against the exact formulations (3) and (7) on tiny
-  instances.
-
-The solver performs best-first branch & bound on LP relaxations.  The LP
-relaxations are solved with the SciPy/HiGHS backend by default (fast) or the
-from-scratch simplex (fully self-contained).
+The planner solves every mixed-integer program with HiGHS ``milp``
+(:func:`repro.solver.solve_ilp`).  This module is the independent
+implementation the solver tests check it against: best-first branch & bound
+on LP relaxations, solved with HiGHS (``lp_backend="scipy"``) or with the
+from-scratch simplex of :mod:`tests.oracles.simplex` (``"simplex"``).
 """
 
 from __future__ import annotations
@@ -23,6 +18,8 @@ from typing import Callable
 
 from repro.solver.model import LinearProgram
 from repro.solver.result import Solution, SolveStatus
+from repro.solver.scipy_backend import solve_lp_scipy
+from tests.oracles.simplex import solve_lp_simplex
 
 __all__ = ["solve_ilp_branch_and_bound", "BranchAndBoundConfig"]
 
@@ -41,11 +38,7 @@ class BranchAndBoundConfig:
 
 def _lp_solver(backend: str) -> Callable[[LinearProgram], Solution]:
     if backend == "simplex":
-        from repro.solver.simplex import solve_lp_simplex
-
         return solve_lp_simplex
-    from repro.solver.scipy_backend import solve_lp_scipy
-
     return solve_lp_scipy
 
 

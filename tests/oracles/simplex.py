@@ -1,11 +1,9 @@
-"""A from-scratch dense two-phase simplex solver.
+"""A from-scratch dense two-phase simplex solver: the LP reference oracle.
 
-The paper uses GUROBI; this module provides an open, dependency-free LP
-solver so the whole E-BLOW flow can run without any external optimizer.  It
-implements the classic two-phase primal simplex on a dense tableau with
-Bland's anti-cycling rule.  It is meant for the small-to-medium programs the
-E-BLOW flow produces (a few thousand variables at most) and is cross-checked
-against SciPy/HiGHS in the test suite.
+The planner solves every LP with HiGHS (:mod:`repro.solver`).  This module
+is an independent implementation the solver tests check HiGHS against: the
+classic two-phase primal simplex on a dense tableau with Bland's
+anti-cycling rule, meant for small programs (a few hundred variables).
 """
 
 from __future__ import annotations
@@ -161,7 +159,7 @@ def solve_lp_simplex(
     """Solve an LP with the from-scratch two-phase simplex.
 
     Integrality constraints are ignored (this is an LP solver); use
-    :func:`repro.solver.branch_and_bound.solve_ilp_branch_and_bound` for
+    :func:`tests.oracles.branch_and_bound.solve_ilp_branch_and_bound` for
     integer programs.
     """
     std = _StandardForm(program)

@@ -3,14 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.solver import (
-    LinearProgram,
-    SolveStatus,
-    solve_ilp_branch_and_bound,
-    solve_lp_scipy,
-    solve_lp_simplex,
-    solve_milp_scipy,
-)
+from repro.solver import LinearProgram, SolveStatus, solve_lp_scipy, solve_milp_scipy
+from tests.oracles.branch_and_bound import solve_ilp_branch_and_bound
+from tests.oracles.simplex import solve_lp_simplex
 
 
 @st.composite

@@ -142,15 +142,3 @@ class TestDeterministicMode:
         default = PlannerSpec("eblow-1d").build("1D")
         assert default.config.convergence.time_limit is None
         assert default.config.convergence.mip_rel_gap is not None
-        deterministic = PlannerSpec("eblow-1d", {"deterministic": True}).build("1D")
-        assert deterministic.config.convergence.time_limit is None
-
-    def test_accepted_as_noop_for_2d(self):
-        PlannerSpec("eblow-2d", {"deterministic": True}).build("2D")
-
-    def test_changes_the_config_hash(self):
-        a = PlanJob(spec=PlannerSpec("eblow-1d"), case="1T-1", scale=1.0)
-        b = PlanJob(
-            spec=PlannerSpec("eblow-1d", {"deterministic": True}), case="1T-1", scale=1.0
-        )
-        assert a.config_hash != b.config_hash

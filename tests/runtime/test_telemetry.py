@@ -95,4 +95,3 @@ def test_manifest_records_carry_planner_extra_counters(tmp_path):
     assert "lp_solve_seconds" in extra
     assert len(extra["lp_solve_seconds"]) >= 1
     assert all(t >= 0.0 for t in extra["lp_solve_seconds"])
-    assert "lp_warm_hinted" in extra

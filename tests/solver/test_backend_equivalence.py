@@ -1,4 +1,4 @@
-"""Cross-backend equivalence: from-scratch simplex vs SciPy/HiGHS.
+"""Cross-solver equivalence: the simplex oracle vs SciPy/HiGHS.
 
 Focuses on the awkward corners: degenerate vertices (redundant/tied
 constraints), free variables (lower bound -inf), and zero-objective
@@ -15,14 +15,9 @@ from repro.core.onedim.formulation import (
     build_simplified_formulation,
 )
 from repro.core.profits import compute_profits
-from repro.solver import (
-    LinearProgram,
-    SolveStatus,
-    solve_lp,
-    solve_lp_scipy,
-    solve_lp_simplex,
-)
+from repro.solver import LinearProgram, SolveStatus, solve_lp, solve_lp_scipy
 from repro.workloads import generate_1d_instance
+from tests.oracles.simplex import solve_lp_simplex
 
 
 def assert_backends_agree(lp: LinearProgram):

@@ -1,15 +1,12 @@
-"""Unit tests for the from-scratch ILP branch & bound."""
+"""Unit tests for the from-scratch branch & bound oracle and ``solve_ilp``."""
 
 import numpy as np
 import pytest
 
-from repro.solver import (
+from repro.solver import LinearProgram, SolveStatus, solve_ilp, solve_milp_scipy
+from tests.oracles.branch_and_bound import (
     BranchAndBoundConfig,
-    LinearProgram,
-    SolveStatus,
-    solve_ilp,
     solve_ilp_branch_and_bound,
-    solve_milp_scipy,
 )
 
 
@@ -79,15 +76,17 @@ def test_simplex_backed_branch_and_bound():
 
 
 def test_solve_ilp_dispatch():
+    """``solve_ilp`` (HiGHS) and both branch & bound stacks agree."""
     lp = knapsack_program([2, 3], [2, 5], 3)
-    for backend in ("scipy", "bnb", "bnb-simplex"):
-        sol = solve_ilp(lp, backend=backend)
+    for sol in (
+        solve_ilp(lp),
+        solve_ilp_branch_and_bound(lp),
+        solve_ilp_branch_and_bound(lp, BranchAndBoundConfig(lp_backend="simplex")),
+    ):
         assert sol.objective == pytest.approx(5.0)
 
 
 def test_solve_ilp_node_limit_is_scipy_only():
+    """The load-independent node cap is a HiGHS option of ``solve_ilp``."""
     lp = knapsack_program([2, 3], [2, 5], 3)
     assert solve_ilp(lp, node_limit=50).objective == pytest.approx(5.0)
-    for backend in ("bnb", "bnb-simplex"):
-        with pytest.raises(ValueError):
-            solve_ilp(lp, backend=backend, node_limit=50)

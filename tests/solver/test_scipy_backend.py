@@ -6,6 +6,7 @@ import pytest
 
 from repro.solver import LinearProgram, SolveStatus, solve_lp, solve_lp_scipy, solve_milp_scipy
 from repro.solver.scipy_backend import _silence_native_stdout
+from tests.oracles.simplex import solve_lp_simplex
 
 
 def _open_fd_count() -> int:
@@ -88,42 +89,10 @@ def test_milp_objective_constant_preserved():
 
 
 def test_solve_lp_dispatch_backends():
+    """``solve_lp`` is HiGHS; the simplex oracle agrees with it."""
     lp = LinearProgram(maximize=True)
     x = lp.add_variable("x", 0, 2)
     lp.set_objective({x: 1.0})
-    assert solve_lp(lp, "scipy").objective == pytest.approx(2.0)
-    assert solve_lp(lp, "simplex").objective == pytest.approx(2.0)
+    assert solve_lp(lp).objective == pytest.approx(2.0)
+    assert solve_lp_simplex(lp).objective == pytest.approx(2.0)
 
-
-def test_solve_lp_arrays_warm_start_hint_is_silent_and_equivalent():
-    """x0 must not change the solution and must not leak solver warnings."""
-    import warnings
-
-    import numpy as np
-    from scipy import sparse
-
-    from repro.solver import solve_lp_arrays
-
-    c = np.array([3.0, 2.0, 1.0])
-    a_ub = sparse.csr_matrix(np.array([[1.0, 1.0, 1.0], [2.0, 0.5, 0.0]]))
-    b_ub = np.array([4.0, 3.0])
-    lower = np.zeros(3)
-    upper = np.array([np.inf, 2.0, 2.0])
-
-    cold = solve_lp_arrays(c, a_ub, b_ub, lower, upper, maximize=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # any escaped warning fails the test
-        warm = solve_lp_arrays(
-            c,
-            a_ub,
-            b_ub,
-            lower,
-            upper,
-            maximize=True,
-            x0=np.array([10.0, -5.0, 1.0]),  # deliberately out of bounds
-        )
-    assert warm.status == SolveStatus.OPTIMAL
-    assert warm.objective == pytest.approx(cold.objective)
-    assert warm.values == pytest.approx(cold.values)
-    assert "warm_start" in warm.metadata
-    assert cold.metadata["warm_start"] is False

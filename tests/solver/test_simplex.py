@@ -1,9 +1,10 @@
-"""Unit tests for the from-scratch simplex solver."""
+"""Unit tests for the from-scratch simplex oracle."""
 
 import numpy as np
 import pytest
 
-from repro.solver import LinearProgram, SolveStatus, solve_lp_scipy, solve_lp_simplex
+from repro.solver import LinearProgram, SolveStatus, solve_lp_scipy
+from tests.oracles.simplex import solve_lp_simplex
 
 
 def test_simple_maximization():

@@ -94,6 +94,22 @@ def test_parser_knows_runtime_commands():
     assert args.jobs == 4
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["plan", "--instance", "unused.json", "--engine", "copy"], "--engine"),
+        (["batch", "--suite", "1T", "--best-effort"], "--best-effort"),
+    ],
+    ids=["plan --engine", "batch --best-effort"],
+)
+def test_removed_flags_exit_2(argv, flag, capsys):
+    """The annealing-engine choice and the no-op --best-effort are gone."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 def test_plan_with_explicit_planner_and_time_limit(tmp_path, capsys):
     out = tmp_path / "inst.json"
     main(["generate", "--case", "1T-2", "--out", str(out)])
@@ -233,8 +249,8 @@ def test_planners_verb_json_schema(capsys):
     names = {entry["name"] for entry in data}
     assert "eblow-2d" in names and "eblow-1d" not in names
     eblow = next(e for e in data if e["name"] == "eblow-2d")
-    assert eblow["capabilities"]["supports_engine"] is True
-    assert any(f["name"] == "engine" for f in eblow["options"]["fields"])
+    assert eblow["capabilities"]["deterministic"] is True
+    assert [f["name"] for f in eblow["options"]["fields"]] == ["seed"]
 
 
 def test_planners_verb_verbose_shows_options(capsys):
