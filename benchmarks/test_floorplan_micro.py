@@ -14,8 +14,9 @@ Three families:
   vs. the planner's mutate/undo engine, identical seeds and schedules (the
   results are bit-identical; only the throughput differs).
 * *Per-move cost by size* — the mutate/undo engine under the 2D planner's
-  default schedule at n = 9 (a tiny 2T plan), 40 and 132 blocks, recorded
-  as ``us_per_move``.
+  default schedule at n = 9 (a tiny 2T plan) to 132 blocks, recorded as
+  ``us_per_move``.  The sizes bracket ``IncrementalPacker._FUSED_LIMIT``,
+  where the packer switches from the fused suffix fold to the support walk.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ _ENGINE_SCHEDULE = AnnealingSchedule(
 )
 
 
-@pytest.mark.parametrize("n", [9, 40, 132])
+@pytest.mark.parametrize("n", [9, 24, 40, 48, 64, 132])
 def test_micro_annealing_per_move(benchmark, n):
     """Per-move cost of the incremental engine at the planner's schedule.
 

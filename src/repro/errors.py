@@ -28,9 +28,5 @@ class SolverError(ReproError):
     """A solver backend failed for a reason other than infeasibility."""
 
 
-class IterationLimitError(SolverError):
-    """An iterative algorithm exceeded its iteration budget."""
-
-
 class PlacementError(ReproError):
     """A stencil placement is illegal (out of outline or overlapping patterns)."""

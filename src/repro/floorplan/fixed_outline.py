@@ -13,7 +13,8 @@ pure-VSB region times and the per-block reduction vectors, see
 per-region writing-time vector of the current state is cached and each
 candidate is scored by applying only the reduction rows of the blocks whose
 inside/outside status actually changed — O(changed x P) instead of
-O(inside x P) per move.  Only the blocks at the positions the
+O(inside x P) per move, and no NumPy call at all when no block entered or
+left the outline.  Only the blocks at the positions the
 :class:`IncrementalPacker` reports as touched by the move are re-tested.
 """
 
@@ -110,7 +111,6 @@ class FixedOutlinePacker:
         self.writing_time_of = writing_time_of
         self.area_weight = area_weight
         self._context = PackingContext(self.blocks) if self.blocks else None
-        self.time_model = time_model
         if time_model is not None and self._context is not None:
             # Reduction rows aligned with the packing context's block order.
             self._model_reductions = np.asarray(
@@ -149,36 +149,41 @@ class FixedOutlinePacker:
     # ------------------------------------------------------------------ #
     # In-place (mutate/undo) engine
     # ------------------------------------------------------------------ #
-    def _inplace_cost(self, state: "_InPlaceState") -> float:
-        """Cost of the in-place state's current configuration.
+    def _inplace_cost(self, packer: "_ScoredPacker") -> float:
+        """Cost of the in-place search state's current configuration.
 
-        The first call scores the full inside selection; every later call
-        applies the entered/left blocks against the last *accepted* state as
-        sorted row indices through the same ``reductions[...].sum(axis=0)``
-        calls a boolean mask would make, with a periodic rebase.  This
-        mirrors the copy engine of ``tests/oracles/annealing.py`` operation
-        for operation, so their trajectories are bit-identical.  Only the
-        blocks at the positions the last move touched are re-tested against
-        the outline; every other block kept its coordinates.
+        The first call scores the full inside selection.  Every later call
+        re-tests against the outline only the blocks at the positions the
+        last move touched (every other block kept its coordinates) and
+        scores the blocks that entered or left against the last *accepted*
+        state, with a periodic rebase:
+
+        * no block entered or left: the accepted state's cached peak, with
+          no NumPy call;
+        * one block entered (or left): its reduction row, applied directly;
+        * two or more: ``reductions[rows].sum(axis=0)`` over the sorted row
+          indices, the call a boolean mask would make, since NumPy's
+          reduction order decides their float sum.
+
+        This mirrors the copy engine of ``tests/oracles/annealing.py``
+        operation for operation, so their trajectories are bit-identical.
         """
-        packer = state.packer
         if self._model_reductions is None:
             mask = packer.inside_mask(self.width, self.height)
             inside = {self._context.names[i] for i in np.nonzero(mask)[0]}
             writing_time = self.writing_time_of(inside)
             return self._penalized_dims(writing_time, packer.width, packer.height)
-        if state.inside is None:
+        if packer.inside is None:
             # Initial full evaluation.
-            state.inside = self._inside_flags(packer)
-            state.base_times = self._region_times(state.inside)
-            return self._penalized_dims(
-                float(state.base_times.max()), packer.width, packer.height
-            )
-        state.promote_pending()
+            packer.inside = self._inside_flags(packer)
+            packer.base_times = self._region_times(packer.inside)
+            packer.base_peak = float(packer.base_times.max())
+            return self._penalized_dims(packer.base_peak, packer.width, packer.height)
+        packer.promote_pending()
         xs, ys, widths, heights = packer.xs, packer.ys, packer.widths, packer.heights
         width_limit = self.width + 1e-9
         height_limit = self.height + 1e-9
-        inside = state.inside
+        inside = packer.inside
         order = packer.order
         entered = []
         left = []
@@ -187,23 +192,30 @@ class FixedOutlinePacker:
             fits = xs[c] + widths[c] <= width_limit and ys[c] + heights[c] <= height_limit
             if fits != inside[c]:
                 (entered if fits else left).append(c)
-        times = state.base_times
+        times = packer.base_times
+        peak = packer.base_peak
         if entered or left:
-            times = times.copy()
             if entered:
-                entered.sort()
-                times -= self._model_reductions[entered].sum(axis=0)
+                times = times - self._row_sum(entered)
             if left:
-                left.sort()
-                times += self._model_reductions[left].sum(axis=0)
-        state.deltas_since_rebase += 1
-        if state.deltas_since_rebase >= self.REBASE_INTERVAL:
-            state.deltas_since_rebase = 0
+                times = times + self._row_sum(left)
+            peak = float(times.max())
+        packer.deltas_since_rebase += 1
+        if packer.deltas_since_rebase >= self.REBASE_INTERVAL:
+            packer.deltas_since_rebase = 0
             times = self._region_times(self._inside_flags(packer))
+            peak = float(times.max())
             _REBASES.inc(scope="region-times")
             emit("rebase", scope="region-times", interval=self.REBASE_INTERVAL)
-        state.pending = (entered, left, times)
-        return self._penalized_dims(float(times.max()), packer.width, packer.height)
+        packer.pending = (entered, left, times, peak)
+        return self._penalized_dims(peak, packer.width, packer.height)
+
+    def _row_sum(self, rows: list[int]) -> np.ndarray:
+        """Sum of the reduction rows of the blocks ``rows`` (sorted in place)."""
+        if len(rows) == 1:
+            return self._model_reductions[rows[0]]
+        rows.sort()
+        return self._model_reductions[rows].sum(axis=0)
 
     def _inside_flags(self, packer: IncrementalPacker) -> list[bool]:
         """Per block (canonical order), whether it lies inside the outline."""
@@ -220,16 +232,18 @@ class FixedOutlinePacker:
         return self._model_vsb - self._model_reductions[rows].sum(axis=0)
 
     @staticmethod
-    def _propose_swap(state: "_InPlaceState", rng: random.Random):
-        """Uniform swap proposal, RNG-compatible with ``random_neighbor``.
+    def _propose_swap(packer: IncrementalPacker, rng: random.Random):
+        """Uniform swap proposal, RNG-compatible with the copy-engine oracle.
 
+        Draws the random numbers of ``random_neighbor`` in
+        ``tests/oracles/annealing.py`` and returns the matching packer move.
         Only sequence-pair moves are proposed.  The in-place engine snapshots
         *just* the sequence pair for best-state tracking (the final packing
         is re-derived from ``self.blocks``), so geometry-mutating packer
         moves — ``Rotate``, which transposes a block — must not be proposed
         here; they are for standalone :class:`IncrementalPacker` use.
         """
-        size = state.packer.size
+        size = packer.size
         if size < 2:
             return NullMove()
         # randrange(3) and rng.sample(range(size), 2) without their
@@ -237,12 +251,10 @@ class FixedOutlinePacker:
         move = rng._randbelow(3)
         i, j = _sample_two(rng, size)
         if move == 0:
-            inner = SwapPositive(i, j)
-        elif move == 1:
-            inner = SwapNegative(i, j)
-        else:
-            inner = SwapBoth(i, j)
-        return _EngineMove(inner)
+            return SwapPositive(i, j)
+        if move == 1:
+            return SwapNegative(i, j)
+        return SwapBoth(i, j)
 
     # ------------------------------------------------------------------ #
     # Search
@@ -279,10 +291,10 @@ class FixedOutlinePacker:
             if initial is None:
                 initial = SequencePair.initial(sorted(self.blocks), rng)
             result = simulated_annealing_in_place(
-                _InPlaceState(IncrementalPacker(self._context, initial)),
+                _ScoredPacker(self._context, initial),
                 cost=self._inplace_cost,
                 propose=self._propose_swap,
-                snapshot=lambda s: s.packer.snapshot_pair(),
+                snapshot=IncrementalPacker.snapshot_pair,
                 schedule=schedule,
                 rng=rng,
             )
@@ -296,49 +308,38 @@ class FixedOutlinePacker:
         )
 
 
-class _InPlaceState:
-    """Mutable search state of the in-place engine.
+class _ScoredPacker(IncrementalPacker):
+    """The in-place engine's search state: a packer with a region-time cache.
 
-    Bundles the :class:`IncrementalPacker` with the incremental region-time
-    bookkeeping: ``inside`` flags each block of the last *accepted*
-    configuration and ``base_times`` is its region-time vector; ``pending``
-    holds the last evaluated candidate's ``(entered, left, times)``.  The
-    candidate is promoted to base lazily on the next evaluation and
-    discarded when the move is reverted.
+    ``inside`` flags each block of the last *accepted* configuration,
+    ``base_times`` is its region-time vector and ``base_peak`` that vector's
+    maximum.  ``pending`` holds the last evaluated candidate's ``(entered,
+    left, times, peak)``: it is promoted to base lazily on the next
+    evaluation, and a reverted move discards it (``_restore``).  A reverted
+    :class:`NullMove` restores nothing, but its candidate is the accepted
+    configuration, so promoting it changes no value.
     """
 
-    def __init__(self, packer: IncrementalPacker) -> None:
-        self.packer = packer
+    def __init__(self, context: PackingContext, pair: SequencePair) -> None:
+        super().__init__(context, pair)
         self.inside: list[bool] | None = None
         self.base_times: np.ndarray | None = None
-        self.pending: tuple[list[int], list[int], np.ndarray] | None = None
+        self.base_peak = 0.0
+        self.pending: tuple[list[int], list[int], np.ndarray, float] | None = None
         self.deltas_since_rebase = 0
+
+    def _restore(self, checkpoint) -> None:
+        super()._restore(checkpoint)
+        self.pending = None
 
     def promote_pending(self) -> None:
         if self.pending is not None:
-            entered, left, self.base_times = self.pending
+            entered, left, self.base_times, self.base_peak = self.pending
             for c in entered:
                 self.inside[c] = True
             for c in left:
                 self.inside[c] = False
             self.pending = None
-
-
-class _EngineMove:
-    """Adapter: a packer move applied through the annealing state."""
-
-    __slots__ = ("inner", "kind")
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.kind = inner.kind
-
-    def apply(self, state: _InPlaceState) -> None:
-        self.inner.apply(state.packer)
-
-    def revert(self, state: _InPlaceState) -> None:
-        self.inner.revert(state.packer)
-        state.pending = None
 
 
 def _sample_two(rng: random.Random, n: int) -> tuple[int, int]:
@@ -349,10 +350,10 @@ def _sample_two(rng: random.Random, n: int) -> tuple[int, int]:
     in-place engine samples once per move.  This reproduces its two code
     paths for ``k=2`` over ``range(n)`` exactly (the pool shuffle below 22
     elements, rejection sampling above), drawing the same ``_randbelow``
-    sequence so the in-place engine stays in RNG lockstep with
-    ``SequencePair.random_neighbor``.  Guarded by a test that checks agreement
-    with ``rng.sample`` across sizes, so a future stdlib change cannot
-    silently break lockstep.
+    sequence so the in-place engine stays in RNG lockstep with the
+    copy-engine oracle's ``random_neighbor`` (``tests/oracles/annealing.py``).
+    Guarded by a test that checks agreement with ``rng.sample`` across
+    sizes, so a future stdlib change cannot silently break lockstep.
     """
     randbelow = rng._randbelow
     if n <= 21:  # random.sample's small-population pool path (k=2)

@@ -296,7 +296,8 @@ class SwapBoth(PackerMove):
     """Swap the blocks at two Gamma+ positions in *both* sequences.
 
     Mirrors :meth:`SequencePair.swap_both` with the block names taken from
-    Gamma+ positions ``i`` and ``j`` (exactly what ``random_neighbor`` does).
+    Gamma+ positions ``i`` and ``j``, exactly as the copy-engine oracle's
+    ``random_neighbor`` (``tests/oracles/annealing.py``) does.
     """
 
     kind = "swap_both"
@@ -383,8 +384,8 @@ class IncrementalPacker:
 
     * the Gamma- ``order`` (position -> block) and Gamma+ ``by_rank`` (rank
       -> block) with their inverses ``pos_of`` / ``rank_of``;
-    * per block, the longest-path values ``xs``/``ys`` and the *supporting
-      predecessor* (argmax) of each.
+    * per block, the longest-path values ``xs``/``ys`` and, above
+      ``_FUSED_LIMIT`` blocks, the *supporting predecessor* (argmax) of each.
 
     The edge weights ``H[b][a]`` / ``V[b][a]`` from predecessor block ``a``
     into block ``b`` are indexed by block, not by position, so a Gamma- swap
@@ -395,13 +396,21 @@ class IncrementalPacker:
 
     After a move, only positions at or after the earliest mutated Gamma-
     position can change (*dirty-suffix rule*: a DP step ``k`` only reads
-    positions ``< k``).  Within the suffix, a position is re-evaluated against
-    its full predecessor row only when it was structurally touched or its
-    supporting predecessor was touched or lowered its contribution;
-    otherwise a scan of the changed predecessors' contributions proves its
-    value stable (or raises it).  ``touched`` lists the Gamma- positions the
-    last move mutated or whose coordinates it changed, so a caller can
-    rescore just those blocks.
+    positions ``< k``).  How the suffix is recomputed depends on the block
+    count:
+
+    * at most ``_FUSED_LIMIT`` blocks (``_refold``): every suffix position
+      folds its predecessor row once, rank-lower predecessors into x and
+      rank-higher ones into y.  No supports or bounds are kept, and the undo
+      checkpoint copies only ``xs``/``ys``;
+    * above it (``_propagate``): a position is re-evaluated against its full
+      predecessor row only when it was structurally touched or its
+      supporting predecessor was touched or lowered its contribution;
+      otherwise a scan of the changed predecessors' contributions proves its
+      value stable (or raises it).
+
+    ``touched`` lists the Gamma- positions the last move mutated or whose
+    coordinates it changed, so a caller can rescore just those blocks.
 
     All arithmetic produces the same IEEE-double values as the batch DP —
     max-folds are exact and the adds are identical — so the maintained
@@ -417,6 +426,12 @@ class IncrementalPacker:
     # Predecessor rows longer than this are folded by _LongRows (a few
     # vector operations over the row) instead of in pure Python.
     _PY_ROW_LIMIT = 128
+    # Packers of at most this many blocks recompute the dirty suffix with
+    # _refold: at that size the support and bound bookkeeping of _propagate
+    # costs more than the plain folds it saves.  The two paths cost the same
+    # per annealing move at 41-46 blocks on a 2-CPU VM (PERFORMANCE.md,
+    # "Small packers").
+    _FUSED_LIMIT = 40
 
     def __init__(
         self,
@@ -660,14 +675,19 @@ class IncrementalPacker:
         """Propagate a structural change; returns the undo checkpoint.
 
         ``structural`` lists the Gamma- positions whose occupant, rank or
-        edge weights the move mutated.
+        edge weights the move mutated.  Packers of at most ``_FUSED_LIMIT``
+        blocks take :meth:`_refold`, larger ones :meth:`_propagate`.
         """
         checkpoint = (
             self.xs, self.ys, self.xarg, self.yarg, self.width, self.height
         )
         self.xs, self.ys = self.xs[:], self.ys[:]
-        self.xarg, self.yarg = self.xarg[:], self.yarg[:]
-        self.touched = self._propagate(structural)
+        if self._n <= self._FUSED_LIMIT:
+            # The fused walk neither reads nor writes the supports.
+            self.touched = self._refold(structural)
+        else:
+            self.xarg, self.yarg = self.xarg[:], self.yarg[:]
+            self.touched = self._propagate(structural)
         self._applies += 1
         if self._applies % self.rebase_interval == 0:
             self._rebuild()
@@ -679,6 +699,44 @@ class IncrementalPacker:
 
     def _restore(self, checkpoint) -> None:
         self.xs, self.ys, self.xarg, self.yarg, self.width, self.height = checkpoint
+
+    def _refold(self, structural) -> list[int]:
+        """Fused dirty-suffix recompute; returns the touched Gamma- positions.
+
+        Each position from the earliest structural one on makes one pass over
+        its predecessors: a rank-lower predecessor ``a`` folds ``xs[a] +
+        H[b][a]`` into x, a rank-higher one ``ys[a] + V[b][a]`` into y, with
+        the same adds and the same strict ``>`` max as :meth:`_row_x` and
+        :meth:`_row_y`.  A touched position was mutated or changed either
+        coordinate.
+        """
+        order, rank_of, xs, ys, H, V = (
+            self.order, self.rank_of, self.xs, self.ys, self.H, self.V
+        )
+        seeds = set(structural)
+        touched = []
+        for k in range(min(seeds), self._n):
+            b = order[k]
+            rk = rank_of[b]
+            row_h = H[b]
+            row_v = V[b]
+            best_x = best_y = 0.0
+            for a in order[:k]:
+                if rank_of[a] < rk:
+                    cand = xs[a] + row_h[a]
+                    if cand > best_x:
+                        best_x = cand
+                else:
+                    cand = ys[a] + row_v[a]
+                    if cand > best_y:
+                        best_y = cand
+            if best_x != xs[b] or best_y != ys[b]:
+                xs[b] = best_x
+                ys[b] = best_y
+                touched.append(k)
+            elif k in seeds:
+                touched.append(k)
+        return touched
 
     def _propagate(self, structural) -> list[int]:
         """Dirty-suffix recompute; returns the touched Gamma- positions.

@@ -94,15 +94,3 @@ class SequencePair:
             return tuple(out)
 
         return SequencePair(positive=swapped(self.positive), negative=swapped(self.negative))
-
-    def random_neighbor(self, rng: random.Random) -> "SequencePair":
-        """A random neighbouring sequence pair (uniform over the three moves)."""
-        if self.size < 2:
-            return self
-        move = rng.randrange(3)
-        i, j = rng.sample(range(self.size), 2)
-        if move == 0:
-            return self.swap_positive(i, j)
-        if move == 1:
-            return self.swap_negative(i, j)
-        return self.swap_both(self.positive[i], self.positive[j])

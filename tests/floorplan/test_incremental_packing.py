@@ -11,6 +11,7 @@ differs, so exactness is not expected there).
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -84,12 +85,17 @@ def _by_position(packer: IncrementalPacker) -> list:
     return [(name, positions[name]) for name in packer.snapshot_pair().negative]
 
 
+_FUSED_LIMIT = IncrementalPacker._FUSED_LIMIT
+
+
 @pytest.mark.parametrize(
     "n,steps,seed,rebase",
     [
         (2, 150, 0, 7),
         (9, 700, 1, 23),
         (16, 900, 2, 64),
+        (_FUSED_LIMIT, 300, 5, 71),  # the largest packer on the fused path
+        (_FUSED_LIMIT + 1, 300, 6, 71),  # the smallest on the support walk
         (90, 250, 3, 97),
         (150, 100, 4, 53),  # crosses the pure-Python/NumPy row threshold
     ],
@@ -119,6 +125,61 @@ def test_apply_revert_matches_fresh_packing(n, steps, seed, rebase):
             move.revert(packer)
             _assert_exact(packer, (n, step, "revert", move.kind))
     assert len(kinds) == 6
+
+
+class _FusedPacker(IncrementalPacker):
+    """Takes the fused suffix fold at every size."""
+
+    _FUSED_LIMIT = 10**9
+
+
+class _WalkPacker(IncrementalPacker):
+    """Takes the support/bound walk at every size."""
+
+    _FUSED_LIMIT = -1
+
+
+@pytest.mark.parametrize("n,steps,seed", [(2, 60, 0), (12, 500, 1), (41, 300, 2), (150, 80, 3)])
+def test_fused_and_walk_paths_agree(n, steps, seed):
+    """One sequence of all six move kinds through both DP paths.
+
+    After every apply and every revert the two packers hold identical
+    coordinates and bounding boxes, and after every apply both report the
+    same touched positions, which cover every position whose occupant or
+    coordinates changed.
+    """
+    rng = random.Random(seed)
+    blocks = _random_blocks(n, rng)
+    pair = SequencePair.initial(list(blocks), rng)
+    fused = _FusedPacker(blocks, pair, rebase_interval=37)
+    walk = _WalkPacker(blocks, pair, rebase_interval=37)
+
+    def assert_same(note) -> None:
+        assert fused.xs == walk.xs, note
+        assert fused.ys == walk.ys, note
+        assert (fused.width, fused.height) == (walk.width, walk.height), note
+
+    assert_same("init")
+    kinds = set()
+    for step in range(steps):
+        move = _random_move(n, rng)
+        twin = copy.copy(move)  # a move keeps its own undo checkpoint
+        before = _by_position(fused)
+        move.apply(fused)
+        twin.apply(walk)
+        kinds.add(move.kind)
+        assert_same((step, "apply", move.kind))
+        after = _by_position(fused)
+        changed = {p for p in range(n) if before[p] != after[p]}
+        assert changed <= set(fused.touched), (step, move.kind)
+        assert set(fused.touched) == set(walk.touched), (step, move.kind)
+        assert len(fused.touched) == len(set(fused.touched)), (step, move.kind)
+        if rng.random() < 0.45:
+            move.revert(fused)
+            twin.revert(walk)
+            assert_same((step, "revert", move.kind))
+    assert len(kinds) == 6
+    _assert_exact(fused, ("final", n))
 
 
 def test_snapshot_round_trips_through_sequence_pair():

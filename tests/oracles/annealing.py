@@ -33,9 +33,26 @@ from repro.floorplan import (
 )
 from repro.floorplan.annealing import _TraceSampler
 
-__all__ = ["CopyEngine", "simulated_annealing"]
+__all__ = ["CopyEngine", "random_neighbor", "simulated_annealing"]
 
 S = TypeVar("S")
+
+
+def random_neighbor(pair: SequencePair, rng: random.Random) -> SequencePair:
+    """A random neighbouring sequence pair (uniform over the three swap moves).
+
+    The copy engine's proposal.  ``FixedOutlinePacker._propose_swap`` draws
+    the same random numbers and returns the matching in-place packer move.
+    """
+    if pair.size < 2:
+        return pair
+    move = rng.randrange(3)
+    i, j = rng.sample(range(pair.size), 2)
+    if move == 0:
+        return pair.swap_positive(i, j)
+    if move == 1:
+        return pair.swap_negative(i, j)
+    return pair.swap_both(pair.positive[i], pair.positive[j])
 
 
 def simulated_annealing(
@@ -232,7 +249,7 @@ class CopyEngine:
         result = simulated_annealing(
             initial_state=initial,
             cost=self.cost_of,
-            neighbor=lambda pair, r: pair.random_neighbor(r),
+            neighbor=random_neighbor,
             schedule=schedule,
             rng=rng,
             delta_cost=self.delta_cost if use_delta else None,

@@ -12,13 +12,17 @@ import math
 
 import numpy as np
 
-from repro.errors import IterationLimitError
+from repro.errors import SolverError
 from repro.solver.model import LinearProgram
 from repro.solver.result import Solution, SolveStatus
 
-__all__ = ["solve_lp_simplex"]
+__all__ = ["IterationLimitError", "solve_lp_simplex"]
 
 _TOL = 1e-9
+
+
+class IterationLimitError(SolverError):
+    """The simplex exceeded its iteration budget."""
 
 
 class _StandardForm:
