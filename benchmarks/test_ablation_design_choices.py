@@ -16,7 +16,8 @@ from bench_utils import cached_instance
 from repro.core.onedim.refinement import refine_row_order
 from repro.core.onedim.row import greedy_symmetric_order, packed_width
 from repro.core.profits import compute_profits
-from repro.core.twodim import ClusteringConfig, EBlow2DConfig, EBlow2DPlanner, cluster_characters
+from repro.core.twodim import EBlow2DConfig, EBlow2DPlanner, cluster_characters, clustering
+from tests.oracles.clustering import ScanIndex
 
 
 @pytest.mark.parametrize("use_clustering", [True, False])
@@ -48,14 +49,18 @@ def test_ablation_2d_prefilter(benchmark, use_prefilter, scale, bench_schedule):
 
 
 @pytest.mark.parametrize("use_kdtree", [True, False])
-def test_ablation_clustering_kdtree_vs_scan(benchmark, use_kdtree, scale):
-    """The KD-tree should not change the clustering, only accelerate it."""
+def test_ablation_clustering_kdtree_vs_scan(benchmark, use_kdtree, scale, monkeypatch):
+    """The KD-tree should not change the clustering, only accelerate it.
+
+    The scan is the oracle ``tests/oracles/clustering.py`` in the tree's place.
+    """
     instance = cached_instance("2M-3", scale)
     profits = compute_profits(instance)
-    config = ClusteringConfig(use_kdtree=use_kdtree)
+    if not use_kdtree:
+        monkeypatch.setattr(clustering, "KDTree", ScanIndex)
 
     clusters = benchmark.pedantic(
-        lambda: cluster_characters(list(instance.characters), profits, config),
+        lambda: cluster_characters(list(instance.characters), profits),
         rounds=1,
         iterations=1,
     )

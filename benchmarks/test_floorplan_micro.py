@@ -4,7 +4,8 @@ Three families:
 
 * *Per-move packing* — the cost of evaluating one annealing move's packing
   at n≈64 blocks: the copy path re-runs the full O(n^2) longest-path DP
-  (``PackingContext.pack_arrays``) per candidate, the incremental path
+  (the batch packer of ``tests/oracles/packing.py``) per candidate, the
+  incremental path
   (:class:`IncrementalPacker`) applies the move in place and recomputes only
   the dirty suffix.  Both are driven through the *same* move sequence, so
   the ratio of the two means is the per-move packing speedup recorded in
@@ -32,12 +33,12 @@ from repro.core.twodim.planner import EBlow2DConfig
 from repro.floorplan import AnnealingSchedule, Block, FixedOutlinePacker, SequencePair
 from repro.floorplan.packing import (
     IncrementalPacker,
-    PackingContext,
     SwapBoth,
     SwapNegative,
     SwapPositive,
 )
-from tests.oracles.annealing import CopyEngine
+from tests.oracles.annealing import CopyEngine, swap_both, swap_negative, swap_positive
+from tests.oracles.packing import PackingContext
 
 N_BLOCKS = 64
 N_MOVES = 300
@@ -70,11 +71,11 @@ def _run_full(context: PackingContext, pair: SequencePair, moves) -> float:
     p = pair
     for kind, i, j in moves:
         if kind == 0:
-            p = p.swap_positive(i, j)
+            p = swap_positive(p, i, j)
         elif kind == 1:
-            p = p.swap_negative(i, j)
+            p = swap_negative(p, i, j)
         else:
-            p = p.swap_both(p.positive[i], p.positive[j])
+            p = swap_both(p, p.positive[i], p.positive[j])
         x, _ = context.pack_arrays(p)
         acc += x[0]
     return acc
@@ -107,12 +108,11 @@ def test_micro_packing_full_per_move(benchmark):
 def test_micro_packing_incremental_per_move(benchmark):
     """Dirty-suffix incremental packing for the identical move sequence."""
     blocks = _random_blocks(N_BLOCKS)
-    context = PackingContext(blocks)
     pair = SequencePair.initial(list(blocks), random.Random(1))
     moves = _swap_moves(N_BLOCKS, N_MOVES)
 
     def run():
-        packer = IncrementalPacker(context, pair)
+        packer = IncrementalPacker(blocks, pair)
         return _run_incremental(packer, moves)
 
     total = benchmark(run)
@@ -130,7 +130,7 @@ def test_micro_packing_per_move_speedup(benchmark):
     _run_full(context, pair, moves)
     t_full = time.perf_counter() - start
 
-    packer = IncrementalPacker(context, pair)
+    packer = IncrementalPacker(blocks, pair)
     rounds = 3
     start = time.perf_counter()
     for _ in range(rounds):
@@ -166,19 +166,11 @@ class _BenchTimeModel:
     def reduction_rows(self, names):
         return np.array([self.rows[name] for name in names])
 
-    def __call__(self, selected):
-        times = self.vsb.copy()
-        for name in selected:
-            times = times - self.rows[name]
-        return float(times.max())
-
 
 def _engine_packer() -> FixedOutlinePacker:
     blocks = _random_blocks(48, seed=3)
     model = _BenchTimeModel(sorted(blocks))
-    return FixedOutlinePacker(
-        220, 220, blocks, writing_time_of=model, time_model=model
-    )
+    return FixedOutlinePacker(220, 220, blocks, model)
 
 
 _ENGINE_SCHEDULE = AnnealingSchedule(
@@ -200,9 +192,7 @@ def test_micro_annealing_per_move(benchmark, n):
     blocks = _random_blocks(n, seed=3)
     model = _BenchTimeModel(sorted(blocks))
     side = math.sqrt(0.6 * sum(b.width * b.height for b in blocks.values()))
-    packer = FixedOutlinePacker(
-        side, side, blocks, writing_time_of=model, time_model=model
-    )
+    packer = FixedOutlinePacker(side, side, blocks, model)
     schedule = EBlow2DConfig().resolved_schedule(n)
     result = benchmark.pedantic(
         lambda: packer.pack(schedule=schedule, seed=1),

@@ -2,9 +2,8 @@
 
 These keep an eye on the performance-critical building blocks: the KD-tree
 range query, the bipartite matching, LP construction + solve of the
-simplified formulation, the profit / writing-time kernels, the
-sequence-pair packing evaluation, and the event relay that carries plan
-events from pool workers to the parent.
+simplified formulation, the profit / writing-time kernels, and the event
+relay that carries plan events from pool workers to the parent.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ from repro.core.onedim.formulation import (
 from repro.core.profits import compute_profits
 from repro.dist import BrokerScheduler
 from repro.events import PlanEvent
-from repro.floorplan import Block, SequencePair
-from repro.floorplan.packing import PackingContext
 from repro.geometry import KDTree
 from repro.matching import max_weight_matching
 from repro.model.writing_time import region_writing_times
@@ -159,30 +156,6 @@ def test_micro_incremental_times(benchmark, scale):
                 running.select(i)
             acc += running.total()
         return acc
-
-    total = benchmark(run)
-    assert total > 0
-
-
-def test_micro_sequence_pair_packing(benchmark):
-    rng = random.Random(2)
-    blocks = {
-        f"b{i}": Block(
-            f"b{i}",
-            width=rng.uniform(20, 60),
-            height=rng.uniform(20, 60),
-            blank_left=rng.uniform(0, 6),
-            blank_right=rng.uniform(0, 6),
-            blank_top=rng.uniform(0, 6),
-            blank_bottom=rng.uniform(0, 6),
-        )
-        for i in range(80)
-    }
-    context = PackingContext(blocks)
-    pairs = [SequencePair.initial(list(blocks), random.Random(i)) for i in range(20)]
-
-    def run():
-        return sum(context.pack_arrays(p)[0].sum() for p in pairs)
 
     total = benchmark(run)
     assert total > 0

@@ -518,11 +518,24 @@ def _write_events_out(path: str | None, result) -> None:
     print(f"wrote {len(result.events)} events to {path}")
 
 
+def _read_instance(verb: str, path: str):
+    """The instance at ``--instance``, or None after printing why it is not one."""
+    from repro.errors import ValidationError
+
+    try:
+        return load_instance(path)
+    except (ValidationError, OSError) as exc:
+        print(f"{verb}: cannot read instance {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.api import PlanningError, plan as run_plan
     from repro.errors import ValidationError
 
-    instance = load_instance(args.instance)
+    instance = _read_instance("plan", args.instance)
+    if instance is None:
+        return 2
     try:
         options = _planner_options(args.planner, instance.kind, args.time_limit)
     except ValidationError as exc:
@@ -829,7 +842,9 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
         print("portfolio: give exactly one of --case or --instance", file=sys.stderr)
         return 2
     if args.instance is not None:
-        target = load_instance(args.instance)
+        target = _read_instance("portfolio", args.instance)
+        if target is None:
+            return 2
         kind = target.kind
         scale = None
     else:
@@ -1111,7 +1126,11 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if (args.case is None) == (args.instance is None):
         print("submit: give exactly one of --case or --instance", file=sys.stderr)
         return 2
-    target = args.case if args.case is not None else load_instance(args.instance)
+    target = args.case
+    if target is None:
+        target = _read_instance("submit", args.instance)
+        if target is None:
+            return 2
     kwargs = dict(
         planner=args.planner,
         scale=args.scale,

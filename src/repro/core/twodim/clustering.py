@@ -14,7 +14,6 @@ vertical blanks, and profits must all agree within a relative ``bound``
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.floorplan.packing import Block
@@ -30,7 +29,6 @@ class ClusteringConfig:
 
     bound: float = 0.2        # relative similarity bound of Eqn. (8)
     max_members: int = 4      # keep clusters compact so they stay packable
-    use_kdtree: bool = True   # set False to use the O(n^2) scan (for tests)
 
 
 @dataclass
@@ -182,19 +180,14 @@ def cluster_characters(
         clusters[characters[i].name] = CharacterCluster.singleton(
             characters[i], profits[i]
         )
-    profit_by_name = {characters[i].name: profits[i] for i in range(len(characters))}
 
     if not clusters:
         return []
 
-    representative = {name: name for name in clusters}  # cluster key -> live key
-    if config.use_kdtree:
-        tree: KDTree[str] = KDTree.build(
-            ((clusters[name].feature_vector(), name) for name in clusters),
-            dimensions=5,
-        )
-    else:
-        tree = None
+    tree: KDTree[str] = KDTree.build(
+        ((clusters[name].feature_vector(), name) for name in clusters),
+        dimensions=5,
+    )
 
     merged_something = True
     visit_order = [characters[i].name for i in order]
@@ -214,10 +207,9 @@ def cluster_characters(
             partner = clusters.pop(partner_name)
             merged = cluster.merge(partner, partner.profit)
             clusters[name] = merged
-            if tree is not None:
-                tree.remove(partner_name)
-                tree.remove(name)
-                tree.insert(merged.feature_vector(), name)
+            tree.remove(partner_name)
+            tree.remove(name)
+            tree.insert(merged.feature_vector(), name)
             merged_something = True
     return list(clusters.values())
 
@@ -226,26 +218,15 @@ def _find_similar(
     cluster: CharacterCluster,
     own_name: str,
     clusters: dict[str, CharacterCluster],
-    tree: KDTree[str] | None,
+    tree: KDTree[str],
     config: ClusteringConfig,
 ) -> str | None:
     """A live partner cluster similar to ``cluster`` (Eqn. 8), or None."""
     lower, upper = _similar_range(cluster.feature_vector(), config.bound)
-    if tree is not None:
-        candidates = tree.query_range(lower, upper)
-    else:
-        candidates = [
-            name
-            for name, other in clusters.items()
-            if all(
-                lo <= v <= hi
-                for lo, v, hi in zip(lower, other.feature_vector(), upper)
-            )
-        ]
-    # Deterministic partner choice regardless of how candidates were found
-    # (tree traversal order vs dictionary order).
-    candidates = sorted(candidates)
-    for candidate in candidates:
+    # Deterministic partner choice, independent of the tree's traversal
+    # order (the scan oracle, tests/oracles/clustering.py, finds the same
+    # candidates in another order).
+    for candidate in sorted(tree.query_range(lower, upper)):
         if candidate == own_name or candidate not in clusters:
             continue
         other = clusters[candidate]

@@ -110,7 +110,6 @@ class EBlow2DPlanner:
                 width=instance.stencil.width,
                 height=instance.stencil.height,
                 blocks=blocks,
-                writing_time_of=time_model,
                 time_model=time_model,
             )
             initial_pair = _shelf_initial_pair(clusters, instance.stencil.width)
@@ -156,10 +155,13 @@ class EBlow2DPlanner:
 def _shelf_initial_pair(clusters: list[CharacterCluster], stencil_width: float):
     """Seed sequence pair: clusters laid out in profit-density shelves.
 
-    The annealer keeps the best state it ever visits, so starting from a
-    sensible shelf packing (most profitable clusters first, filling rows up to
-    the stencil width) guarantees the 2D flow is never worse than a greedy
-    shelf arrangement of the same blocks.
+    Clusters go in decreasing profit per unit area, left to right, and a new
+    shelf, stacked above the last, starts when the next cluster's raw width
+    (blank sharing not counted) would pass the stencil width.  This is only
+    a start: with no annealing moves it can be worse than the ``greedy-2d``
+    baseline.  The annealer keeps the best state it ever visits, so the flow
+    never ends at a higher annealing cost (writing time with the overshoot
+    penalty) than this start.
     """
     from repro.floorplan import SequencePair
 
@@ -190,11 +192,9 @@ class ClusterTimeModel:
     """Vectorized region-time evaluation over clusters of characters.
 
     Selecting a cluster selects all its members at once, so each cluster gets
-    one pre-aggregated reduction vector.  The model is both a plain
-    ``writing_time_of`` callback (set of names -> system writing time) and a
-    :class:`~repro.floorplan.fixed_outline.RegionTimeModel`, which lets the
-    fixed-outline packer score annealing moves by incremental region-time
-    updates.
+    one pre-aggregated reduction vector.  The model is the
+    :class:`~repro.floorplan.fixed_outline.RegionTimeModel` the fixed-outline
+    packer scores annealing moves with, by incremental region-time updates.
     """
 
     def __init__(self, instance: OSPInstance, clusters: dict[str, CharacterCluster]) -> None:
@@ -218,11 +218,3 @@ class ClusterTimeModel:
 
     def reduction_rows(self, names) -> np.ndarray:
         return self.cluster_reductions[[self.cluster_row[name] for name in names]]
-
-    # writing_time_of callback ------------------------------------------- #
-    def __call__(self, selected_clusters: set[str]) -> float:
-        if not selected_clusters:
-            return float(self.vsb.max())
-        rows = sorted(self.cluster_row[name] for name in selected_clusters)
-        times = self.vsb - self.cluster_reductions[rows].sum(axis=0)
-        return float(times.max())

@@ -16,11 +16,7 @@ from repro.floorplan.packing import (
     Block,
     IncrementalPacker,
     PackerMove,
-    PackingContext,
     PackingResult,
-    Rotate,
-    ShiftNegative,
-    ShiftPositive,
     SwapBoth,
     SwapNegative,
     SwapPositive,
@@ -31,7 +27,6 @@ from repro.floorplan.sequence_pair import SequencePair
 __all__ = [
     "SequencePair",
     "Block",
-    "PackingContext",
     "PackingResult",
     "pack_sequence_pair",
     "IncrementalPacker",
@@ -39,9 +34,6 @@ __all__ = [
     "SwapPositive",
     "SwapNegative",
     "SwapBoth",
-    "Rotate",
-    "ShiftNegative",
-    "ShiftPositive",
     "AnnealingSchedule",
     "AnnealingResult",
     "Move",

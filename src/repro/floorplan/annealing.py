@@ -65,10 +65,6 @@ class AnnealingSchedule:
     cooling_rate: float = 0.92
     moves_per_temperature: int = 60
     max_total_moves: int = 200_000
-    # Record the cost trace every this many temperature steps (1 = every
-    # step, today's behaviour).  Long schedules at ``max_total_moves`` scale
-    # would otherwise hold one float per temperature step forever.
-    trace_stride: int = 1
 
     def temperatures(self):
         """Yield the temperature ladder."""
@@ -116,27 +112,8 @@ class AnnealingResult(Generic[S]):
     best_cost: float
     moves: int
     accepted: int
-    cost_trace: list[float]
+    cost_trace: list[float]  # the initial cost, then the cost after each temperature
     move_stats: dict[str, MoveTypeStats] = field(default_factory=dict)
-
-
-class _TraceSampler:
-    """Shared cost-trace sampling: every ``stride``-th temperature + final."""
-
-    def __init__(self, initial_cost: float, stride: int) -> None:
-        self.trace = [initial_cost]
-        self.stride = max(1, stride)
-        self._steps = 0
-
-    def step(self, current_cost: float) -> None:
-        self._steps += 1
-        if self._steps % self.stride == 0:
-            self.trace.append(current_cost)
-
-    def finish(self, current_cost: float) -> list[float]:
-        if self._steps % self.stride != 0:
-            self.trace.append(current_cost)
-        return self.trace
 
 
 def simulated_annealing_in_place(
@@ -170,7 +147,7 @@ def simulated_annealing_in_place(
     moves = 0
     accepted = 0
     stats: dict[str, MoveTypeStats] = {}
-    sampler = _TraceSampler(current_cost, schedule.trace_stride)
+    trace = [current_cost]
 
     for temperature in schedule.temperatures():
         effective_t = temperature * scale
@@ -201,7 +178,7 @@ def simulated_annealing_in_place(
                     emit("incumbent", cost=best_cost, moves=moves)
             else:
                 move.revert(state)
-        sampler.step(current_cost)
+        trace.append(current_cost)
         emit("temperature", temperature=temperature, cost=current_cost, moves=moves)
         if moves >= schedule.max_total_moves:
             break
@@ -213,6 +190,6 @@ def simulated_annealing_in_place(
         best_cost=best_cost,
         moves=moves,
         accepted=accepted,
-        cost_trace=sampler.finish(current_cost),
+        cost_trace=trace,
         move_stats=stats,
     )

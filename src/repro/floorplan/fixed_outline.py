@@ -7,22 +7,23 @@ pair; any block whose placement falls outside the stencil outline is simply
 minimizes the system writing time of the blocks that remain inside, with a
 small area-efficiency term as a tie breaker.
 
-When the caller supplies a *region-time model* (an object exposing the
-pure-VSB region times and the per-block reduction vectors, see
-:class:`RegionTimeModel`), the packer scores moves incrementally: the
-per-region writing-time vector of the current state is cached and each
-candidate is scored by applying only the reduction rows of the blocks whose
-inside/outside status actually changed — O(changed x P) instead of
-O(inside x P) per move, and no NumPy call at all when no block entered or
-left the outline.  Only the blocks at the positions the
-:class:`IncrementalPacker` reports as touched by the move are re-tested.
+The writing time comes from a *region-time model* (the pure-VSB region
+times and one reduction vector per block, see :class:`RegionTimeModel`).
+The packer scores moves incrementally: the per-region writing-time vector
+of the current state is cached and each candidate is scored by applying
+only the reduction rows of the blocks whose inside/outside status actually
+changed — O(changed x P) instead of O(inside x P) per move, and no NumPy
+call at all when no block entered or left the outline.  Only the blocks at
+the positions the :class:`IncrementalPacker` reports as touched by the move
+are re-tested.  The full re-score it is checked against lives in the
+copy-engine oracle, ``tests/oracles/annealing.py``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from repro.floorplan.packing import (
     Block,
     IncrementalPacker,
     NullMove,
-    PackingContext,
     PackingResult,
     SwapBoth,
     SwapNegative,
@@ -81,15 +81,12 @@ class FixedOutlinePacker:
         The stencil outline.
     blocks:
         Blocks to pack (characters or clusters).
-    writing_time_of:
-        Callback mapping the *set of inside block names* to the writing-time
-        objective being minimized (the caller closes over the instance and
-        the block-to-character mapping).
     time_model:
-        Optional :class:`RegionTimeModel` equivalent of ``writing_time_of``.
-        When given, moves are scored by incremental region-time updates;
-        results are identical up to floating-point noise (cross-checked in
-        the test suite).
+        The :class:`RegionTimeModel` of the blocks: the writing time being
+        minimized is the peak of its VSB region times less the reduction
+        rows of the inside blocks.
+    area_weight:
+        Weight of the out-of-outline bounding-box penalty.
     """
 
     # Rebuild the cached region-time vector from scratch every this many
@@ -101,25 +98,19 @@ class FixedOutlinePacker:
         width: float,
         height: float,
         blocks: Mapping[str, Block],
-        writing_time_of: Callable[[set[str]], float],
+        time_model: RegionTimeModel,
         area_weight: float = 0.05,
-        time_model: RegionTimeModel | None = None,
     ) -> None:
         self.width = width
         self.height = height
         self.blocks = dict(blocks)
-        self.writing_time_of = writing_time_of
         self.area_weight = area_weight
-        self._context = PackingContext(self.blocks) if self.blocks else None
-        if time_model is not None and self._context is not None:
-            # Reduction rows aligned with the packing context's block order.
-            self._model_reductions = np.asarray(
-                time_model.reduction_rows(self._context.names), dtype=float
-            )
-            self._model_vsb = np.asarray(time_model.vsb_times_array(), dtype=float)
-        else:
-            self._model_reductions = None
-            self._model_vsb = None
+        # Reduction rows aligned with the packer's canonical (sorted-name)
+        # block order.
+        self._model_reductions = np.asarray(
+            time_model.reduction_rows(sorted(self.blocks)), dtype=float
+        )
+        self._model_vsb = np.asarray(time_model.vsb_times_array(), dtype=float)
 
     # ------------------------------------------------------------------ #
     # Cost model
@@ -168,11 +159,6 @@ class FixedOutlinePacker:
         This mirrors the copy engine of ``tests/oracles/annealing.py``
         operation for operation, so their trajectories are bit-identical.
         """
-        if self._model_reductions is None:
-            mask = packer.inside_mask(self.width, self.height)
-            inside = {self._context.names[i] for i in np.nonzero(mask)[0]}
-            writing_time = self.writing_time_of(inside)
-            return self._penalized_dims(writing_time, packer.width, packer.height)
         if packer.inside is None:
             # Initial full evaluation.
             packer.inside = self._inside_flags(packer)
@@ -237,11 +223,10 @@ class FixedOutlinePacker:
 
         Draws the random numbers of ``random_neighbor`` in
         ``tests/oracles/annealing.py`` and returns the matching packer move.
-        Only sequence-pair moves are proposed.  The in-place engine snapshots
-        *just* the sequence pair for best-state tracking (the final packing
-        is re-derived from ``self.blocks``), so geometry-mutating packer
-        moves — ``Rotate``, which transposes a block — must not be proposed
-        here; they are for standalone :class:`IncrementalPacker` use.
+        The three swap moves of [24] are the only moves: each permutes the
+        sequence pair and leaves every block's geometry alone, so the
+        in-place engine snapshots *just* the sequence pair for best-state
+        tracking and re-derives the final packing from ``self.blocks``.
         """
         size = packer.size
         if size < 2:
@@ -274,11 +259,11 @@ class FixedOutlinePacker:
         The search is the mutate/undo engine over an
         :class:`IncrementalPacker`: one mutable state, dirty-suffix packing
         updates, O(changed) cost updates.  With no blocks there is nothing to
-        anneal: the result is the empty packing after 0 moves, at cost
-        ``writing_time_of(set())``.
+        anneal: the result is the empty packing after 0 moves, at the peak
+        pure-VSB region time.
         """
-        if self._context is None:
-            cost = self.writing_time_of(set())
+        if not self.blocks:
+            cost = float(self._model_vsb.max())
             result = AnnealingResult(
                 best_state=SequencePair(positive=(), negative=()),
                 best_cost=cost,
@@ -291,7 +276,7 @@ class FixedOutlinePacker:
             if initial is None:
                 initial = SequencePair.initial(sorted(self.blocks), rng)
             result = simulated_annealing_in_place(
-                _ScoredPacker(self._context, initial),
+                _ScoredPacker(self.blocks, initial),
                 cost=self._inplace_cost,
                 propose=self._propose_swap,
                 snapshot=IncrementalPacker.snapshot_pair,
@@ -320,8 +305,8 @@ class _ScoredPacker(IncrementalPacker):
     configuration, so promoting it changes no value.
     """
 
-    def __init__(self, context: PackingContext, pair: SequencePair) -> None:
-        super().__init__(context, pair)
+    def __init__(self, blocks: Mapping[str, Block], pair: SequencePair) -> None:
+        super().__init__(blocks, pair)
         self.inside: list[bool] | None = None
         self.base_times: np.ndarray | None = None
         self.base_peak = 0.0

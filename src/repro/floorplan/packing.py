@@ -7,8 +7,17 @@ OSP twist is that abutting characters may *share* blank margins, so the edge
 weight from ``a`` to ``b`` is not ``width(a)`` but ``width(a) - overlap(a, b)``
 (and similarly vertically), exactly as in the 2D ILP formulation (7).
 
-The longest paths are computed with the O(n^2) dynamic program over the pair
-orderings, which is plenty for the clustered problem sizes E-BLOW produces.
+Two packers evaluate that O(n^2) dynamic program:
+
+* :func:`pack_sequence_pair` packs one pair from scratch over a block
+  mapping; it builds every final 2D plan;
+* :class:`IncrementalPacker` keeps the annealer's state resident and, after
+  each of the three swap moves of [24] (:class:`SwapPositive`,
+  :class:`SwapNegative`, :class:`SwapBoth`), recomputes only what the move
+  can change.
+
+The batch NumPy packer that the incremental one is checked against, bit for
+bit, lives in ``tests/oracles/packing.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +31,6 @@ import numpy as np
 
 from repro.events import emit
 from repro.floorplan.sequence_pair import SequencePair
-from repro.geometry import Rect
 from repro.obs import metrics as obs_metrics
 
 # Shared by every incremental-cache rebase site (this packer and the
@@ -36,15 +44,11 @@ __all__ = [
     "Block",
     "PackingResult",
     "pack_sequence_pair",
-    "PackingContext",
     "IncrementalPacker",
     "PackerMove",
     "SwapPositive",
     "SwapNegative",
     "SwapBoth",
-    "Rotate",
-    "ShiftNegative",
-    "ShiftPositive",
     "NullMove",
 ]
 
@@ -77,11 +81,6 @@ class PackingResult:
     positions: dict[str, tuple[float, float]]
     width: float
     height: float
-
-    def rect_of(self, block: Block) -> Rect:
-        """Placed footprint of a block."""
-        x, y = self.positions[block.name]
-        return Rect(x, y, block.width, block.height)
 
 
 def pack_sequence_pair(
@@ -127,96 +126,6 @@ def pack_sequence_pair(
     return PackingResult(
         positions={n: (x[n], y[n]) for n in names}, width=width, height=height
     )
-
-
-class PackingContext:
-    """Pre-computed data for repeatedly packing the same block set.
-
-    The simulated-annealing loop evaluates thousands of sequence pairs over a
-    fixed block set; this context pre-computes the pairwise blank-overlap
-    matrices once and evaluates each packing with NumPy, which is an order of
-    magnitude faster than the dictionary-based :func:`pack_sequence_pair`.
-    Both paths produce identical results (verified in the test suite).
-    """
-
-    def __init__(self, blocks: Mapping[str, Block]) -> None:
-        self.names = sorted(blocks)
-        self.index = {name: i for i, name in enumerate(self.names)}
-        self.blocks = [blocks[name] for name in self.names]
-        n = len(self.names)
-        self.widths = np.array([b.width for b in self.blocks], dtype=float)
-        self.heights = np.array([b.height for b in self.blocks], dtype=float)
-        self.blank_right = np.array([b.blank_right for b in self.blocks], dtype=float)
-        self.blank_left = np.array([b.blank_left for b in self.blocks], dtype=float)
-        self.blank_top = np.array([b.blank_top for b in self.blocks], dtype=float)
-        self.blank_bottom = np.array([b.blank_bottom for b in self.blocks], dtype=float)
-        # h_edge[a, b] = width(a) - min(blank_right(a), blank_left(b))
-        self.h_edge = self.widths[:, None] - np.minimum(
-            self.blank_right[:, None], self.blank_left[None, :]
-        )
-        self.v_edge = self.heights[:, None] - np.minimum(
-            self.blank_top[:, None], self.blank_bottom[None, :]
-        )
-        self._n = n
-
-    def pack(self, pair: SequencePair) -> PackingResult:
-        """Pack a sequence pair over the context's block set."""
-        x, y = self.pack_arrays(pair)
-        n = self._n
-        width = float(np.max(x + self.widths)) if n else 0.0
-        height = float(np.max(y + self.heights)) if n else 0.0
-        return PackingResult(
-            positions={
-                name: (float(x[self.index[name]]), float(y[self.index[name]]))
-                for name in self.names
-            },
-            width=width,
-            height=height,
-        )
-
-    def pack_arrays(self, pair: SequencePair) -> tuple[np.ndarray, np.ndarray]:
-        """Longest-path coordinates of a sequence pair (no dict building).
-
-        The longest-path DP walks Gamma- order; re-indexing the edge-weight
-        matrices into that order once per call means every step works on
-        contiguous slices (``He[:k, k]``) instead of fancy-indexed gathers,
-        and the predecessor masks are plain prefix views — no per-step
-        allocations besides the DP arrays themselves.
-        """
-        n = self._n
-        result_x = np.zeros(n)
-        result_y = np.zeros(n)
-        if n == 0:
-            return result_x, result_y
-        index = self.index
-        pos_p = np.empty(n, dtype=int)
-        for rank, name in enumerate(pair.positive):
-            pos_p[index[name]] = rank
-        order = np.fromiter(
-            (index[name] for name in pair.negative), dtype=int, count=n
-        )
-        ranks = pos_p[order]
-        # Transposed so each step reads a contiguous predecessor row.
-        h_edge = self.h_edge[np.ix_(order, order)].T.copy()
-        v_edge = self.v_edge[np.ix_(order, order)].T.copy()
-
-        xs = np.zeros(n)  # coordinates in Gamma- order
-        ys = np.zeros(n)
-        buf = np.empty(n)
-        mask = np.empty(n, dtype=bool)
-        maximum_reduce = np.maximum.reduce
-        for k in range(1, n):
-            m = mask[:k]
-            np.less(ranks[:k], ranks[k], out=m)
-            b = buf[:k]
-            np.add(xs[:k], h_edge[k, :k], out=b)
-            xs[k] = maximum_reduce(b, where=m, initial=0.0)
-            np.invert(m, out=m)
-            np.add(ys[:k], v_edge[k, :k], out=b)
-            ys[k] = maximum_reduce(b, where=m, initial=0.0)
-        result_x[order] = xs
-        result_y[order] = ys
-        return result_x, result_y
 
 
 # --------------------------------------------------------------------------- #
@@ -295,9 +204,9 @@ class SwapNegative(PackerMove):
 class SwapBoth(PackerMove):
     """Swap the blocks at two Gamma+ positions in *both* sequences.
 
-    Mirrors :meth:`SequencePair.swap_both` with the block names taken from
-    Gamma+ positions ``i`` and ``j``, exactly as the copy-engine oracle's
-    ``random_neighbor`` (``tests/oracles/annealing.py``) does.
+    Mirrors ``swap_both`` in ``tests/oracles/annealing.py`` with the block
+    names taken from Gamma+ positions ``i`` and ``j``, exactly as the
+    copy-engine oracle's ``random_neighbor`` does.
     """
 
     kind = "swap_both"
@@ -316,66 +225,10 @@ class SwapBoth(PackerMove):
         packer._restore(self._checkpoint)
 
 
-class Rotate(PackerMove):
-    """Transpose one block (width/height and the blank pairs swapped).
-
-    The block's edge-weight row and column are refreshed in place from the
-    mutated geometry — no matrix rebuild.  The transformation is an
-    involution, so ``revert`` simply re-applies it.
-    """
-
-    kind = "rotate"
-
-    def __init__(self, block_index: int) -> None:
-        super().__init__()
-        self.block_index = block_index
-
-    def apply(self, packer: "IncrementalPacker") -> None:
-        self._checkpoint = packer._apply((packer._rotate_block(self.block_index),))
-
-    def revert(self, packer: "IncrementalPacker") -> None:
-        packer._rotate_block(self.block_index)
-        packer._restore(self._checkpoint)
-
-
-class ShiftNegative(PackerMove):
-    """Move the block at Gamma- position ``i`` to position ``j``."""
-
-    kind = "shift_negative"
-
-    def __init__(self, i: int, j: int) -> None:
-        super().__init__()
-        self.i, self.j = i, j
-
-    def apply(self, packer: "IncrementalPacker") -> None:
-        self._checkpoint = packer._apply(packer._shift_position(self.i, self.j))
-
-    def revert(self, packer: "IncrementalPacker") -> None:
-        packer._shift_position(self.j, self.i)
-        packer._restore(self._checkpoint)
-
-
-class ShiftPositive(PackerMove):
-    """Move the block at Gamma+ rank ``i`` to rank ``j``."""
-
-    kind = "shift_positive"
-
-    def __init__(self, i: int, j: int) -> None:
-        super().__init__()
-        self.i, self.j = i, j
-
-    def apply(self, packer: "IncrementalPacker") -> None:
-        self._checkpoint = packer._apply(packer._shift_rank(self.i, self.j))
-
-    def revert(self, packer: "IncrementalPacker") -> None:
-        packer._shift_rank(self.j, self.i)
-        packer._restore(self._checkpoint)
-
-
 class IncrementalPacker:
     """Sequence-pair packing under in-place moves, touching only what changes.
 
-    The copy-based evaluation (:meth:`PackingContext.pack_arrays`) pays the
+    A batch evaluation (the oracle in ``tests/oracles/packing.py``) pays the
     full O(n^2) longest-path DP — plus an O(n^2) edge-matrix gather — for
     *every* candidate, even though an annealing move perturbs only two
     sequence positions.  This class keeps the evaluation state resident
@@ -388,11 +241,12 @@ class IncrementalPacker:
       ``_FUSED_LIMIT`` blocks, the *supporting predecessor* (argmax) of each.
 
     The edge weights ``H[b][a]`` / ``V[b][a]`` from predecessor block ``a``
-    into block ``b`` are indexed by block, not by position, so a Gamma- swap
-    exchanges two ``order`` entries and leaves them alone; only a rotation
-    rewrites one row and one column.  ``H_np`` / ``V_np`` hold the same
-    values for predecessor rows longer than ``_PY_ROW_LIMIT``, which
-    :class:`_LongRows` folds with a few vector operations.
+    into block ``b`` are indexed by block, not by position, so a swap
+    exchanges ``order`` or ``by_rank`` entries and leaves them alone.  No
+    move changes a block's geometry, so they are built once, in
+    ``__init__``.  ``H_np`` / ``V_np`` hold the same values for predecessor
+    rows longer than ``_PY_ROW_LIMIT``, which :class:`_LongRows` folds with
+    a few vector operations.
 
     After a move, only positions at or after the earliest mutated Gamma-
     position can change (*dirty-suffix rule*: a DP step ``k`` only reads
@@ -414,12 +268,13 @@ class IncrementalPacker:
 
     All arithmetic produces the same IEEE-double values as the batch DP —
     max-folds are exact and the adds are identical — so the maintained
-    coordinates are **bit-identical** to a fresh :meth:`PackingContext.pack`
-    of the same state (asserted by property tests; the dict-based
-    :func:`pack_sequence_pair` differs from both by float-association noise
-    only).  Every ``rebase_interval`` applied moves the caches are rebuilt
-    from scratch (mirroring ``RunningTimes.REBASE_INTERVAL``); updates are
-    exact, so this is a safety net, not a correctness requirement.
+    coordinates are **bit-identical** to a fresh batch packing of the same
+    state (``tests/oracles/packing.py``; asserted by property tests; the
+    dict-based :func:`pack_sequence_pair` differs from both by
+    float-association noise only).  Every ``REBASE_INTERVAL`` applied moves
+    the coordinates are rebuilt from scratch (mirroring
+    ``RunningTimes.REBASE_INTERVAL``); updates are exact, so this is a safety
+    net, not a correctness requirement.
     """
 
     REBASE_INTERVAL = 4096
@@ -433,31 +288,34 @@ class IncrementalPacker:
     # "Small packers").
     _FUSED_LIMIT = 40
 
-    def __init__(
-        self,
-        source: "PackingContext | Mapping[str, Block]",
-        pair: SequencePair,
-        rebase_interval: int | None = None,
-    ) -> None:
-        context = source if isinstance(source, PackingContext) else PackingContext(source)
-        self.context = context
-        self.names = context.names
-        n = self._n = context._n
+    def __init__(self, blocks: Mapping[str, Block], pair: SequencePair) -> None:
+        self.names = sorted(blocks)
+        n = self._n = len(self.names)
         if sorted(pair.positive) != self.names:
-            raise ValueError("sequence pair does not match the packing context's blocks")
-        self.rebase_interval = int(rebase_interval or self.REBASE_INTERVAL)
+            raise ValueError("sequence pair does not match the packer's blocks")
         self._applies = 0
 
-        # Per-block geometry in canonical (sorted-name) order; rotations
-        # mutate it, everything else treats it as constant.
-        self.widths = context.widths.tolist()
-        self.heights = context.heights.tolist()
-        self.blank_left = context.blank_left.tolist()
-        self.blank_right = context.blank_right.tolist()
-        self.blank_top = context.blank_top.tolist()
-        self.blank_bottom = context.blank_bottom.tolist()
+        # Per-block geometry in canonical (sorted-name) order.
+        geometry = [blocks[name] for name in self.names]
+        widths = np.array([b.width for b in geometry], dtype=float)
+        heights = np.array([b.height for b in geometry], dtype=float)
+        blank_left = np.array([b.blank_left for b in geometry], dtype=float)
+        blank_right = np.array([b.blank_right for b in geometry], dtype=float)
+        blank_top = np.array([b.blank_top for b in geometry], dtype=float)
+        blank_bottom = np.array([b.blank_bottom for b in geometry], dtype=float)
+        self.widths, self.heights = widths.tolist(), heights.tolist()
+        # H[b, a] = width(a) - min(blank_right(a), blank_left(b)): the batch
+        # DP's edge arithmetic, transposed.
+        H = widths[None, :] - np.minimum(blank_right[None, :], blank_left[:, None])
+        V = heights[None, :] - np.minimum(blank_top[None, :], blank_bottom[:, None])
+        self.H_np, self.V_np = H, V
+        self.H, self.V = H.tolist(), V.tolist()
+        # colmax[a] >= H[b][a] for every b: an upper bound on any block's
+        # outgoing edge, which feeds the one-compare pruning in _propagate.
+        self.colmax_x = H.max(axis=0).tolist() if n else []
+        self.colmax_y = V.max(axis=0).tolist() if n else []
 
-        index = context.index
+        index = {name: c for c, name in enumerate(self.names)}
         self.by_rank = [index[name] for name in pair.positive]
         self.order = [index[name] for name in pair.negative]
         self.rank_of = [0] * n
@@ -484,42 +342,6 @@ class IncrementalPacker:
             negative=tuple(names[c] for c in self.order),
         )
 
-    def current_blocks(self) -> dict[str, Block]:
-        """Current block geometry (reflecting applied rotations)."""
-        return {
-            name: Block(
-                name=name,
-                width=self.widths[c],
-                height=self.heights[c],
-                blank_left=self.blank_left[c],
-                blank_right=self.blank_right[c],
-                blank_top=self.blank_top[c],
-                blank_bottom=self.blank_bottom[c],
-            )
-            for c, name in enumerate(self.names)
-        }
-
-    def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(x, y)`` arrays in canonical (sorted-name) order."""
-        return np.array(self.xs, dtype=float), np.array(self.ys, dtype=float)
-
-    def pack_result(self) -> PackingResult:
-        """Current packing as a :class:`PackingResult` (dict building is O(n))."""
-        return PackingResult(
-            positions={
-                name: (self.xs[c], self.ys[c]) for c, name in enumerate(self.names)
-            },
-            width=self.width,
-            height=self.height,
-        )
-
-    def inside_mask(self, outline_width: float, outline_height: float) -> np.ndarray:
-        """Canonical-order mask of blocks entirely inside the outline."""
-        x, y = self.coordinates()
-        return (x + self.widths <= outline_width + 1e-9) & (
-            y + self.heights <= outline_height + 1e-9
-        )
-
     # ------------------------------------------------------------------ #
     # Structural mutations (shared by the move classes)
     # ------------------------------------------------------------------ #
@@ -538,83 +360,12 @@ class IncrementalPacker:
         order[i], order[j] = b, a
         self.pos_of[a], self.pos_of[b] = j, i
 
-    def _shift_position(self, i: int, j: int) -> range:
-        """Move the Gamma- occupant at position ``i`` to position ``j``.
-
-        Returns the window of positions whose occupant changed.
-        """
-        order, pos_of = self.order, self.pos_of
-        order.insert(j, order.pop(i))
-        window = range(min(i, j), max(i, j) + 1)
-        for p in window:
-            pos_of[order[p]] = p
-        return window
-
-    def _shift_rank(self, i: int, j: int) -> list[int]:
-        """Move the Gamma+ occupant at rank ``i`` to rank ``j``.
-
-        Returns the Gamma- positions of the blocks whose rank changed.
-        """
-        by_rank, rank_of, pos_of = self.by_rank, self.rank_of, self.pos_of
-        by_rank.insert(j, by_rank.pop(i))
-        positions = []
-        for rank in range(min(i, j), max(i, j) + 1):
-            c = by_rank[rank]
-            rank_of[c] = rank
-            positions.append(pos_of[c])
-        return positions
-
-    def _rotate_block(self, c: int) -> int:
-        """Transpose block ``c``'s geometry; refresh its edge row and column.
-
-        Returns the block's Gamma- position.
-        """
-        w, h = self.widths, self.heights
-        bl, br, bt, bb = self.blank_left, self.blank_right, self.blank_top, self.blank_bottom
-        w[c], h[c] = h[c], w[c]
-        bl[c], bb[c] = bb[c], bl[c]
-        br[c], bt[c] = bt[c], br[c]
-        # The same element formula as the full rebuild: row c holds c as
-        # successor, column c holds c as predecessor.
-        H, V = self.H, self.V
-        H[c] = [wa - min(ra, bl[c]) for wa, ra in zip(w, br)]
-        V[c] = [ha - min(ta, bb[c]) for ha, ta in zip(h, bt)]
-        for row_h, row_v, left, bottom in zip(H, V, bl, bb):
-            row_h[c] = w[c] - min(br[c], left)
-            row_v[c] = h[c] - min(bt[c], bottom)
-        for lists, matrix in ((H, self.H_np), (V, self.V_np)):
-            matrix[c] = lists[c]
-            matrix[:, c] = [row[c] for row in lists]
-        # Keep the column bounds valid: row c's new entries may raise any
-        # column's bound; column c is recomputed exactly.
-        self.colmax_x = list(map(max, self.colmax_x, H[c]))
-        self.colmax_y = list(map(max, self.colmax_y, V[c]))
-        self.colmax_x[c] = max(row[c] for row in H)
-        self.colmax_y[c] = max(row[c] for row in V)
-        return self.pos_of[c]
-
     # ------------------------------------------------------------------ #
     # DP maintenance
     # ------------------------------------------------------------------ #
     def _rebuild(self) -> None:
-        """Recompute every cache from the block geometry (rebase)."""
+        """Recompute every coordinate and support from scratch (rebase)."""
         n = self._n
-        widths = np.array(self.widths)
-        heights = np.array(self.heights)
-        # H[b, a] = width(a) - min(blank_right(a), blank_left(b)): the same
-        # element arithmetic as PackingContext.h_edge, transposed.
-        H = widths[None, :] - np.minimum(
-            np.array(self.blank_right)[None, :], np.array(self.blank_left)[:, None]
-        )
-        V = heights[None, :] - np.minimum(
-            np.array(self.blank_top)[None, :], np.array(self.blank_bottom)[:, None]
-        )
-        self.H_np, self.V_np = H, V
-        self.H, self.V = H.tolist(), V.tolist()
-        # colmax[a] >= H[b][a] for every b: an upper bound on any block's
-        # outgoing edge, which feeds the one-compare pruning in _propagate.
-        self.colmax_x = H.max(axis=0).tolist() if n else []
-        self.colmax_y = V.max(axis=0).tolist() if n else []
         self.xs, self.ys = [0.0] * n, [0.0] * n
         self.xarg, self.yarg = [-1] * n, [-1] * n
         walked = self._start_walk()
@@ -674,9 +425,9 @@ class IncrementalPacker:
     def _apply(self, structural) -> tuple:
         """Propagate a structural change; returns the undo checkpoint.
 
-        ``structural`` lists the Gamma- positions whose occupant, rank or
-        edge weights the move mutated.  Packers of at most ``_FUSED_LIMIT``
-        blocks take :meth:`_refold`, larger ones :meth:`_propagate`.
+        ``structural`` lists the Gamma- positions whose occupant or rank the
+        move mutated.  Packers of at most ``_FUSED_LIMIT`` blocks take
+        :meth:`_refold`, larger ones :meth:`_propagate`.
         """
         checkpoint = (
             self.xs, self.ys, self.xarg, self.yarg, self.width, self.height
@@ -689,10 +440,10 @@ class IncrementalPacker:
             self.xarg, self.yarg = self.xarg[:], self.yarg[:]
             self.touched = self._propagate(structural)
         self._applies += 1
-        if self._applies % self.rebase_interval == 0:
+        if self._applies % self.REBASE_INTERVAL == 0:
             self._rebuild()
             _REBASES.inc(scope="packing")
-            emit("rebase", scope="packing", interval=self.rebase_interval)
+            emit("rebase", scope="packing", interval=self.REBASE_INTERVAL)
         else:
             self._update_bbox()
         return checkpoint
@@ -741,8 +492,8 @@ class IncrementalPacker:
     def _propagate(self, structural) -> list[int]:
         """Dirty-suffix recompute; returns the touched Gamma- positions.
 
-        The *seeds* (blocks at ``structural`` positions) had their position,
-        rank or edge weights mutated, so their contribution to any successor
+        The *seeds* (blocks at ``structural`` positions) had their position
+        or rank mutated, so their contribution to any successor
         may have changed even when their own coordinate did not; they are
         re-evaluated in full.  A clean block pays a full predecessor-row
         re-evaluation only when its supporting predecessor is a seed or

@@ -7,8 +7,9 @@ Their relative order encodes the pairwise geometric relation:
 * ``a`` after ``b`` in Gamma+ but before ``b`` in Gamma-  →  ``a`` is below ``b``.
 
 The E-BLOW 2D flow (like the framework of [24] it compares against) explores
-the space of sequence pairs with simulated annealing; the perturbation moves
-are provided here, the coordinate computation lives in
+the space of sequence pairs with simulated annealing.  This immutable value
+is what the annealer snapshots and returns; the three swap moves and the
+coordinate computation act on the packer's mutable copy of the pair, in
 :mod:`repro.floorplan.packing`.
 """
 
@@ -54,43 +55,3 @@ class SequencePair:
     @property
     def size(self) -> int:
         return len(self.positive)
-
-    # ------------------------------------------------------------------ #
-    # Relations
-    # ------------------------------------------------------------------ #
-    def is_left_of(self, a: str, b: str) -> bool:
-        """Whether block ``a`` is constrained to the left of ``b``."""
-        pos_p = {name: i for i, name in enumerate(self.positive)}
-        pos_n = {name: i for i, name in enumerate(self.negative)}
-        return pos_p[a] < pos_p[b] and pos_n[a] < pos_n[b]
-
-    def is_below(self, a: str, b: str) -> bool:
-        """Whether block ``a`` is constrained below ``b``."""
-        pos_p = {name: i for i, name in enumerate(self.positive)}
-        pos_n = {name: i for i, name in enumerate(self.negative)}
-        return pos_p[a] > pos_p[b] and pos_n[a] < pos_n[b]
-
-    # ------------------------------------------------------------------ #
-    # Annealing moves
-    # ------------------------------------------------------------------ #
-    def swap_positive(self, i: int, j: int) -> "SequencePair":
-        """Swap two positions in Gamma+ only."""
-        positive = list(self.positive)
-        positive[i], positive[j] = positive[j], positive[i]
-        return SequencePair(positive=tuple(positive), negative=self.negative)
-
-    def swap_negative(self, i: int, j: int) -> "SequencePair":
-        """Swap two positions in Gamma- only."""
-        negative = list(self.negative)
-        negative[i], negative[j] = negative[j], negative[i]
-        return SequencePair(positive=self.positive, negative=tuple(negative))
-
-    def swap_both(self, a: str, b: str) -> "SequencePair":
-        """Swap two blocks in both sequences (exchanges their roles entirely)."""
-        def swapped(seq: tuple[str, ...]) -> tuple[str, ...]:
-            out = list(seq)
-            ia, ib = out.index(a), out.index(b)
-            out[ia], out[ib] = out[ib], out[ia]
-            return tuple(out)
-
-        return SequencePair(positive=swapped(self.positive), negative=swapped(self.negative))

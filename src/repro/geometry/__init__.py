@@ -1,7 +1,5 @@
-"""Geometric substrate: intervals, rectangles, and a KD-tree."""
+"""Geometric substrate: the KD-tree behind the 2D clustering's range queries."""
 
-from repro.geometry.interval import Interval
 from repro.geometry.kdtree import KDTree
-from repro.geometry.rect import Rect
 
-__all__ = ["Interval", "Rect", "KDTree"]
+__all__ = ["KDTree"]

@@ -13,10 +13,11 @@ data structure from scratch:
   rebuilding the tree, matching how Algorithm 4 consumes candidates.
 
 Every subtree maintains a tight bounding box over its *live* points
-(refreshed in the same pass that maintains live counts), and both
-``query_range`` and ``nearest`` prune descents against it — results and
-their order are identical to the unpruned search, only the visited-node
-count shrinks.
+(refreshed in the same pass that maintains live counts), and
+``query_range`` prunes descents against it — results and their order are
+identical to the unpruned search, only the visited-node count shrinks.
+The clustering step (:mod:`repro.core.twodim.clustering`) calls only
+``build``, ``insert``, ``remove`` and ``query_range``.
 """
 
 from __future__ import annotations
@@ -236,56 +237,6 @@ class KDTree(Generic[T]):
             self._range_recursive(node.left, lo, hi, out)
         if value <= hi[axis]:
             self._range_recursive(node.right, lo, hi, out)
-
-    def nearest(self, coords: Sequence[float]) -> tuple[T, float] | None:
-        """Live payload nearest to ``coords`` in Euclidean distance."""
-        point = tuple(float(c) for c in coords)
-        if self._root is None or self._size == 0:
-            return None
-        best: list = [None, float("inf")]
-        self._nearest_recursive(self._root, point, best)
-        payload, dist_sq = best
-        return payload, dist_sq ** 0.5
-
-    def _nearest_recursive(
-        self, node: _Node[T] | None, point: tuple[float, ...], best: list
-    ) -> None:
-        if node is None or node.subtree_size == 0:
-            return
-        if node.bbox_lo is not None:
-            # No live point in this subtree can beat the incumbent if even
-            # the box's closest face is already at least as far away.
-            box_dist = 0.0
-            for d in range(self.dimensions):
-                gap = max(node.bbox_lo[d] - point[d], 0.0, point[d] - node.bbox_hi[d])
-                box_dist += gap * gap
-            if box_dist >= best[1]:
-                return
-        if not node.deleted:
-            dist_sq = sum((a - b) ** 2 for a, b in zip(node.point, point))
-            if dist_sq < best[1]:
-                best[0], best[1] = node.payload, dist_sq
-        axis = node.axis
-        diff = point[axis] - node.point[axis]
-        near, far = (node.left, node.right) if diff < 0 else (node.right, node.left)
-        self._nearest_recursive(near, point, best)
-        if diff * diff < best[1]:
-            self._nearest_recursive(far, point, best)
-
-    def items(self) -> list[tuple[tuple[float, ...], T]]:
-        """All live ``(coordinates, payload)`` pairs (no particular order)."""
-        out: list[tuple[tuple[float, ...], T]] = []
-
-        def visit(node: _Node[T] | None) -> None:
-            if node is None:
-                return
-            if not node.deleted:
-                out.append((node.point, node.payload))
-            visit(node.left)
-            visit(node.right)
-
-        visit(self._root)
-        return out
 
 
 def _live_size(node: _Node | None) -> int:

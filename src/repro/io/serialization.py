@@ -23,6 +23,7 @@ import os
 import tempfile
 from pathlib import Path
 
+from repro.errors import ValidationError
 from repro.evaluation.compare import Comparison
 from repro.model import OSPInstance, StencilPlan
 
@@ -93,8 +94,16 @@ def save_instance(instance: OSPInstance, path: str | Path) -> Path:
 
 
 def load_instance(path: str | Path) -> OSPInstance:
-    """Read an instance previously written by :func:`save_instance`."""
-    return instance_from_json(Path(path).read_text())
+    """Read an instance previously written by :func:`save_instance`.
+
+    A file that cannot be read raises :class:`OSError`; content that is not
+    an instance (not JSON, or missing or mistyped fields) raises
+    :class:`~repro.errors.ValidationError`.
+    """
+    try:
+        return instance_from_json(Path(path).read_text())
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"not an instance ({type(exc).__name__}: {exc})") from exc
 
 
 def save_plan(plan: StencilPlan, path: str | Path) -> Path:

@@ -51,6 +51,7 @@ import secrets
 import socket as socketlib
 import threading
 import time
+import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -436,18 +437,29 @@ class PlanServer:
             await loop.run_in_executor(None, self._scheduler.close)
         if self._relay is not None:
             await loop.run_in_executor(None, self._relay.close)
+        # A failed prune or snapshot costs that artefact, not the drain.
         if self._store is not None and self.config.prune_bytes is not None:
             try:
                 self._store.prune(self.config.prune_bytes)
-            except Exception:  # noqa: BLE001 — pruning must never fail shutdown
-                pass
+            except OSError as exc:
+                warnings.warn(
+                    f"serve drain: could not prune the result store {self._store.root} "
+                    f"({type(exc).__name__}: {exc})",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
         if self.config.metrics_out:
             from repro.obs.export import write_snapshot
 
             try:
                 write_snapshot(registry.snapshot(), self.config.metrics_out)
-            except Exception:  # noqa: BLE001
-                pass
+            except OSError as exc:
+                warnings.warn(
+                    f"serve drain: could not write the metrics snapshot to "
+                    f"{self.config.metrics_out} ({type(exc).__name__}: {exc})",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
         for conn in list(self._connections.values()):
             conn.close()
         self._connections.clear()

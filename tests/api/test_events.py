@@ -84,6 +84,10 @@ class TestPlannerInstrumentation:
 
     def test_both_engines_emit_temperature_steps(self, small_2d_instance):
         """The planner's engine and the copy-engine oracle share the protocol."""
+        from types import SimpleNamespace
+
+        import numpy as np
+
         from repro.events import emitting
         from repro.floorplan import Block, FixedOutlinePacker
         from tests.oracles.annealing import CopyEngine
@@ -91,7 +95,11 @@ class TestPlannerInstrumentation:
         result = plan(small_2d_instance, planner="sa-2d")
         assert result.event_counts().get("temperature", 0) >= 1
         blocks = {f"b{i}": Block(f"b{i}", 20 + 3 * i, 24, 2, 2, 2, 2) for i in range(6)}
-        packer = FixedOutlinePacker(60, 60, blocks, writing_time_of=lambda s: 99.0 - len(s))
+        model = SimpleNamespace(  # writing time 99 less one per inside block
+            vsb_times_array=lambda: np.array([99.0]),
+            reduction_rows=lambda names: np.ones((len(names), 1)),
+        )
+        packer = FixedOutlinePacker(60, 60, blocks, model)
         seen = []
         with emitting(seen.append):
             CopyEngine(packer).pack(seed=1)

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.core.twodim import clustering
 from repro.core.twodim.clustering import (
     CharacterCluster,
     ClusteringConfig,
     cluster_characters,
 )
 from repro.model import Character
+from tests.oracles.clustering import ScanIndex
 
 
 def char(name, width=40, height=40, blanks=5.0, repeats=(2.0,)):
@@ -69,14 +71,20 @@ class TestClustering:
         assert len(clusters) == 2
         assert all(c.size == 1 for c in clusters)
 
-    def test_kdtree_and_scan_agree_on_cluster_count(self):
+    def test_kdtree_and_scan_agree_on_cluster_count(self, monkeypatch):
+        """The KD-tree range query finds the clusters the O(n^2) scan finds."""
         chars = [char(f"c{i}", width=40 + (i % 3), height=40 + (i % 2)) for i in range(12)]
         profits = [10.0 + (i % 3) for i in range(12)]
-        with_tree = cluster_characters(chars, profits, ClusteringConfig(use_kdtree=True))
-        without_tree = cluster_characters(chars, profits, ClusteringConfig(use_kdtree=False))
+        with_tree = cluster_characters(chars, profits)
+        monkeypatch.setattr(clustering, "KDTree", ScanIndex)
+        without_tree = cluster_characters(chars, profits)
         assert sum(c.size for c in with_tree) == 12
         assert sum(c.size for c in without_tree) == 12
         assert len(with_tree) == len(without_tree)
+        assert len(with_tree) < 12  # the instance does merge
+        assert [
+            (c.name, [m.name for m in c.members]) for c in with_tree
+        ] == [(c.name, [m.name for m in c.members]) for c in without_tree]
 
     def test_every_member_appears_exactly_once(self, small_2d_instance):
         inst = small_2d_instance

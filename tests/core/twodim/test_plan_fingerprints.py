@@ -8,6 +8,12 @@ character placements, and how many clusters were annealed.  The instances
 straddle ``IncrementalPacker._FUSED_LIMIT``: sixteen tiny 2T instances
 (6-12 characters) and the 2D-4 and 2M-4 cells at scale 0.06 anneal no
 more clusters than the limit, the 2M-8 cell at 0.06 more (51).
+
+``GOLDEN_SA`` pins the plain [24] annealer (``sa-2d``: no pre-filter, no
+clustering, one block per character) the same way.  Its 2D-4 cell at 0.06
+anneals 60 blocks on the support walk, and its 2M-5 cell at 0.035 anneals
+140, so predecessor rows past ``IncrementalPacker._PY_ROW_LIMIT`` go
+through ``_LongRows``.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import json
 
 import pytest
 
-from repro.core.twodim import EBlow2DPlanner
+from repro.core.twodim import EBlow2DConfig, EBlow2DPlanner
 from repro.workloads import build_instance, generate_tiny_2d_instance
 
 KINDS = ("swap_both", "swap_negative", "swap_positive")
@@ -104,14 +110,35 @@ GOLDEN = {
     ),
 }
 
+# (name, scale) -> the same fingerprint, for the plain [24] annealer (tiny
+# 2T instances have no scale).
+GOLDEN_SA = {
+    ("2T-n10-s1", None): (
+        66.0, 624, 255, ((202, 162, 38), (214, 42, 6), (208, 51, 13)),
+        "a64800d167646057", 10,
+    ),
+    ("2T-n12-s1", None): (
+        235.0, 624, 234, ((190, 106, 40), (209, 48, 14), (225, 80, 20)),
+        "f2789f9809dfbc2c", 12,
+    ),
+    ("2D-4", 0.06): (
+        37887.0, 3042, 2342, ((973, 795, 272), (1051, 773, 306), (1018, 774, 317)),
+        "b89b4702dc9132fe", 60,
+    ),
+    ("2M-5", 0.035): (
+        34698.0, 7098, 4894, ((2395, 1718, 573), (2329, 1509, 587), (2374, 1667, 581)),
+        "4d3942921888f98d", 140,
+    ),
+}
 
-def _instance(name: str):
+
+def _instance(name: str, scale: float | None = 0.06):
     if name.startswith("2T-"):
         size, seed = name.split("-")[1:]  # "2T-n6-s1": 6 characters, seed 1
         return generate_tiny_2d_instance(
             num_characters=int(size[1:]), seed=int(seed[1:]), stencil_size=120.0, name=name
         )
-    return build_instance(name, 0.06)
+    return build_instance(name, scale)
 
 
 def placement_digest(plan) -> str:
@@ -124,12 +151,10 @@ def placement_digest(plan) -> str:
     return hashlib.sha256(json.dumps(placements).encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("name", list(GOLDEN))
-def test_plan_matches_its_fingerprint(name):
-    plan = EBlow2DPlanner().plan(_instance(name))
+def fingerprint(plan) -> tuple:
     stats = plan.stats
     assert tuple(stats["move_acceptance"]) == KINDS
-    fingerprint = (
+    return (
         stats["writing_time"],
         stats["annealing_moves"],
         stats["annealing_accepted"],
@@ -137,4 +162,18 @@ def test_plan_matches_its_fingerprint(name):
         placement_digest(plan),
         stats["num_clusters"],
     )
-    assert fingerprint == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_plan_matches_its_fingerprint(name):
+    plan = EBlow2DPlanner().plan(_instance(name))
+    assert fingerprint(plan) == GOLDEN[name]
+
+
+@pytest.mark.parametrize(
+    "name, scale", list(GOLDEN_SA), ids=[n if s is None else f"{n}@{s}" for n, s in GOLDEN_SA]
+)
+def test_sa_2d_plan_matches_its_fingerprint(name, scale):
+    config = EBlow2DConfig(use_prefilter=False, use_clustering=False)
+    plan = EBlow2DPlanner(config).plan(_instance(name, scale))
+    assert fingerprint(plan) == GOLDEN_SA[(name, scale)]

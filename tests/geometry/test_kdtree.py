@@ -67,7 +67,7 @@ class TestRangeSearch:
             tree.query_range([0.0], [1.0])
 
 
-class TestDeletionAndNearest:
+class TestDeletion:
     def test_lazy_deletion(self):
         points = [((float(i), float(i)), i) for i in range(20)]
         tree = KDTree.build(points)
@@ -79,25 +79,6 @@ class TestDeletionAndNearest:
         assert 6 in tree
         result = tree.query_range([0, 0], [30, 30])
         assert 5 not in result and len(result) == 19
-
-    def test_nearest(self):
-        points = [((float(i), 0.0), i) for i in range(10)]
-        tree = KDTree.build(points)
-        payload, dist = tree.nearest((3.2, 0.0))
-        assert payload == 3
-        assert dist == pytest.approx(0.2)
-        tree.remove(3)
-        payload, _ = tree.nearest((3.2, 0.0))
-        assert payload == 4  # falls back to next closest live point
-
-    def test_nearest_on_empty(self):
-        tree = KDTree(2)
-        assert tree.nearest((0, 0)) is None
-
-    def test_items_lists_live_points(self):
-        tree = KDTree.build([((1.0, 1.0), "a"), ((2.0, 2.0), "b")])
-        tree.remove("a")
-        assert [p for _, p in tree.items()] == ["b"]
 
 
 class TestBoundingBoxPruning:
@@ -173,22 +154,3 @@ class TestBoundingBoxPruning:
         assert tree.query_range([50, 50], [60, 60]) == []
         # One call on the root, pruned immediately by its bounding box.
         assert visits["n"] == 1
-
-    def test_nearest_unaffected_by_pruning(self):
-        rng = random.Random(13)
-        points = [((rng.uniform(0, 20), rng.uniform(0, 20)), i) for i in range(150)]
-        tree = KDTree.build(points)
-        removed = set(rng.sample(range(150), 70))
-        for payload in removed:
-            tree.remove(payload)
-        for _ in range(40):
-            q = (rng.uniform(-5, 25), rng.uniform(-5, 25))
-            got_payload, got_dist = tree.nearest(q)
-            best = min(
-                (
-                    ((c[0] - q[0]) ** 2 + (c[1] - q[1]) ** 2, p)
-                    for c, p in points
-                    if p not in removed
-                ),
-            )
-            assert got_dist**2 == pytest.approx(best[0])

@@ -10,8 +10,14 @@ references it is checked against live here, imported as ``tests.oracles``
 * :mod:`tests.oracles.branch_and_bound` — LP-based branch & bound (vs.
   HiGHS ``milp``),
 * :mod:`tests.oracles.annealing` — the copy-based annealing engine, its
-  proposal ``random_neighbor`` and its fixed-outline cost path (vs. the
-  mutate/undo engine: bit-identical trajectories),
+  proposal ``random_neighbor`` over the three sequence-pair swaps, and its
+  fixed-outline cost path with the full re-score (vs. the mutate/undo
+  engine: bit-identical trajectories),
+* :mod:`tests.oracles.packing` — the batch NumPy sequence-pair packer
+  ``PackingContext`` (vs. the incremental packer: bit-identical
+  coordinates),
+* :mod:`tests.oracles.clustering` — the O(n^2) scan ``ScanIndex`` (vs. the
+  KD-tree range query: identical clusters),
 * :mod:`tests.oracles.matching` — the pure-Python Hungarian algorithm and
   SciPy's assignment solver (vs. the NumPy Hungarian),
 * :mod:`tests.oracles.kernels` — loop-based profits and region writing times

@@ -1,10 +1,15 @@
 """The copy-based annealing engine: the reference oracle of the 2D annealer.
 
 :func:`simulated_annealing` materialises a fresh candidate state per move
-(``neighbor(current, rng)``) and drops rejected ones.  :class:`CopyEngine`
-drives it over a :class:`~repro.floorplan.FixedOutlinePacker`'s blocks,
-re-packing every candidate from scratch (``PackingContext.pack_arrays``) and
-scoring it through the delta-cost protocol against cached region times.
+(``neighbor(current, rng)``) and drops rejected ones.  Its proposal,
+:func:`random_neighbor`, draws one of the three swap moves of [24]
+(:func:`swap_positive`, :func:`swap_negative`, :func:`swap_both`), each of
+which returns a new :class:`~repro.floorplan.SequencePair`.
+:class:`CopyEngine` drives it over a
+:class:`~repro.floorplan.FixedOutlinePacker`'s blocks, re-packing every
+candidate from scratch (the batch packer of ``tests/oracles/packing.py``)
+and scoring it through the delta-cost protocol against cached region times,
+or, with ``delta=False``, re-scoring it in full.
 
 The planner runs the mutate/undo engine
 (:func:`repro.floorplan.simulated_annealing_in_place`).  It walks the same
@@ -31,11 +36,44 @@ from repro.floorplan import (
     SequencePair,
     pack_sequence_pair,
 )
-from repro.floorplan.annealing import _TraceSampler
+from tests.oracles.packing import PackingContext
 
-__all__ = ["CopyEngine", "random_neighbor", "simulated_annealing"]
+__all__ = [
+    "CopyEngine",
+    "random_neighbor",
+    "simulated_annealing",
+    "swap_both",
+    "swap_negative",
+    "swap_positive",
+]
 
 S = TypeVar("S")
+
+
+def swap_positive(pair: SequencePair, i: int, j: int) -> SequencePair:
+    """Swap two positions in Gamma+ only."""
+    positive = list(pair.positive)
+    positive[i], positive[j] = positive[j], positive[i]
+    return SequencePair(positive=tuple(positive), negative=pair.negative)
+
+
+def swap_negative(pair: SequencePair, i: int, j: int) -> SequencePair:
+    """Swap two positions in Gamma- only."""
+    negative = list(pair.negative)
+    negative[i], negative[j] = negative[j], negative[i]
+    return SequencePair(positive=pair.positive, negative=tuple(negative))
+
+
+def swap_both(pair: SequencePair, a: str, b: str) -> SequencePair:
+    """Swap two blocks in both sequences (exchanges their roles entirely)."""
+
+    def swapped(seq: tuple[str, ...]) -> tuple[str, ...]:
+        out = list(seq)
+        ia, ib = out.index(a), out.index(b)
+        out[ia], out[ib] = out[ib], out[ia]
+        return tuple(out)
+
+    return SequencePair(positive=swapped(pair.positive), negative=swapped(pair.negative))
 
 
 def random_neighbor(pair: SequencePair, rng: random.Random) -> SequencePair:
@@ -49,10 +87,10 @@ def random_neighbor(pair: SequencePair, rng: random.Random) -> SequencePair:
     move = rng.randrange(3)
     i, j = rng.sample(range(pair.size), 2)
     if move == 0:
-        return pair.swap_positive(i, j)
+        return swap_positive(pair, i, j)
     if move == 1:
-        return pair.swap_negative(i, j)
-    return pair.swap_both(pair.positive[i], pair.positive[j])
+        return swap_negative(pair, i, j)
+    return swap_both(pair, pair.positive[i], pair.positive[j])
 
 
 def simulated_annealing(
@@ -87,7 +125,7 @@ def simulated_annealing(
 
     moves = 0
     accepted = 0
-    sampler = _TraceSampler(current_cost, schedule.trace_stride)
+    trace = [current_cost]
 
     for temperature in schedule.temperatures():
         effective_t = temperature * scale
@@ -109,7 +147,7 @@ def simulated_annealing(
                     best = current
                     best_cost = current_cost
                     emit("incumbent", cost=best_cost, moves=moves)
-        sampler.step(current_cost)
+        trace.append(current_cost)
         emit("temperature", temperature=temperature, cost=current_cost, moves=moves)
         if moves >= schedule.max_total_moves:
             break
@@ -118,7 +156,7 @@ def simulated_annealing(
         best_cost=best_cost,
         moves=moves,
         accepted=accepted,
-        cost_trace=sampler.finish(current_cost),
+        cost_trace=trace,
     )
 
 
@@ -135,7 +173,7 @@ class CopyEngine:
 
     def __init__(self, packer: FixedOutlinePacker) -> None:
         self.packer = packer
-        self._context = packer._context
+        self._context = PackingContext(packer.blocks)
         self._model_reductions = packer._model_reductions
         self._model_vsb = packer._model_vsb
         self._reset_delta_cache()
@@ -169,20 +207,12 @@ class CopyEngine:
         return self.packer._penalized_dims(writing_time, packed_width, packed_height)
 
     def cost_of(self, pair: SequencePair) -> float:
-        """Cost of a sequence pair: writing time + small out-of-outline penalty."""
-        context = self._context
-        if context is None:
-            return self.packer.writing_time_of(set())
-        x, y = context.pack_arrays(pair)
+        """Cost of a sequence pair, re-scored in full: writing time + penalty."""
+        x, y = self._context.pack_arrays(pair)
         inside_mask = self._inside_mask(x, y)
-        if self._model_reductions is not None:
-            times = self._model_vsb - self._model_reductions[inside_mask].sum(axis=0)
-            writing_time = float(times.max())
-            self._remember_last(pair, inside_mask, times)
-        else:
-            inside = {context.names[i] for i in np.nonzero(inside_mask)[0]}
-            writing_time = self.packer.writing_time_of(inside)
-        return self._penalized(writing_time, x, y)
+        times = self._model_vsb - self._model_reductions[inside_mask].sum(axis=0)
+        self._remember_last(pair, inside_mask, times)
+        return self._penalized(float(times.max()), x, y)
 
     def _remember_last(
         self, pair: SequencePair, mask: np.ndarray, times: np.ndarray
@@ -238,21 +268,25 @@ class CopyEngine:
         schedule: AnnealingSchedule | None = None,
         seed: int = 0,
         initial: SequencePair | None = None,
+        delta: bool = True,
     ) -> FixedOutlineResult:
-        """Anneal with the copy engine; same contract as ``FixedOutlinePacker.pack``."""
+        """Anneal with the copy engine; same contract as ``FixedOutlinePacker.pack``.
+
+        ``delta=False`` scores every candidate with the full re-score
+        ``cost_of`` instead of the delta-cost protocol.
+        """
         self._reset_delta_cache()
         packer = self.packer
         rng = random.Random(seed)
         if initial is None:
             initial = SequencePair.initial(sorted(packer.blocks), rng)
-        use_delta = self._model_reductions is not None
         result = simulated_annealing(
             initial_state=initial,
             cost=self.cost_of,
             neighbor=random_neighbor,
             schedule=schedule,
             rng=rng,
-            delta_cost=self.delta_cost if use_delta else None,
+            delta_cost=self.delta_cost if delta else None,
         )
         packing = pack_sequence_pair(result.best_state, packer.blocks)
         return FixedOutlineResult(

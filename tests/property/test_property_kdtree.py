@@ -46,21 +46,6 @@ def test_deletion_removes_exactly_the_deleted_points(points, data):
     assert sorted(everything) == sorted(live)
 
 
-@given(points=st.lists(coordinates, min_size=1, max_size=40, unique=True))
-@settings(max_examples=40, deadline=None)
-def test_nearest_matches_linear_scan(points):
-    tree = KDTree.build([(p, i) for i, p in enumerate(points)])
-    target = (0.0, 0.0, 0.0)
-    payload, distance = tree.nearest(target)
-
-    def dist(p):
-        return sum((a - b) ** 2 for a, b in zip(p, target)) ** 0.5
-
-    best = min(range(len(points)), key=lambda i: dist(points[i]))
-    assert distance == min(dist(p) for p in points)
-    assert dist(points[payload]) == dist(points[best])
-
-
 @given(points=point_sets)
 @settings(max_examples=30, deadline=None)
 def test_incremental_insert_equals_batch_build(points):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.floorplan import Block, SequencePair, pack_sequence_pair
-from repro.floorplan.packing import PackingContext
+from tests.oracles.packing import PackingContext
 
 
 @st.composite

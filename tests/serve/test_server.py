@@ -13,6 +13,7 @@ import json
 import socket as socketlib
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 
 import pytest
@@ -377,3 +378,42 @@ class TestListening:
             assert not dialer.is_alive()
             assert refused == []
             assert not path.exists()
+
+
+class TestDrainFailures:
+    """A drain that cannot prune or write its snapshot warns once and exits."""
+
+    @staticmethod
+    def _drain_warnings(tmp_path, mentioning, **overrides):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with serving(tmp_path, **overrides) as handle:
+                pass
+        assert not handle.thread.is_alive()
+        return [
+            w for w in caught
+            if issubclass(w.category, RuntimeWarning) and mentioning in str(w.message)
+        ]
+
+    def test_unwritable_metrics_snapshot_warns_once(self, tmp_path):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        target = blocker / "metrics.json"
+        caught = self._drain_warnings(
+            tmp_path, str(target), cache=False, metrics_out=str(target)
+        )
+        assert len(caught) == 1
+        # The warning names the cause: mkdir of the parent fails.
+        assert "Error: " in str(caught[0].message)
+        assert not target.exists()
+
+    def test_failed_prune_warns_once(self, tmp_path, monkeypatch):
+        from repro.runtime.store import ResultStore
+
+        def refuse(self, max_bytes, all_versions=True):
+            raise PermissionError(13, "Permission denied", str(self.root))
+
+        monkeypatch.setattr(ResultStore, "prune", refuse)
+        caught = self._drain_warnings(tmp_path, str(tmp_path / "cache"), prune_bytes=1024)
+        assert len(caught) == 1
+        assert "PermissionError" in str(caught[0].message)

@@ -309,3 +309,19 @@ def test_plan_events_out_written_on_failure(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     lines = [json.loads(line) for line in events_path.read_text().splitlines()]
     assert {record["type"] for record in lines} >= {"started", "finished"}
+
+
+@pytest.mark.parametrize("content", ["missing", "malformed"])
+@pytest.mark.parametrize("verb", ["plan", "portfolio", "submit"])
+def test_unreadable_instance_exits_2(verb, content, tmp_path, capsys):
+    """A missing file or a JSON file that is not an instance is a usage error."""
+    path = tmp_path / "instance.json"
+    if content == "malformed":
+        path.write_text(json.dumps({"x": 1}))
+    argv = [verb, "--instance", str(path)]
+    if verb == "submit":
+        argv += ["--socket", str(tmp_path / "no-daemon.sock")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{verb}: cannot read instance {path}: ")
+    assert ("No such file" in err) if content == "missing" else ("not an instance" in err)
