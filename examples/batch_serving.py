@@ -19,9 +19,9 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-import repro
 from repro.runtime import (
     LocalScheduler,
+    PlannerPool,
     PlannerSpec,
     ResultStore,
     Telemetry,
@@ -42,7 +42,7 @@ def main() -> None:
     }
     jobs = grid_jobs(["1T-1", "1T-2", "1T-3", "1T-4", "1T-5"], planners, scale=1.0)
 
-    with repro.planner_pool(max_workers=2) as pool:
+    with PlannerPool(max_workers=2) as pool:
         warm = LocalScheduler(pool=pool)
         print(f"cold batch: {len(jobs)} jobs on 2 workers")
         for result in run_jobs(jobs, scheduler=warm, store=store, telemetry=telemetry):

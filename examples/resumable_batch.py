@@ -25,10 +25,10 @@ from repro.runtime import (
     FaultPlan,
     FaultSpec,
     JobJournal,
+    LeasePolicy,
     LocalScheduler,
     PlannerSpec,
     ResultStore,
-    SupervisorConfig,
     grid_jobs,
     iter_jobs,
     run_jobs,
@@ -74,7 +74,7 @@ def main() -> None:
         specs=(FaultSpec(kind="kill_worker", match="1T-2", once=True, seconds=0.1),),
         scratch=str(scratch),
     )
-    config = SupervisorConfig(heartbeat_interval=0.1, backoff_base=0.05)
+    config = LeasePolicy(heartbeat_interval=0.1, backoff_base=0.05)
     with faults.injecting(plan):
         chaotic = run_jobs(
             jobs, scheduler=LocalScheduler(max_workers=2, supervisor=config)

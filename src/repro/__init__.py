@@ -50,7 +50,6 @@ __all__ = [
     "generate_2d_instance",
     # The unified planning API (see repro.api for the full surface).
     "plan",
-    "planner_pool",
     "PlanRequest",
     "PlanResult",
     "PlanEvent",
@@ -67,7 +66,6 @@ _LAZY_ATTRS = {
     "generate_1d_instance": ("repro.workloads.generator", "generate_1d_instance"),
     "generate_2d_instance": ("repro.workloads.generator", "generate_2d_instance"),
     "plan": ("repro.api", "plan"),
-    "planner_pool": ("repro.api", "planner_pool"),
     "PlanRequest": ("repro.api", "PlanRequest"),
     "PlanResult": ("repro.api", "PlanResult"),
     "PlanEvent": ("repro.api", "PlanEvent"),

@@ -19,7 +19,7 @@ One façade, one typed lifecycle, one event protocol:
 True
 """
 
-from repro.api.facade import plan, planner_pool, submit
+from repro.api.facade import plan, submit
 from repro.api.lifecycle import PlanningError, PlanRequest, PlanResult
 from repro.api.registry import (
     OptionField,
@@ -44,7 +44,6 @@ __all__ = [
     # façade
     "plan",
     "submit",
-    "planner_pool",
     # lifecycle
     "PlanRequest",
     "PlanResult",

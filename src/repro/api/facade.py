@@ -23,34 +23,7 @@ from repro.api.lifecycle import PlanningError, PlanRequest, PlanResult
 from repro.errors import ValidationError
 from repro.events import EventSink, PlanEvent, emitting, guarded_sink
 
-__all__ = ["plan", "submit", "planner_pool"]
-
-
-def planner_pool(max_workers: int, chunksize: int | None = None):
-    """A warm worker pool for serving many plans without per-batch spawn.
-
-    The returned :class:`~repro.runtime.pool.PlannerPool` keeps its worker
-    processes — and their per-instance caches — alive across successive
-    batches (``run_jobs(..., scheduler=LocalScheduler(pool=pool))``) and
-    :func:`repro.runtime.run_portfolio` calls (``pool=pool``).  Inline
-    instances ship through the pool's shared-memory arena exactly once, and
-    jobs cross the process boundary as thin descriptors in chunks of
-    ``chunksize``.  The pool runs each job once; retrying belongs to a
-    supervised scheduler (``LocalScheduler(pool=pool, supervisor=...)``).
-    Use as a context manager (or call ``close()``) so workers and arena
-    segments are reclaimed::
-
-        import repro
-        from repro.runtime import LocalScheduler, grid_jobs, run_jobs
-
-        with repro.planner_pool(max_workers=4) as pool:
-            warm = LocalScheduler(pool=pool)
-            first = run_jobs(grid_jobs(["1M-1", "1M-2"], {"e": "eblow-1d"}), scheduler=warm)
-            again = run_jobs(grid_jobs(["1M-1"], {"g": "greedy-1d"}), scheduler=warm)
-    """
-    from repro.runtime.pool import PlannerPool
-
-    return PlannerPool(max_workers=max_workers, chunksize=chunksize)
+__all__ = ["plan", "submit"]
 
 
 def plan(

@@ -130,14 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="planner to run on every case (repeatable; default: eblow)",
     )
     batch.add_argument("--jobs", type=int, default=1, help="worker processes (1 = in-process)")
-    batch.add_argument(
-        "--chunksize",
-        type=int,
-        default=None,
-        help="job descriptors per worker dispatch (default: sized to the "
-        "batch and worker counts; larger amortises IPC, smaller streams "
-        "results sooner)",
-    )
     batch.add_argument("--scale", type=float, default=None)
     batch.add_argument("--timeout", type=float, default=None, help="per-job wall-clock seconds")
     batch.add_argument(
@@ -628,9 +620,9 @@ def _graceful_drain(pool, what: str):
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.runtime import (
+        LeasePolicy,
         LocalScheduler,
         PlannerPool,
-        SupervisorConfig,
         Telemetry,
         grid_jobs,
         iter_jobs,
@@ -661,15 +653,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     broker_mode = args.broker is not None
     if broker_mode:
-        # The spool is the journal, resume is implicit, and a worker claims
-        # one job at a time: these flags would be silently ignored.
+        # The spool is the journal and resume is implicit: these flags
+        # would be silently ignored.
         clashing = [
             flag
             for flag, given in (
                 ("--supervise", args.supervise),
                 ("--journal", args.journal is not None),
                 ("--resume", args.resume),
-                ("--chunksize", args.chunksize is not None),
             )
             if given
         ]
@@ -706,7 +697,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                 store_dir=str(store.root) if store is not None else None, **attempts
             )
         else:
-            policy = SupervisorConfig(**attempts) if supervised else None
+            policy = LeasePolicy(**attempts) if supervised else None
     except ValidationError as exc:
         print(f"batch: --max-attempts: {exc}", file=sys.stderr)
         return 2
@@ -756,9 +747,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         drain = nullcontext({"flag": False})
     else:
         # One explicit warm pool for the whole invocation: workers (and their
-        # per-digest instance caches) persist across every chunk of the grid,
+        # per-digest instance caches) persist across every job of the grid,
         # and shutdown reclaims the arena segments deterministically.
-        pool = PlannerPool(max_workers=args.jobs, chunksize=args.chunksize)
+        pool = PlannerPool(max_workers=args.jobs)
         scheduler = LocalScheduler(
             pool=pool, supervisor=policy, journal=journal, resume=args.resume
         )
@@ -989,7 +980,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     try:
         snapshot = _load_metrics_source(args.source)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
+        print(f"stats: cannot read {args.source}: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"stats: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
@@ -1019,8 +1013,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 if isinstance(record, dict):
                     collector.add_event_dict(record)
     except OSError as exc:
-        print(f"trace: {exc}", file=sys.stderr)
-        return 1
+        print(f"trace: cannot read {args.source}: {exc}", file=sys.stderr)
+        return 2
     if not collector.spans():
         print(f"trace: no span events found in {args.source}", file=sys.stderr)
         return 1

@@ -528,7 +528,7 @@ class Broker:
         self._defer(job_id, delay, epoch=lease.epoch)
         self.ledger.append(
             "requeued", job_id, reason=result.status, error=error,
-            attempt=lease.epoch, delay=round(delay, 6), queue=self.queue,
+            attempt=lease.epoch, retry_in=round(delay, 6), queue=self.queue,
         )
         _DIST_JOBS.inc(op="requeued")
         self._drop_lease(job_id, lease.epoch)
@@ -607,6 +607,10 @@ class Broker:
                 summary["quarantined"] += 1
                 continue
             self._defer(job_id, delay)
+            self.ledger.append(
+                "requeued", job_id, reason="lease_expired", attempt=epoch,
+                retry_in=round(delay, 6), queue=self.queue,
+            )
             _DIST_JOBS.inc(op="requeued")
             try:
                 path.unlink()

@@ -8,8 +8,8 @@ This package turns the single-shot planners into a batch-serving engine:
   distinct instance's kernel arrays + canonical JSON cross the process
   boundary once, workers attach zero-copy read-only views,
 * :mod:`repro.runtime.pool`      — :class:`PlannerPool`, a warm process-pool
-  executor with chunked descriptor dispatch, per-job timeouts, and ordered
-  result streaming (:func:`shared_pool` for process-wide reuse),
+  executor that runs one job per future (``submit`` / ``collect``) with
+  per-job timeouts, and bounds its shared-memory arena around live futures,
 * :mod:`repro.runtime.relay`     — :class:`EventRelay`, the workers' plan
   events streamed to the parent over one Unix-socket connection per worker,
 * :mod:`repro.runtime.engine`    — store-aware batch orchestration
@@ -44,16 +44,10 @@ from repro.runtime.jobs import (
     register_planner,
     resolve_planner,
 )
-from repro.runtime.pool import (
-    EventRelay,
-    PlannerPool,
-    close_shared_pools,
-    default_workers,
-    shared_pool,
-)
+from repro.runtime.pool import EventRelay, PlannerPool, default_workers
 from repro.runtime.portfolio import PortfolioOutcome, portfolio_jobs, run_portfolio
 from repro.runtime.store import ResultStore, code_version, default_cache_dir
-from repro.runtime.supervision import JobJournal, JobLease, LeasePolicy, SupervisorConfig
+from repro.runtime.supervision import JobJournal, JobLease, LeasePolicy
 from repro.runtime.telemetry import Telemetry, read_manifest, summarize_manifest
 
 __all__ = [
@@ -73,8 +67,6 @@ __all__ = [
     "PlannerPool",
     "EventRelay",
     "default_workers",
-    "shared_pool",
-    "close_shared_pools",
     "Scheduler",
     "LocalScheduler",
     "grid_jobs",
@@ -92,7 +84,6 @@ __all__ = [
     "JobJournal",
     "JobLease",
     "LeasePolicy",
-    "SupervisorConfig",
     "FaultPlan",
     "FaultSpec",
     "InjectedFaultError",

@@ -102,8 +102,8 @@ class InstanceArena:
     ``export`` is idempotent per digest: a grid with many planner columns
     ships each instance's bulk data at most once.  Segments live until
     :meth:`close` (pool shutdown), so a warm pool reused across batches keeps
-    its exports hot — bounded by ``capacity``: between batches the pool
-    calls :meth:`trim` to evict the oldest segments beyond it (a long-lived
+    its exports hot — bounded by ``capacity``: every pool submit calls
+    :meth:`trim` to evict the oldest segments beyond it (a long-lived
     serving pool over a stream of distinct instances must not grow
     ``/dev/shm`` without bound).  Eviction is FIFO and never touches
     digests the caller marks as in flight.
@@ -209,9 +209,9 @@ class InstanceArena:
     def trim(self, keep: "set[str] | frozenset[str]" = frozenset()) -> int:
         """Evict oldest segments beyond :attr:`capacity`; never evicts ``keep``.
 
-        Call between batches (no descriptor referencing an evicted digest
-        may still be in flight).  A re-export after eviction simply creates
-        a fresh segment.  Returns the number of segments released.
+        ``keep`` must name every digest a descriptor still in flight refers
+        to.  A re-export after eviction simply creates a fresh segment.
+        Returns the number of segments released.
         """
         released = 0
         if len(self._segments) <= self.capacity:

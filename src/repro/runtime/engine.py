@@ -17,13 +17,13 @@ from __future__ import annotations
 import os
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.events import PlanEvent
+from repro.events import PlanEvent, guarded_sink
 from repro.model import OSPInstance
 from repro.obs.tracing import span
-from repro.runtime.jobs import JobResult, PlanJob, PlannerSpec
-from repro.runtime.pool import EventRelay, PlannerPool
+from repro.runtime.jobs import JobResult, PlanJob, PlannerSpec, execute_job
+from repro.runtime.pool import EventRelay, PlannerPool, inline_sink
 from repro.runtime.store import ResultStore
-from repro.runtime.supervision import JobJournal, SupervisorConfig, _Supervisor
+from repro.runtime.supervision import JobJournal, LeasePolicy, _Supervisor
 from repro.runtime.telemetry import Telemetry
 
 __all__ = ["Scheduler", "LocalScheduler", "grid_jobs", "iter_jobs", "run_jobs"]
@@ -107,7 +107,7 @@ class LocalScheduler(Scheduler):
     ``max_attempts``, inline fallback when the pool keeps breaking.
     ``journal`` (a path or :class:`JobJournal`) records every lease
     transition, and ``resume=True`` replays it so only unfinished jobs run
-    again; a journal implies the default :class:`SupervisorConfig`.
+    again; a journal implies the default :class:`LeasePolicy`.
     """
 
     def __init__(
@@ -115,14 +115,14 @@ class LocalScheduler(Scheduler):
         max_workers: int = 1,
         *,
         pool: PlannerPool | None = None,
-        supervisor: SupervisorConfig | None = None,
+        supervisor: LeasePolicy | None = None,
         journal: JobJournal | str | os.PathLike | None = None,
         resume: bool = False,
     ) -> None:
         if resume and journal is None:
             raise ValueError("resume=True needs journal= (the run's journal path)")
         if supervisor is None and journal is not None:
-            supervisor = SupervisorConfig()
+            supervisor = LeasePolicy()
         self.max_workers = max(1, int(max_workers))
         self.pool = pool
         self.supervisor = supervisor
@@ -160,10 +160,12 @@ class LocalScheduler(Scheduler):
         telemetry: Telemetry | None,
         on_event: Callable[[PlanEvent], None] | None,
     ) -> Iterator[JobResult]:
-        """Store probe → ``pool.imap`` → persist → telemetry, in order.
+        """Store probe → dispatch → persist → telemetry, in submission order.
 
-        Fresh results are persisted before they are yielded, so a consumer
-        that stops early still leaves a warm cache behind.
+        An inline pool runs each miss in this process; otherwise every miss
+        is submitted at once and collected in order, one ``dispatch`` span
+        per job.  Fresh results are persisted before they are yielded, so a
+        consumer that stops early still leaves a warm cache behind.
         """
         hits: dict[int, JobResult] = {}
         misses: list[tuple[int, PlanJob]] = []
@@ -180,24 +182,29 @@ class LocalScheduler(Scheduler):
         pool = self.pool
         if pool is None:
             pool = PlannerPool(min(self.max_workers, max(1, len(misses))))
+        # Inline, a raising on_event is warned about and dropped once per
+        # batch, as the relay does for worker processes.
+        sink = guarded_sink(on_event) if pool.inline else None
         relay: EventRelay | None = None
-        if on_event is not None and not pool.inline and misses:
-            relay = EventRelay(on_event)
+        futures = iter(())
         try:
-            miss_results = (
-                pool.imap(
+            if misses and not pool.inline:
+                if on_event is not None:
+                    relay = EventRelay(on_event)
+                futures = iter(pool.submit(
                     [job for _, job in misses],
                     event_queue=relay.queue if relay is not None else None,
-                    on_event=on_event if pool.inline else None,
-                )
-                if misses
-                else iter(())
-            )
+                ))
             for index, job in enumerate(jobs):
                 if index in hits:
                     result = hits[index]
                 else:
-                    result = next(miss_results)
+                    if pool.inline:
+                        result = execute_job(job, on_event=inline_sink(job, sink))
+                        pool._note(result, "inline")
+                    else:
+                        with span("dispatch", jobs=1, job_ids=[job.job_id]):
+                            result = pool.collect(job, next(futures))
                     if store is not None:
                         store.put(job, result)
                 if telemetry is not None:

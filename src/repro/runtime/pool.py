@@ -9,14 +9,17 @@ with the policies a batch planner needs:
   :class:`~repro.runtime.arena.InstanceArena` and attached by workers as
   read-only views, so a grid ships each instance's bulk data at most once
   instead of once per job,
-* **chunked submission** — descriptors are submitted in chunks sized to the
-  worker count (one IPC round-trip amortised over several jobs) while
-  results still stream back in submission order,
-* **warm workers** — the executor persists across :meth:`run` /
-  :meth:`imap` calls until :meth:`shutdown`; workers memoise resolved
-  instances and their kernel caches by digest, so repeated planners over
-  the same case skip deserialization entirely.  Process-wide reuse is one
-  :func:`shared_pool` call away,
+* **one future per job** — :meth:`~PlannerPool.submit` is the only way in
+  and :meth:`~PlannerPool.collect` the only way out; batches, the serve
+  daemon, the supervisor and the portfolio race all dispatch that way,
+* **bounded arena** — the pool records which arena segment each live
+  future needs, and every :meth:`~PlannerPool.submit` trims the arena to
+  its capacity around those digests, so a long-lived pool over a stream of
+  distinct instances never grows ``/dev/shm`` without bound,
+* **warm workers** — the executor persists across batches until
+  :meth:`~PlannerPool.shutdown`; workers memoise resolved instances and
+  their kernel caches by digest, so repeated planners over the same case
+  skip deserialization entirely,
 * **per-job timeouts** — enforced *inside* the worker via ``SIGALRM`` (see
   :func:`repro.runtime.jobs.execute_job`), so a runaway planner is
   interrupted in place and its worker process is immediately reusable; the
@@ -28,9 +31,10 @@ with the policies a batch planner needs:
   every worker, and unlinks every arena segment, leaving no orphaned
   processes or ``/dev/shm`` entries behind.
 
-``max_workers=1`` runs jobs inline in the calling process (no pool at all):
-that is the honest serial baseline the throughput benchmark compares
-against, and it keeps tiny batches free of process-spawn overhead.
+``max_workers=1`` marks an inline pool: schedulers run its jobs in the
+calling process (no worker at all).  That is the honest serial baseline the
+throughput benchmark compares against, and it keeps tiny batches free of
+process-spawn overhead.
 
 The pool only executes: each job runs once, a failed attempt comes back as a
 failed result, and re-running it is the supervisor's call.
@@ -38,24 +42,22 @@ failed result, and re-running it is the supervisor's call.
 
 from __future__ import annotations
 
-import atexit
 import os
 import signal
 import threading
 from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
-from repro.events import PlanEvent, guarded_sink
+from repro.events import PlanEvent
 from repro.obs import metrics as obs_metrics
-from repro.obs.tracing import span
 from repro.runtime import faults
 from repro.runtime.arena import InstanceArena
 from repro.runtime.jobs import JobDescriptor, JobResult, PlanJob, execute_job
 from repro.runtime.relay import EventRelay
 
-__all__ = ["PlannerPool", "EventRelay", "default_workers", "shared_pool", "close_shared_pools"]
+__all__ = ["PlannerPool", "EventRelay", "default_workers"]
 
 # Extra seconds the parent waits beyond a job's own timeout before declaring
 # it lost; the in-worker alarm should always fire first.
@@ -65,25 +67,11 @@ _WAIT_GRACE = 10.0
 #: SIGTERM → SIGKILL); see PlannerPool.cancel_running.
 CANCEL_GRACE = 0.5
 
-# Target number of chunks per worker when no explicit chunksize is given:
-# large enough to amortise IPC, small enough to keep ordered streaming and
-# work stealing responsive.
-_CHUNKS_PER_WORKER = 4
-_MAX_CHUNKSIZE = 16
-
 
 def default_workers(limit: int | None = None) -> int:
     """A sensible worker count: the CPU count, optionally capped."""
     count = os.cpu_count() or 1
     return max(1, min(count, limit) if limit else count)
-
-
-def auto_chunksize(num_jobs: int, workers: int) -> int:
-    """Chunk size used when the caller does not pin one."""
-    if num_jobs <= 0 or workers <= 0:
-        return 1
-    per_stream = -(-num_jobs // (workers * _CHUNKS_PER_WORKER))  # ceil div
-    return max(1, min(per_stream, _MAX_CHUNKSIZE))
 
 
 #: Pool-level metrics (see docs/OBSERVABILITY.md).  Declared as pre-bound
@@ -97,7 +85,7 @@ _POOL_DISPATCHES = obs_metrics.declare_counter(
     "pool_dispatches_total", "Futures submitted to worker processes"
 )
 _POOL_QUEUE_DEPTH = obs_metrics.declare_gauge(
-    "pool_queue_depth", "Jobs submitted to the current batch but not yet resolved"
+    "pool_queue_depth", "Jobs submitted to worker processes but not yet collected"
 )
 _POOL_WORKERS = obs_metrics.declare_gauge(
     "pool_workers", "Worker processes of the most recent pool run (1 = inline)"
@@ -213,9 +201,8 @@ def _execute_descriptor(
     try:
         job = desc.rebuild()
     except Exception as exc:  # noqa: BLE001 — e.g. arena segment gone after a
-        # concurrent pool teardown.  Report it as THIS job's failure: an
-        # exception escaping here would fail the whole chunk future and
-        # throw away the completed results of every sibling job.
+        # concurrent pool teardown.  Report it as THIS job's failure, with
+        # the job's own identity, instead of a bare exception on its future.
         return JobResult(
             job_id=desc.job_id,
             case=desc.case or "<inline>",
@@ -308,52 +295,28 @@ def _worker_init() -> None:
         pass
 
 
-def _pool_worker(
-    desc: JobDescriptor,
-    event_queue=None,
-    event_types=None,
-    collect_metrics=False,
-    heartbeat=None,
-) -> JobResult:
-    # Module-level so it pickles under every multiprocessing start method.
-    return _execute_descriptor(desc, event_queue, event_types, collect_metrics, heartbeat)
-
-
-def _pool_worker_chunk(
-    descs: Sequence[JobDescriptor],
-    event_queue=None,
-    event_types=None,
-    collect_metrics=False,
-) -> list[JobResult]:
-    return [
-        _execute_descriptor(desc, event_queue, event_types, collect_metrics)
-        for desc in descs
-    ]
-
-
 class PlannerPool:
     """Execute plan jobs across worker processes with timeouts.
 
     The pool is *warm*: its executor (and each worker's instance/kernel
-    cache) survives across :meth:`run` / :meth:`imap` calls until
-    :meth:`shutdown` — reuse one pool for a whole serving session instead of
-    paying process spawn and interpreter import per batch.
-
-    ``chunksize`` pins how many job descriptors ride in one worker dispatch
-    (default: sized from the batch and worker counts, see :meth:`imap`).
+    cache) survives across batches until :meth:`shutdown` — reuse one pool
+    for a whole serving session instead of paying process spawn and
+    interpreter import per batch.  :meth:`submit` may be called from
+    several threads at once.
     """
 
-    def __init__(
-        self,
-        max_workers: int = 1,
-        chunksize: int | None = None,
-    ) -> None:
+    def __init__(self, max_workers: int = 1) -> None:
         self.max_workers = max(1, int(max_workers))
-        self.chunksize = chunksize if chunksize is None else max(1, int(chunksize))
         #: Executor breakages seen over this pool's lifetime (worker deaths).
         self.break_count = 0
         self._executor: ProcessPoolExecutor | None = None
         self._arena: InstanceArena | None = None
+        # Every submitted future not yet collected (or seen done by a later
+        # submit) → the executor it went to and the arena digest it needs.
+        self._live: dict[Future, tuple[ProcessPoolExecutor, str | None]] = {}
+        # Guards the executor, the arena and _live across threads; reentrant
+        # because reset_broken() shuts down under it.
+        self._lock = threading.RLock()
         # Set when a worker blew through its grace wait: its SIGALRM was
         # deferred by a long-running native call (e.g. a MILP solve), so a
         # plain join at shutdown could stall until that call returns.
@@ -395,9 +358,10 @@ class PlannerPool:
         Accounts the breakage (``pool_breaks_total`` / :attr:`break_count`) so
         supervision can track pool health across resets.
         """
-        self.break_count += 1
-        _POOL_BREAKS.inc()
-        self.shutdown(wait=False)
+        with self._lock:
+            self.break_count += 1
+            _POOL_BREAKS.inc()
+            self.shutdown(wait=False)
 
     def cancel_running(self) -> int:
         """Soft-cancel whatever the workers are running (``SIGUSR1``).
@@ -478,23 +442,22 @@ class PlannerPool:
         grace window) instead of joining, so shutdown stays bounded without
         reaching straight for SIGKILL.
         """
-        if self._executor is not None:
-            executor, self._executor = self._executor, None
-            if self._stuck_worker:
-                self._stuck_worker = False
-                # _processes is a CPython implementation detail; if it moves,
-                # degrade to a plain (possibly slow) shutdown, never crash.
-                self._escalate_stop(executor)
-            executor.shutdown(wait=wait, cancel_futures=True)
-        # Unlink after the workers are gone (their mappings stay valid
-        # regardless — POSIX keeps unlinked segments alive while mapped).
-        if self._arena is not None:
-            arena, self._arena = self._arena, None
-            arena.close()
-
-    def close(self) -> None:
-        """Alias for :meth:`shutdown` (matches the docs' lifecycle wording)."""
-        self.shutdown(wait=True)
+        with self._lock:
+            self._live.clear()
+            if self._executor is not None:
+                executor, self._executor = self._executor, None
+                if self._stuck_worker:
+                    self._stuck_worker = False
+                    # _processes is a CPython implementation detail; if it
+                    # moves, degrade to a plain (possibly slow) shutdown,
+                    # never crash.
+                    self._escalate_stop(executor)
+                executor.shutdown(wait=wait, cancel_futures=True)
+            # Unlink after the workers are gone (their mappings stay valid
+            # regardless — POSIX keeps unlinked segments alive while mapped).
+            if self._arena is not None:
+                arena, self._arena = self._arena, None
+                arena.close()
 
     def __enter__(self) -> "PlannerPool":
         return self
@@ -505,134 +468,64 @@ class PlannerPool:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def run(self, jobs: Iterable[PlanJob]) -> list[JobResult]:
-        """Run all jobs and return their results in submission order."""
-        return list(self.imap(jobs))
-
-    def describe(self, jobs: Sequence[PlanJob]) -> list[JobDescriptor]:
-        """Thin descriptors for ``jobs``, exporting inline instances once."""
-        arena = (
-            self.arena if any(job.instance is not None for job in jobs) else None
-        )
-        return [job.describe(arena) for job in jobs]
-
-    def trim_arena(self, keep: "set[str] | frozenset[str]" = frozenset()) -> int:
-        """Bound the warm arena between batches (idempotent, see arena.trim).
-
-        Callers that reuse this pool across batches (``imap`` does it
-        automatically; :func:`~repro.runtime.portfolio.run_portfolio` calls
-        it for caller-owned pools) pass the digests still in flight so a hot
-        instance is never evicted under a running job.
-        """
-        if self._arena is None:
-            return 0
-        return self._arena.trim(keep=keep)
-
-    def imap(
-        self,
-        jobs: Iterable[PlanJob],
-        event_queue=None,
-        on_event: Callable[[PlanEvent], None] | None = None,
-    ) -> Iterator[JobResult]:
-        """Yield results in submission order as jobs complete.
-
-        Jobs are dispatched as descriptor chunks (the pool's ``chunksize``,
-        else :func:`auto_chunksize`); results of a chunk are yielded as soon
-        as the chunk (and everything before it) finishes.
-
-        ``event_queue`` (an :class:`EventRelay` queue) streams worker events
-        back to the parent; ``on_event`` is the in-process equivalent used on
-        the inline path, receiving label-stamped events directly.  As on the
-        relay, a raising ``on_event`` is warned about and dropped once for
-        the whole batch, not once per job.
-        """
-        jobs = list(jobs)
-        if not jobs:
-            return
-        _POOL_WORKERS.set(self.max_workers)
-        if self.inline:
-            on_event = guarded_sink(on_event)
-            pending = len(jobs)
-            _POOL_QUEUE_DEPTH.set(pending)
-            try:
-                for job in jobs:
-                    result = execute_job(job, on_event=inline_sink(job, on_event))
-                    self._note(result, "inline")
-                    pending -= 1
-                    _POOL_QUEUE_DEPTH.set(pending)
-                    yield result
-            finally:
-                _POOL_QUEUE_DEPTH.set(0)
-            return
-        executor = self._ensure_executor()
-        descriptors = self.describe(jobs)
-        collect_metrics = obs_metrics.installed() is not None
-        chunksize = self.chunksize
-        if chunksize is None:
-            # With per-job timeouts, dispatch one job per future: a chunk
-            # can only be declared lost as a whole, so batching would let a
-            # single wedged job (deferred SIGALRM in native code) take its
-            # completed siblings down with it — and only after waiting the
-            # *sum* of the chunk's bounds.  Callers that want chunking
-            # anyway can pin chunksize explicitly.
-            if any(job.timeout for job in jobs):
-                chunksize = 1
-            else:
-                chunksize = auto_chunksize(len(jobs), self.max_workers)
-        chunks: list[tuple[list[PlanJob], list[JobDescriptor]]] = [
-            (jobs[i : i + chunksize], descriptors[i : i + chunksize])
-            for i in range(0, len(jobs), chunksize)
-        ]
-        futures: list[Future] = [
-            executor.submit(_pool_worker_chunk, descs, event_queue, None, collect_metrics)
-            for _, descs in chunks
-        ]
-        _POOL_DISPATCHES.inc(len(futures))
-        pending = len(jobs)
-        _POOL_QUEUE_DEPTH.set(pending)
-        try:
-            for (chunk_jobs, _), future in zip(chunks, futures):
-                with span("dispatch", jobs=len(chunk_jobs),
-                          job_ids=[job.job_id for job in chunk_jobs]):
-                    results = self._collect_chunk(chunk_jobs, future)
-                pending -= len(chunk_jobs)
-                _POOL_QUEUE_DEPTH.set(pending)
-                yield from results
-        finally:
-            _POOL_QUEUE_DEPTH.set(0)
-            # Between batches, bound the warm arena: evict the oldest
-            # segments beyond capacity, keeping this batch's digests (a
-            # serving pool over a stream of distinct instances must not
-            # grow /dev/shm without bound).
-            self.trim_arena(
-                keep={d.instance_hash for _, descs in chunks for d in descs}
-            )
-            _ARENA_SEGMENTS.set(len(self._arena) if self._arena is not None else 0)
-
     def submit(
         self, jobs: Sequence[PlanJob], event_queue=None, event_types=None, heartbeat=None
     ) -> list[Future]:
-        """Low-level: submit jobs one future each (portfolio racing, leases).
+        """Submit jobs one future each; resolve each with :meth:`collect`.
 
-        ``event_types`` (a tuple of :data:`~repro.events.EVENT_TYPES` names)
-        restricts which events the workers relay — pass it when the consumer
-        only reads a subset, to keep IPC off the planner hot paths.
+        Inline instances are exported into the arena once per digest.  The
+        pool then forgets the futures that are already done and trims the
+        arena to its capacity, keeping every segment a live future needs.
+
+        ``event_queue`` (an :class:`EventRelay` queue) streams worker events
+        back to the parent.  ``event_types`` (a tuple of
+        :data:`~repro.events.EVENT_TYPES` names) restricts which events the
+        workers relay — pass it when the consumer only reads a subset, to
+        keep IPC off the planner hot paths.
 
         ``heartbeat`` (seconds) makes each worker emit periodic ``heartbeat``
         events for its running job onto ``event_queue`` — the supervisor's
         lease liveness channel.  Heartbeats bypass the ``event_types`` filter.
         """
-        executor = self._ensure_executor()
+        jobs = list(jobs)
         collect_metrics = obs_metrics.installed() is not None
-        futures = [
-            executor.submit(
-                _pool_worker, desc, event_queue, event_types, collect_metrics, heartbeat
-            )
-            for desc in self.describe(list(jobs))
-        ]
+        with self._lock:
+            executor = self._ensure_executor()
+            arena = self.arena if any(job.instance is not None for job in jobs) else None
+            descriptors = [job.describe(arena) for job in jobs]
+            futures = [
+                executor.submit(
+                    _execute_descriptor, desc, event_queue, event_types, collect_metrics,
+                    heartbeat,
+                )
+                for desc in descriptors
+            ]
+            # Forget the futures already done, then record this call's own:
+            # collect() resets a broken executor only through a recorded
+            # future, so these must stay recorded even if their executor
+            # broke a moment ago.
+            for future in [future for future in self._live if future.done()]:
+                del self._live[future]
+            for future, desc in zip(futures, descriptors):
+                digest = desc.arena_ref.digest if desc.arena_ref is not None else None
+                self._live[future] = (executor, digest)
+            if self._arena is not None:
+                self._arena.trim(keep={digest for _, digest in self._live.values()})
+            _ARENA_SEGMENTS.set(len(self._arena) if self._arena is not None else 0)
+            _POOL_QUEUE_DEPTH.set(len(self._live))
         _POOL_DISPATCHES.inc(len(futures))
-        _POOL_WORKERS.set(self.max_workers)
         return futures
+
+    def collect(self, job: PlanJob, future: Future) -> JobResult:
+        """Resolve one submitted future into a :class:`JobResult`."""
+        try:
+            result = future.result(timeout=self._wait_bound(job))
+        except Exception as exc:  # noqa: BLE001 — mapped onto a failed result
+            result = self._failure(job, future, exc)
+        with self._lock:
+            self._live.pop(future, None)
+        self._note(result, "pool")
+        return result
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -640,23 +533,14 @@ class PlannerPool:
     def _wait_bound(self, job: PlanJob) -> float | None:
         return (job.timeout + _WAIT_GRACE) if job.timeout else None
 
-    def _chunk_wait_bound(self, jobs: Sequence[PlanJob]) -> float | None:
-        # Chunk jobs run sequentially in one worker, so the parent-side
-        # bound is the sum of the per-job bounds — and only exists when
-        # every job is itself bounded.
-        bounds = [self._wait_bound(job) for job in jobs]
-        if any(bound is None for bound in bounds):
-            return None
-        return sum(bounds)
-
-    @staticmethod
-    def _note(result: JobResult, mode: str) -> None:
+    def _note(self, result: JobResult, mode: str) -> None:
         """Account one resolved job attempt, folding in its worker snapshot.
 
         This is the parent-side half of the cross-process metrics pipeline:
         the snapshot a worker attached in ``_execute_descriptor`` is popped
         off the result (it is transport, not payload) and merged into the
-        installed registry.  No-op without one.
+        installed registry.  No-op without one.  The pool's worker and
+        queue-depth gauges are refreshed here too, on every dispatch path.
         """
         snapshot, result.metrics = result.metrics, None
         registry = obs_metrics.installed()
@@ -664,32 +548,11 @@ class PlannerPool:
             registry.merge(snapshot)
         _POOL_JOBS.inc(status=result.status, mode=mode)
         _POOL_JOB_SECONDS.observe(result.wall_seconds, mode=mode)
+        _POOL_WORKERS.set(self.max_workers)
+        _POOL_QUEUE_DEPTH.set(len(self._live))
 
-    def collect(self, job: PlanJob, future: Future) -> JobResult:
-        """Resolve one single-job future into a :class:`JobResult`."""
-        try:
-            result = future.result(timeout=self._wait_bound(job))
-        except Exception as exc:  # noqa: BLE001 — mapped onto a failed result
-            [result] = self._failures([job], future, exc)
-        self._note(result, "pool")
-        return result
-
-    def _collect_chunk(
-        self, jobs: Sequence[PlanJob], future: Future
-    ) -> list[JobResult]:
-        """Resolve one chunk future into its jobs' results, in order."""
-        try:
-            results = list(future.result(timeout=self._chunk_wait_bound(jobs)))
-        except Exception as exc:  # noqa: BLE001 — mapped onto failed results
-            results = self._failures(jobs, future, exc)
-        for result in results:
-            self._note(result, "pool")
-        return results
-
-    def _failures(
-        self, jobs: Sequence[PlanJob], future: Future, exc: Exception
-    ) -> list[JobResult]:
-        """The failed results of ``jobs`` whose future raised ``exc``."""
+    def _failure(self, job: PlanJob, future: Future, exc: Exception) -> JobResult:
+        """The failed result of ``job`` whose future raised ``exc``."""
         if isinstance(exc, FutureTimeoutError):
             future.cancel()
             self.abandon_running()
@@ -697,15 +560,17 @@ class PlannerPool:
         elif isinstance(exc, CancelledError):
             status, message = "error", "job was cancelled before it ran"
         elif isinstance(exc, BrokenProcessPool):
-            # The pool is unusable: drop it so the next dispatch gets a fresh one.
-            self.reset_broken()
+            # The pool is unusable: drop it so the next dispatch gets a fresh
+            # one.  A dead worker breaks every future in flight, so only the
+            # executor the future went to is reset, and only while it is
+            # still the current one — never the executor that replaced it.
+            with self._lock:
+                executor, _ = self._live.get(future, (None, None))
+                if executor is not None and executor is self._executor:
+                    self.reset_broken()
             status, message = "error", f"worker pool broke: {exc}"
         else:  # unexpected submission failure
             status, message = "error", f"{type(exc).__name__}: {exc}"
-        return [self._failed(job, status, message) for job in jobs]
-
-    @staticmethod
-    def _failed(job: PlanJob, status: str, message: str) -> JobResult:
         return JobResult(
             job_id=job.job_id,
             case=job.case_name,
@@ -714,37 +579,3 @@ class PlannerPool:
             status=status,
             error=message,
         )
-
-
-# --------------------------------------------------------------------------- #
-# Process-wide warm pools
-# --------------------------------------------------------------------------- #
-
-_SHARED_POOLS: dict[int, PlannerPool] = {}
-
-
-def shared_pool(max_workers: int) -> PlannerPool:
-    """A process-wide warm :class:`PlannerPool` (one per worker count).
-
-    The returned pool is owned by the process: callers must *not* close it
-    (use it without ``with``); every pool is shut down at interpreter exit
-    or explicitly via :func:`close_shared_pools`.  Handing the same pool to
-    successive batches (``LocalScheduler(pool=...)``) and
-    :func:`~repro.runtime.portfolio.run_portfolio` calls keeps workers — and
-    their per-digest instance caches — warm across batches.
-    """
-    key = max(1, int(max_workers))
-    pool = _SHARED_POOLS.get(key)
-    if pool is None:
-        pool = PlannerPool(max_workers=key)
-        _SHARED_POOLS[key] = pool
-    return pool
-
-
-def close_shared_pools() -> None:
-    """Shut down every process-wide pool (idempotent; also runs atexit)."""
-    for key in list(_SHARED_POOLS):
-        _SHARED_POOLS.pop(key).shutdown(wait=True)
-
-
-atexit.register(close_shared_pools)

@@ -271,10 +271,6 @@ def run_portfolio(
         finally:
             if owns_pool:
                 pool.shutdown(wait=True)
-            else:
-                # A reused warm pool keeps its arena; bound it here the way
-                # imap does between batches (this race's instance stays hot).
-                pool.trim_arena(keep={job.instance_hash for job in pending_jobs})
     outcome.winner = race.winner
 
     outcome.wall_seconds = time.perf_counter() - start

@@ -158,8 +158,7 @@ class EventRelay:
     """Parent-side fan-in of worker :class:`PlanEvent` streams.
 
     ``queue`` is what :meth:`PlannerPool.submit
-    <repro.runtime.pool.PlannerPool.submit>` / :meth:`~repro.runtime.pool.PlannerPool.imap`
-    take as ``event_queue``.  ``on_event`` runs on the relay's drain thread,
+    <repro.runtime.pool.PlannerPool.submit>` takes as ``event_queue``.  ``on_event`` runs on the relay's drain thread,
     in per-worker order; a sink that raises is dropped for the rest of the
     relay's life, announced once through a :class:`RuntimeWarning` (see
     :func:`repro.events.guarded_sink`).  A consumer slower than its workers

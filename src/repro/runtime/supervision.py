@@ -61,7 +61,7 @@ from repro.io.serialization import canonical_json
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import span
 from repro.runtime.jobs import JobResult, PlanJob, execute_job
-from repro.runtime.pool import EventRelay, PlannerPool, inline_sink
+from repro.runtime.pool import CANCEL_GRACE, EventRelay, PlannerPool, inline_sink
 from repro.runtime.store import ResultStore
 from repro.runtime.telemetry import Telemetry
 
@@ -70,7 +70,6 @@ __all__ = [
     "JobJournal",
     "JobLease",
     "LeasePolicy",
-    "SupervisorConfig",
 ]
 
 #: Journal record schema version (the ``"v"`` field of every record).
@@ -112,11 +111,14 @@ _JOURNAL_WRITE_ERRORS = obs_metrics.declare_counter(
 class LeasePolicy:
     """How a leased job is watched, retried and finally quarantined.
 
-    The in-process supervisor (:class:`SupervisorConfig`) and the broker
-    spool (:class:`~repro.dist.broker.BrokerConfig`) both extend it.
-    ``lease_timeout`` must comfortably exceed the longest stretch a
-    *healthy* planner can hold the GIL in native code (heartbeats come from
-    a worker thread), or busy workers are treated as wedged.
+    The in-process supervisor runs on it directly, and the broker spool's
+    :class:`~repro.dist.broker.BrokerConfig` extends it.  The defaults suit
+    real batches (sub-second planner runs up to multi-second LP solves); the
+    chaos tests shrink ``heartbeat_interval`` / ``lease_timeout`` to keep
+    fault turnaround fast.  ``lease_timeout`` must comfortably exceed the
+    longest stretch a *healthy* planner can hold the GIL in native code
+    (heartbeats come from a worker thread), or busy workers are treated as
+    wedged.
     """
 
     #: Attempts per job before it is quarantined as poison.
@@ -150,20 +152,6 @@ class LeasePolicy:
         if rng is None:
             return base
         return base * (1.0 + max(0.0, self.backoff_jitter) * rng.random())
-
-
-@dataclass(frozen=True)
-class SupervisorConfig(LeasePolicy):
-    """The lease policy of an in-process supervised batch.
-
-    The defaults suit real batches (sub-second planner runs up to multi
-    second LP solves); the chaos tests shrink ``heartbeat_interval`` /
-    ``lease_timeout`` to keep fault turnaround fast.
-    """
-
-    #: Grace window between the rungs of the escalation ladder against an
-    #: expired lease's owner (soft cancel → SIGTERM → SIGKILL).
-    cancel_grace: float = 0.5
 
 
 @dataclass
@@ -343,7 +331,7 @@ class _Supervisor:
         self,
         jobs: list[PlanJob],
         pool: PlannerPool,
-        config: SupervisorConfig,
+        config: LeasePolicy,
         store: ResultStore | None,
         telemetry: Telemetry | None,
         journal: JobJournal | None,
@@ -673,7 +661,7 @@ class _Supervisor:
         # Fold the worker's metrics snapshot into the parent registry (the
         # supervised path bypasses PlannerPool.collect, which normally does
         # this) — counters from failed attempts accumulate too.
-        PlannerPool._note(result, "supervised")
+        self.pool._note(result, "supervised")
         self._settle(lease, result)
         return None
 
@@ -726,7 +714,7 @@ class _Supervisor:
         death surfaces as a pool break and the job re-queues from there.
         """
         lease.escalation += 1
-        lease.next_escalation_at = now + self.config.cancel_grace
+        lease.next_escalation_at = now + CANCEL_GRACE
         pid = lease.owner_pid
         if pid is None or pid <= 0:
             return

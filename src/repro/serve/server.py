@@ -265,7 +265,6 @@ class PlanServer:
         self._relay: EventRelay | None = None
         self._compute: ThreadPoolExecutor | None = None
         self._store: ResultStore | None = None
-        self._dispatch_lock = threading.Lock()
         self._queue = FairQueue(per_client=config.per_client_queue)
         self._flights: dict[str, Flight] = {}
         self._connections: dict[str, _Connection] = {}
@@ -907,10 +906,7 @@ class PlanServer:
             # commit already wrote the store; no driver-side put needed.
             [result] = self._scheduler.run_jobs([job], store=self._store)
             return result
-        with self._dispatch_lock:
-            # The arena export inside describe()/submit() is not thread-safe;
-            # one dispatch at a time, the heavy work happens in the workers.
-            [future] = self._pool.submit([job], event_queue=self._relay.queue)
+        [future] = self._pool.submit([job], event_queue=self._relay.queue)
         result = self._pool.collect(job, future)
         if self._store is not None:
             self._store.put(job, result)

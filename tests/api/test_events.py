@@ -149,30 +149,28 @@ class TestEventSerialization:
         assert summary["jobs"] == 1 and summary["ok"] == 1
 
     def test_worker_events_cross_the_process_boundary(self):
-        from repro.runtime import EventRelay, PlannerPool
+        from repro.runtime import LocalScheduler, PlannerPool, run_jobs
         from repro.runtime.jobs import PlanJob, PlannerSpec
 
         instance = build_instance("1T-1", 1.0)
         seen = []
-        with EventRelay(seen.append) as relay:
-            with PlannerPool(max_workers=2) as pool:
-                results = list(
-                    pool.imap(
-                        [
-                            PlanJob(
-                                spec=PlannerSpec("greedy-1d"),
-                                instance=instance,
-                                label="a",
-                            ),
-                            PlanJob(
-                                spec=PlannerSpec("rows-1d"),
-                                instance=instance,
-                                label="b",
-                            ),
-                        ],
-                        event_queue=relay.queue,
-                    )
-                )
+        with PlannerPool(max_workers=2) as pool:
+            results = run_jobs(
+                [
+                    PlanJob(
+                        spec=PlannerSpec("greedy-1d"),
+                        instance=instance,
+                        label="a",
+                    ),
+                    PlanJob(
+                        spec=PlannerSpec("rows-1d"),
+                        instance=instance,
+                        label="b",
+                    ),
+                ],
+                scheduler=LocalScheduler(pool=pool),
+                on_event=seen.append,
+            )
         assert all(r.ok for r in results)
         labels = {e.payload.get("label") for e in seen}
         types = {e.type for e in seen}

@@ -26,7 +26,6 @@ REPRO_EXPORTS = sorted(
         "generate_1d_instance",
         "generate_2d_instance",
         "plan",
-        "planner_pool",
         "PlanRequest",
         "PlanResult",
         "PlanEvent",
@@ -39,7 +38,6 @@ REPRO_API_EXPORTS = sorted(
     [
         "plan",
         "submit",
-        "planner_pool",
         "PlanRequest",
         "PlanResult",
         "PlanningError",
@@ -82,8 +80,6 @@ RUNTIME_EXPORTS = sorted(
         "PlannerPool",
         "EventRelay",
         "default_workers",
-        "shared_pool",
-        "close_shared_pools",
         "Scheduler",
         "LocalScheduler",
         "grid_jobs",
@@ -101,7 +97,6 @@ RUNTIME_EXPORTS = sorted(
         "JobJournal",
         "JobLease",
         "LeasePolicy",
-        "SupervisorConfig",
         "FaultPlan",
         "FaultSpec",
         "InjectedFaultError",

@@ -113,6 +113,8 @@ class TestLifecycle:
         assert broker.claim("w1") is None
         meta = json.loads((broker.meta / f"{job.job_id}.json").read_text())
         assert meta["retry_at"] > time.time()
+        # The backoff is ledgered under the supervisor journal's name.
+        assert JobJournal.read(broker.ledger_path)[-1]["retry_in"] >= 5.0
 
     def test_poison_job_quarantines_after_max_attempts(self, tmp_path):
         broker = Broker.create(
@@ -207,6 +209,12 @@ class TestReap:
         summary = broker.reap()
         assert summary["expired"] == 1
         assert broker.status_of(job.job_id) == "queued"
+        # The ledger shows the retry that follows the expiry.
+        records = JobJournal.read(broker.ledger_path)
+        assert [r["op"] for r in records[-2:]] == ["lease_expired", "requeued"]
+        assert records[-1]["reason"] == "lease_expired"
+        assert records[-1]["attempt"] == lease.epoch
+        assert records[-1]["retry_in"] == 0.0
         # The next claim runs at the bumped epoch — the fencing token moved on.
         lease2 = broker.claim("w2")
         assert lease2 is not None and lease2.epoch == lease.epoch + 1

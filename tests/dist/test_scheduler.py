@@ -12,10 +12,10 @@ import pytest
 
 from repro.dist import Broker, BrokerConfig, BrokerScheduler, WorkerAgent
 from repro.runtime import (
+    LeasePolicy,
     LocalScheduler,
     PlannerSpec,
     ResultStore,
-    SupervisorConfig,
     Telemetry,
     grid_jobs,
     run_jobs,
@@ -75,7 +75,7 @@ class TestLocalScheduler:
             _assert_same_plan(a, b)
 
     def test_supervised_variant(self, tmp_path, baseline):
-        scheduler = LocalScheduler(max_workers=1, supervisor=SupervisorConfig(),
+        scheduler = LocalScheduler(max_workers=1, supervisor=LeasePolicy(),
                                    journal=tmp_path / "j.jsonl")
         results = run_jobs(_grid(), scheduler=scheduler)
         assert all(r.ok for r in results)

@@ -16,11 +16,13 @@ from repro.events import PlanEvent, emit, emitting
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import TraceCollector
 from repro.runtime import (
+    LocalScheduler,
     PlanJob,
     PlannerPool,
     PlannerSpec,
     Telemetry,
     read_manifest,
+    run_jobs,
     summarize_manifest,
 )
 
@@ -41,7 +43,7 @@ class TestCrossProcessMetrics:
     def test_worker_registries_merge_into_parent(self):
         with obs_metrics.collecting() as registry:
             with PlannerPool(max_workers=2) as pool:
-                results = pool.run(JOBS)
+                results = run_jobs(JOBS, scheduler=LocalScheduler(pool=pool))
         assert all(r.ok for r in results)
         snap = registry.snapshot()
         # Planner-side families crossed the process boundary...
@@ -56,7 +58,7 @@ class TestCrossProcessMetrics:
     def test_inline_pool_collects_without_snapshots(self):
         with obs_metrics.collecting() as registry:
             with PlannerPool(max_workers=1) as pool:
-                results = pool.run(JOBS[:1])
+                results = run_jobs(JOBS[:1], scheduler=LocalScheduler(pool=pool))
         assert results[0].ok
         snap = registry.snapshot()
         assert _value(snap, "pool_jobs_total", mode="inline", status="ok") == 1.0
@@ -65,7 +67,7 @@ class TestCrossProcessMetrics:
     def test_no_registry_means_no_worker_collection(self):
         assert obs_metrics.installed() is None
         with PlannerPool(max_workers=2) as pool:
-            results = pool.run(JOBS[:1])
+            results = run_jobs(JOBS[:1], scheduler=LocalScheduler(pool=pool))
         assert results[0].ok and results[0].metrics is None
 
 
@@ -73,7 +75,7 @@ class TestCrossProcessSpans:
     def test_relayed_spans_reassemble_into_one_tree(self):
         collector = TraceCollector()
         from repro.obs.tracing import span
-        from repro.runtime import LocalScheduler, iter_jobs
+        from repro.runtime import iter_jobs
 
         with PlannerPool(max_workers=2) as pool:
             with emitting(collector), span("batch", jobs=2):
@@ -97,12 +99,12 @@ class TestCrossProcessSpans:
         seen: list[PlanEvent] = []
         with emitting(seen.append):
             with PlannerPool(max_workers=2) as pool:
-                results = pool.run(JOBS[:1])
+                results = run_jobs(JOBS[:1], scheduler=LocalScheduler(pool=pool))
         assert results[0].ok
         # No relay was requested, so no *worker* event may leak into the
         # parent scope through fork inheritance (the worker would write to
-        # the parent's sink object directly).  Parent-side spans (the pool's
-        # dispatch brackets) are fine — they run in this process.
+        # the parent's sink object directly).  Parent-side spans (the
+        # scheduler's dispatch brackets) are fine — they run in this process.
         import os
 
         parent_pid = os.getpid()
@@ -115,7 +117,7 @@ class TestTelemetryEnvelope:
         path = tmp_path / "run.jsonl"
         telemetry = Telemetry(path)
         with PlannerPool(max_workers=1) as pool:
-            result = pool.run(JOBS[:1])[0]
+            result = run_jobs(JOBS[:1], scheduler=LocalScheduler(pool=pool))[0]
         telemetry.record(result)
         telemetry.record_event(PlanEvent(type="stage", payload={"name": "x"}))
         telemetry.record_metrics({"v": 1, "metrics": {}})

@@ -179,7 +179,7 @@ class TestLifecycle:
         )
         pool = PlannerPool(max_workers=2)
         with pool:
-            results = pool.run(jobs)
+            results = run_jobs(jobs, scheduler=LocalScheduler(pool=pool))
             assert all(r.ok for r in results)
             assert len(_segments()) == 1  # one instance -> one segment
         assert _segments() == []
@@ -190,7 +190,7 @@ class TestLifecycle:
         crash = PlanJob(spec=PlannerSpec("test-worker-crash"), instance=instance)
         pool = PlannerPool(max_workers=2)
         with pool:
-            [result] = pool.run([crash])
+            [result] = run_jobs([crash], scheduler=LocalScheduler(pool=pool))
             assert not result.ok
             assert "broke" in (result.error or "")
         assert _segments() == []
@@ -231,7 +231,10 @@ class TestLifecycle:
         with PlannerPool(max_workers=2) as pool:
             pool.arena.capacity = 1
             for instance in instances:
-                results = pool.run(grid_jobs([instance], {"g": PlannerSpec("greedy-1d")}))
+                results = run_jobs(
+                    grid_jobs([instance], {"g": PlannerSpec("greedy-1d")}),
+                    scheduler=LocalScheduler(pool=pool),
+                )
                 assert results[0].ok
                 # The just-used digest is kept; older ones are evicted.
                 assert len(pool.arena) == 1
@@ -239,7 +242,7 @@ class TestLifecycle:
 
     def test_rebuild_failure_is_isolated_to_its_job(self):
         from repro.runtime import JobDescriptor
-        from repro.runtime.pool import _pool_worker_chunk
+        from repro.runtime.pool import _execute_descriptor
 
         good = PlanJob(spec=PlannerSpec("greedy-1d"), case="1T-1", scale=1.0)
         bad = JobDescriptor(
@@ -253,10 +256,11 @@ class TestLifecycle:
             config_hash="1" * 64,
             job_id="deadbeef",
         )
-        results = _pool_worker_chunk([bad, good.describe()])
+        results = [_execute_descriptor(desc) for desc in (bad, good.describe())]
         assert results[0].status == "error"
+        assert results[0].job_id == "deadbeef"
         assert "rebuild" in results[0].error
-        assert results[1].ok  # the sibling's completed result survives
+        assert results[1].ok  # the job beside it in the batch still completes
 
     def test_failed_export_leaves_no_segment(self, monkeypatch):
         instance = build_instance("1T-4", 1.0)
@@ -286,45 +290,17 @@ class TestWarmPoolReuse:
             assert a.job_id == b.job_id
             assert a.writing_time == b.writing_time
 
-    def test_shared_pool_is_singleton_per_config(self):
-        from repro.runtime import close_shared_pools, shared_pool
-
-        try:
-            a = shared_pool(2)
-            b = shared_pool(2)
-            c = shared_pool(3)
-            assert a is b
-            assert a is not c
-        finally:
-            close_shared_pools()
-
     def test_inline_pool_ignores_arena(self):
         instance = build_instance("1T-5", 1.0)
         jobs = grid_jobs([instance], {"g": PlannerSpec("greedy-1d")})
         with PlannerPool(max_workers=1) as pool:
-            results = pool.run(jobs)
+            results = run_jobs(jobs, scheduler=LocalScheduler(pool=pool))
         assert results[0].ok
         assert _segments() == []
 
 
-class TestChunkedDispatch:
-    @pytest.mark.parametrize("chunksize", [1, 3, 16])
-    def test_order_preserved_for_every_chunksize(self, chunksize):
-        cases = ["1T-3", "1T-1", "1T-5", "1T-2", "1T-4"]
-        jobs = grid_jobs(cases, {"g": PlannerSpec("greedy-1d")}, scale=1.0)
-        with PlannerPool(max_workers=2, chunksize=chunksize) as pool:
-            seen = [r.case for r in pool.imap(jobs)]
-        assert seen == cases
-
-    def test_auto_chunksize_bounds(self):
-        from repro.runtime.pool import auto_chunksize
-
-        assert auto_chunksize(0, 4) == 1
-        assert auto_chunksize(16, 2) == 2
-        assert auto_chunksize(1000, 2) == 16  # capped
-        assert auto_chunksize(3, 8) == 1
-
-    def test_failure_inside_chunk_does_not_poison_neighbours(self):
+class TestDispatch:
+    def test_failure_does_not_poison_neighbours(self):
         jobs = [
             PlanJob(spec=PlannerSpec("greedy-1d"), case="1T-1", scale=1.0, label="ok1"),
             PlanJob(
@@ -336,7 +312,7 @@ class TestChunkedDispatch:
             PlanJob(spec=PlannerSpec("greedy-1d"), case="1T-3", scale=1.0, label="ok2"),
         ]
         with PlannerPool(max_workers=2) as pool:
-            results = pool.run(jobs)
+            results = run_jobs(jobs, scheduler=LocalScheduler(pool=pool))
         assert [r.label for r in results] == ["ok1", "bad", "ok2"]
         assert results[0].ok and results[2].ok
         assert results[1].status == "error"

@@ -16,10 +16,10 @@ from repro.obs import metrics as obs_metrics
 from repro.runtime import (
     FaultPlan,
     FaultSpec,
+    LeasePolicy,
     LocalScheduler,
     PlannerSpec,
     ResultStore,
-    SupervisorConfig,
     grid_jobs,
     run_jobs,
 )
@@ -28,12 +28,11 @@ from repro.runtime.jobs import execute_job
 
 _PLANNERS = {"e-blow": PlannerSpec("eblow-1d"), "greedy": PlannerSpec("greedy-1d")}
 
-_FAST = SupervisorConfig(
+_FAST = LeasePolicy(
     heartbeat_interval=0.05,
     lease_timeout=5.0,
     backoff_base=0.01,
     backoff_cap=0.05,
-    cancel_grace=0.3,
 )
 
 
@@ -118,7 +117,7 @@ class TestStallRecovery:
             ),
             scratch=str(scratch),
         )
-        config = SupervisorConfig(**{**_FAST.__dict__, "lease_timeout": 0.6})
+        config = LeasePolicy(**{**_FAST.__dict__, "lease_timeout": 0.6})
         jobs = [j for j in _grid() if j.display_label == "e-blow"]
         with obs_metrics.collecting() as registry, faults.injecting(plan):
             scheduler = LocalScheduler(2, supervisor=config, journal=tmp_path / "j.jsonl")
@@ -135,7 +134,7 @@ class TestStallRecovery:
 class TestPoisonQuarantine:
     def test_always_raising_job_is_quarantined_not_retried_forever(self, tmp_path):
         plan = FaultPlan(specs=(FaultSpec(kind="raise", match="1T-1"),))  # every attempt
-        config = SupervisorConfig(**{**_FAST.__dict__, "max_attempts": 2})
+        config = LeasePolicy(**{**_FAST.__dict__, "max_attempts": 2})
         jobs = [j for j in _grid() if j.display_label == "greedy"]
         with obs_metrics.collecting() as registry, faults.injecting(plan):
             results = run_jobs(jobs, scheduler=LocalScheduler(2, supervisor=config))

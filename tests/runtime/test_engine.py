@@ -7,11 +7,11 @@ import pytest
 from repro.events import emit
 from repro.model import StencilPlan
 from repro.runtime import (
+    LeasePolicy,
     LocalScheduler,
     PlanJob,
     PlannerSpec,
     ResultStore,
-    SupervisorConfig,
     Telemetry,
     grid_jobs,
     iter_jobs,
@@ -110,7 +110,7 @@ class TestEngine:
 
     @pytest.mark.parametrize("max_workers", [1, 2])
     def test_timeout_inside_a_supervised_sink_times_the_job_out(self, max_workers):
-        scheduler = LocalScheduler(max_workers, supervisor=SupervisorConfig(max_attempts=1))
+        scheduler = LocalScheduler(max_workers, supervisor=LeasePolicy(max_attempts=1))
         results = run_jobs(_loud_jobs(2), scheduler=scheduler, on_event=_slow_consumer)
         for result in results:
             assert result.status == "quarantined"

@@ -15,6 +15,7 @@ from repro.evaluation import run_comparison
 from repro.events import PlanEvent, emit
 from repro.experiments import planners_table3
 from repro.model import StencilPlan
+from repro.obs import metrics as obs_metrics
 from repro.runtime import (
     EventRelay,
     LocalScheduler,
@@ -26,6 +27,7 @@ from repro.runtime import (
     run_jobs,
 )
 from repro.runtime.relay import RelayQueue
+from repro.workloads import generate_1d_instance
 
 register_planner(
     "test-slow",
@@ -55,6 +57,18 @@ class _ChattyPlanner:
             emit("iteration", iteration=index)
             time.sleep(self.seconds)
         return StencilPlan.empty(instance)
+
+
+class _WorkerKillingPlanner:
+    def plan(self, instance):  # pragma: no cover — executed in the worker
+        os._exit(17)
+
+
+register_planner(
+    "test-kill-worker",
+    lambda options: _WorkerKillingPlanner(),
+    description="test-only planner that kills its worker process",
+)
 
 
 register_planner(
@@ -131,17 +145,17 @@ class TestSerialEquivalence:
 
 
 class TestStreaming:
-    def test_imap_yields_in_submission_order(self):
+    def test_scheduler_yields_in_submission_order(self):
         jobs = grid_jobs(
             ["1T-3", "1T-1", "1T-2"], {"e-blow": PlannerSpec("eblow-1d")}, scale=1.0
         )
         with PlannerPool(max_workers=2) as pool:
-            seen = [result.case for result in pool.imap(jobs)]
-        assert seen == ["1T-3", "1T-1", "1T-2"]
+            results = run_jobs(jobs, scheduler=LocalScheduler(pool=pool))
+        assert [result.case for result in results] == ["1T-3", "1T-1", "1T-2"]
 
     def test_empty_batch(self):
         with PlannerPool(max_workers=2) as pool:
-            assert pool.run([]) == []
+            assert run_jobs([], scheduler=LocalScheduler(pool=pool)) == []
 
 
 class TestCleanup:
@@ -149,7 +163,7 @@ class TestCleanup:
         jobs = grid_jobs(["1T-1", "1T-2"], {"e-blow": PlannerSpec("eblow-1d")}, scale=1.0)
         pool = PlannerPool(max_workers=2)
         with pool:
-            results = pool.run(jobs)
+            results = run_jobs(jobs, scheduler=LocalScheduler(pool=pool))
             assert all(r.ok for r in results)
             workers = list(pool._executor._processes.values())
             assert workers
@@ -169,7 +183,7 @@ class TestCleanup:
         start = time.perf_counter()
         pool = PlannerPool(max_workers=2)
         with pool:
-            results = pool.run(jobs)
+            results = run_jobs(jobs, scheduler=LocalScheduler(pool=pool))
             workers = list(pool._executor._processes.values())
         elapsed = time.perf_counter() - start
         assert results[0].status == "timeout"
@@ -179,6 +193,84 @@ class TestCleanup:
         for process in workers:
             process.join(timeout=10)
             assert not process.is_alive()
+
+
+class TestPoolBreaks:
+    def test_one_dead_worker_counts_as_one_break(self):
+        jobs = [
+            PlanJob(spec=PlannerSpec("test-slow", {"seconds": 5.0}), case=f"1T-{i}",
+                    scale=1.0, label=f"slow{i}")
+            for i in (1, 2)
+        ]
+        jobs.insert(1, PlanJob(spec=PlannerSpec("test-kill-worker"), case="1T-3", scale=1.0))
+        jobs += [PlanJob(spec=PlannerSpec("greedy-1d"), case=f"1T-{i}", scale=1.0)
+                 for i in (4, 5)]
+        with obs_metrics.collecting() as registry:
+            with PlannerPool(max_workers=2) as pool:
+                results = run_jobs(jobs, scheduler=LocalScheduler(pool=pool))
+                breaks = pool.break_count
+        assert len(results) == 5
+        assert "broke" in results[1].error
+        assert breaks == 1
+        [series] = registry.snapshot()["metrics"]["pool_breaks_total"]["series"]
+        assert series["value"] == 1
+
+    def test_stale_broken_future_leaves_the_new_executor_alone(self):
+        crash = PlanJob(spec=PlannerSpec("test-kill-worker"), case="1T-1", scale=1.0)
+        sibling = PlanJob(spec=PlannerSpec("test-slow", {"seconds": 5.0}), case="1T-2",
+                          scale=1.0)
+        third = PlanJob(spec=PlannerSpec("greedy-1d"), case="1T-3", scale=1.0)
+        with PlannerPool(max_workers=2) as pool:
+            crash_future, sibling_future = pool.submit([crash, sibling])
+            assert "broke" in pool.collect(crash, crash_future).error
+            [third_future] = pool.submit([third])
+            replacement = pool._executor
+            assert "broke" in pool.collect(sibling, sibling_future).error
+            assert pool._executor is replacement
+            assert pool.collect(third, third_future).ok
+            assert pool.break_count == 1
+
+
+class TestConcurrentSubmit:
+    def test_threads_share_one_pool_and_keep_the_arena_bounded(self):
+        instances = [
+            generate_1d_instance(num_characters=12, num_regions=2, seed=seed)
+            for seed in range(24)
+        ]
+        failures = []
+
+        def client(pool, chunk):
+            for instance in chunk:
+                job = PlanJob(spec=PlannerSpec("greedy-1d"), instance=instance)
+                [future] = pool.submit([job])
+                result = pool.collect(job, future)
+                if not result.ok:
+                    failures.append(result.error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with PlannerPool(max_workers=3) as pool:
+                pool.arena.capacity = 2
+                threads = [
+                    threading.Thread(target=client, args=(pool, instances[index::6]))
+                    for index in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                deadline = time.monotonic() + 120
+                for thread in threads:
+                    thread.join(timeout=max(0.0, deadline - time.monotonic()))
+                assert not any(thread.is_alive() for thread in threads)
+                # No live job lost its segment, and every entry was collected.
+                assert failures == []
+                assert pool._live == {}
+                last = PlanJob(spec=PlannerSpec("greedy-1d"), instance=instances[0])
+                [future] = pool.submit([last])
+                assert pool.collect(last, future).ok
+                assert len(pool.arena) <= 2
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def _by_tag(events) -> dict:

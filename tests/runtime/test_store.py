@@ -255,7 +255,7 @@ _FAILED_WRITE_PATHS = ["inline", "pooled", "supervised", "portfolio-serial", "po
 def _plan_with_unwritable_store(path, tmp_path, cases):
     """Plan ``cases`` with greedy-1d on ``path``; returns (results, metrics snapshot)."""
     from repro.obs import metrics as obs_metrics
-    from repro.runtime import LocalScheduler, SupervisorConfig, grid_jobs, run_jobs
+    from repro.runtime import LeasePolicy, LocalScheduler, grid_jobs, run_jobs
     from repro.runtime.portfolio import run_portfolio
 
     blocker = tmp_path / "blocker"
@@ -284,7 +284,7 @@ def _plan_with_unwritable_store(path, tmp_path, cases):
             scheduler = {
                 "inline": LocalScheduler(),
                 "pooled": LocalScheduler(2),
-                "supervised": LocalScheduler(2, supervisor=SupervisorConfig()),
+                "supervised": LocalScheduler(2, supervisor=LeasePolicy()),
             }[path]
             jobs = grid_jobs(cases, planners, scale=1.0)
             results = run_jobs(jobs, scheduler=scheduler, store=store)

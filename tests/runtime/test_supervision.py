@@ -9,12 +9,12 @@ from repro.errors import ValidationError
 from repro.obs import metrics as obs_metrics
 from repro.runtime import (
     JobJournal,
+    LeasePolicy,
     LocalScheduler,
     PlanJob,
     PlannerPool,
     PlannerSpec,
     ResultStore,
-    SupervisorConfig,
     Telemetry,
     grid_jobs,
     run_jobs,
@@ -24,12 +24,11 @@ from repro.runtime import (
 _PLANNERS = {"e-blow": PlannerSpec("eblow-1d"), "greedy": PlannerSpec("greedy-1d")}
 
 #: Fast-turnaround knobs for tests (real default lease_timeout is 15s).
-_FAST = SupervisorConfig(
+_FAST = LeasePolicy(
     heartbeat_interval=0.05,
     lease_timeout=5.0,
     backoff_base=0.01,
     backoff_cap=0.05,
-    cancel_grace=0.2,
 )
 
 
@@ -140,7 +139,7 @@ class TestJobJournal:
 
 class TestBackoff:
     def test_deterministic_and_capped(self):
-        config = SupervisorConfig(
+        config = LeasePolicy(
             backoff_base=0.1, backoff_cap=0.8, backoff_jitter=0.5, max_attempts=8
         )
         a = [config.requeue_delay(n, random.Random(0)) for n in range(1, 8)]
@@ -148,7 +147,7 @@ class TestBackoff:
         assert a == b  # seeded RNG -> identical schedule
         assert all(delay <= 0.8 * 1.5 for delay in a)  # cap * (1 + jitter)
         bases = [
-            SupervisorConfig(backoff_jitter=0.0, max_attempts=8).requeue_delay(
+            LeasePolicy(backoff_jitter=0.0, max_attempts=8).requeue_delay(
                 n, random.Random(0)
             )
             for n in range(1, 5)
@@ -156,15 +155,15 @@ class TestBackoff:
         assert bases == [0.1, 0.2, 0.4, 0.8]  # doubling, no jitter
 
     def test_spent_attempts_quarantine(self):
-        config = SupervisorConfig(max_attempts=2)
+        config = LeasePolicy(max_attempts=2)
         assert config.requeue_delay(1, random.Random(0)) is not None
         assert config.requeue_delay(2, random.Random(0)) is None
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
-            SupervisorConfig(max_attempts=0)
+            LeasePolicy(max_attempts=0)
         with pytest.raises(ValidationError):
-            SupervisorConfig(lease_timeout=0.0)
+            LeasePolicy(lease_timeout=0.0)
 
 
 class TestSupervisedBatch:
@@ -212,7 +211,7 @@ class TestSupervisedBatch:
         assert all(e["state"] == "done" for e in JobJournal.replay(path).values())
 
     def test_engine_max_attempts_override(self):
-        config = SupervisorConfig(**{**_FAST.__dict__, "max_attempts": 1})
+        config = LeasePolicy(**{**_FAST.__dict__, "max_attempts": 1})
         results = run_jobs([_poison_job()], scheduler=LocalScheduler(supervisor=config))
         [result] = results
         assert result.status == "quarantined"
@@ -250,7 +249,7 @@ class TestInlineFallback:
 class TestQuarantine:
     def test_poison_job_is_quarantined_after_max_attempts(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        config = SupervisorConfig(
+        config = LeasePolicy(
             **{**_FAST.__dict__, "max_attempts": 2}
         )
         jobs = [_poison_job(), PlanJob(spec=PlannerSpec("greedy-1d"), case="1T-2", scale=1.0)]
@@ -267,7 +266,7 @@ class TestQuarantine:
 
     def test_quarantined_results_reach_telemetry(self, tmp_path):
         telemetry = Telemetry(tmp_path / "run.jsonl")
-        config = SupervisorConfig(**{**_FAST.__dict__, "max_attempts": 1})
+        config = LeasePolicy(**{**_FAST.__dict__, "max_attempts": 1})
         run_jobs([_poison_job()], scheduler=LocalScheduler(supervisor=config), telemetry=telemetry)
         summary = summarize_manifest(telemetry.records)
         assert summary["quarantined"] == 1
@@ -300,7 +299,7 @@ class TestResume:
 
     def test_resume_preserves_quarantine_without_rerunning(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        config = SupervisorConfig(**{**_FAST.__dict__, "max_attempts": 1})
+        config = LeasePolicy(**{**_FAST.__dict__, "max_attempts": 1})
         job = _poison_job()
         run_jobs([job], scheduler=LocalScheduler(supervisor=config, journal=path))
 
@@ -319,7 +318,7 @@ class TestResume:
 class TestSummarizeManifest:
     def test_counts_cancelled_and_quarantined(self):
         telemetry = Telemetry()
-        config = SupervisorConfig(**{**_FAST.__dict__, "max_attempts": 1})
+        config = LeasePolicy(**{**_FAST.__dict__, "max_attempts": 1})
         run_jobs([_poison_job()], scheduler=LocalScheduler(supervisor=config), telemetry=telemetry)
         summary = summarize_manifest(telemetry.records)
         assert summary["jobs"] == 1

@@ -9,7 +9,9 @@ at job start), not from sleeps.
 """
 
 import asyncio
+import glob
 import json
+import os
 import socket as socketlib
 import threading
 import time
@@ -22,6 +24,7 @@ from repro.api.lifecycle import PlanRequest
 from repro.runtime import execute_job
 from repro.serve import ServeClient, ServeConfig, ServeError, start_in_thread
 from repro.serve.server import EventChannel
+from repro.workloads import build_instance
 
 CASE = "1T-1"
 SCALE = 0.12
@@ -154,6 +157,24 @@ class TestPlanRoundTrip:
         assert outcome["ok"]
         assert outcome["winner"] is not None
         assert outcome["winner"]["label"] in ("greedy", "rows")
+
+
+class TestArena:
+    def test_inline_instances_keep_the_arena_bounded(self, tmp_path):
+        def segments():
+            return glob.glob(f"/dev/shm/eblow-*-{os.getpid():x}-*")
+
+        with serving(tmp_path) as handle:
+            pool = handle.server._pool
+            pool.arena.capacity = 2
+            with ServeClient(socket=handle.address) as client:
+                for index in range(1, 6):
+                    instance = build_instance(f"1T-{index}", 1.0)
+                    assert client.plan(instance, planner="greedy-1d").ok
+                    assert client.last_outcome == "computed"
+                    assert len(pool.arena) <= 2
+                    assert len(segments()) <= 2
+        assert segments() == []
 
 
 class TestCoalescing:

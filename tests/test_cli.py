@@ -99,11 +99,12 @@ def test_parser_knows_runtime_commands():
     [
         (["plan", "--instance", "unused.json", "--engine", "copy"], "--engine"),
         (["batch", "--suite", "1T", "--best-effort"], "--best-effort"),
+        (["batch", "--suite", "1T", "--chunksize", "2"], "--chunksize"),
     ],
-    ids=["plan --engine", "batch --best-effort"],
+    ids=["plan --engine", "batch --best-effort", "batch --chunksize"],
 )
 def test_removed_flags_exit_2(argv, flag, capsys):
-    """The annealing-engine choice and the no-op --best-effort are gone."""
+    """The annealing-engine choice, the no-op --best-effort and chunked dispatch are gone."""
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
@@ -177,7 +178,7 @@ def test_batch_rejects_zero_max_attempts(tmp_path, capsys, broker):
 
 @pytest.mark.parametrize(
     "flag",
-    [["--supervise"], ["--journal", "run.journal.jsonl"], ["--resume"], ["--chunksize", "2"]],
+    [["--supervise"], ["--journal", "run.journal.jsonl"], ["--resume"]],
     ids=lambda flag: flag[0],
 )
 def test_batch_rejects_flags_the_broker_would_ignore(tmp_path, capsys, flag):
@@ -309,6 +310,16 @@ def test_plan_events_out_written_on_failure(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     lines = [json.loads(line) for line in events_path.read_text().splitlines()]
     assert {record["type"] for record in lines} >= {"started", "finished"}
+
+
+@pytest.mark.parametrize("verb", ["stats", "trace"])
+def test_unreadable_source_exits_2(verb, tmp_path, capsys):
+    """A source that cannot be read is a usage error, as for --instance."""
+    path = tmp_path / "missing.jsonl"
+    assert main([verb, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{verb}: cannot read {path}: ")
+    assert "No such file" in err
 
 
 @pytest.mark.parametrize("content", ["missing", "malformed"])
