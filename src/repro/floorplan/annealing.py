@@ -3,7 +3,11 @@
 Both the E-BLOW 2D packer and the [24]-style baseline floorplanner drive the
 same engine; they differ only in their state, move, and cost functions.
 The engine uses a geometric cooling schedule with a fixed number of moves per
-temperature and keeps track of the best state ever visited.
+temperature and keeps track of the best state ever visited.  A caller that
+knows the least cost any state can reach passes it as ``lower_bound``, and
+the search stops as soon as its best state reaches that floor: no later
+state can be strictly cheaper, so the rest of the ladder cannot change the
+result.
 
 :func:`simulated_annealing_in_place` is a mutate/undo engine: a single
 mutable state is perturbed in place through the :class:`Move` protocol
@@ -53,6 +57,9 @@ _ANNEAL_MOVES = obs_metrics.declare_counter(
 )
 _ANNEAL_ACCEPTS = obs_metrics.declare_counter(
     "anneal_accepts_total", "Annealing moves accepted"
+)
+_ANNEAL_FLOOR_STOPS = obs_metrics.declare_counter(
+    "anneal_floor_stops_total", "Annealing searches stopped at their cost floor"
 )
 
 
@@ -112,7 +119,9 @@ class AnnealingResult(Generic[S]):
     best_cost: float
     moves: int
     accepted: int
-    cost_trace: list[float]  # the initial cost, then the cost after each temperature
+    # The initial cost, then the current cost after each temperature visited
+    # (a search stopped at its floor visits only part of the ladder).
+    cost_trace: list[float]
     move_stats: dict[str, MoveTypeStats] = field(default_factory=dict)
 
 
@@ -123,6 +132,7 @@ def simulated_annealing_in_place(
     snapshot: Callable[[S], B],
     schedule: AnnealingSchedule | None = None,
     rng: random.Random | None = None,
+    lower_bound: float | None = None,
 ) -> AnnealingResult[B]:
     """Minimize ``cost`` by mutating ``state`` in place through moves.
 
@@ -132,6 +142,14 @@ def simulated_annealing_in_place(
     the move), and either keeps the mutation or calls ``move.revert(state)``.
     ``snapshot(state)`` captures an immutable copy whenever a new best state
     is found — that is the only time the full state is materialised.
+
+    ``lower_bound``, when given, must be a cost no state can go below.  The
+    search returns as soon as its best cost reaches it: before the first
+    temperature when the start is there already, otherwise right after the
+    move that got there.  The test sits on the new-best branch only, so a
+    move that does not improve the best state pays nothing for it.  The
+    visited temperatures keep their ``cost_trace`` entry and ``temperature``
+    event, the last one included; a start at the floor visits none.
 
     The initial temperature is auto-scaled to the magnitude of the initial
     cost so callers can use the default schedule regardless of cost units.
@@ -143,13 +161,14 @@ def simulated_annealing_in_place(
     best = snapshot(state)
     best_cost = current_cost
     scale = max(abs(current_cost), 1.0)
+    at_floor = lower_bound is not None and best_cost <= lower_bound
 
     moves = 0
     accepted = 0
     stats: dict[str, MoveTypeStats] = {}
     trace = [current_cost]
 
-    for temperature in schedule.temperatures():
+    for temperature in () if at_floor else schedule.temperatures():
         effective_t = temperature * scale
         for _ in range(schedule.moves_per_temperature):
             if moves >= schedule.max_total_moves:
@@ -176,13 +195,18 @@ def simulated_annealing_in_place(
                     best = snapshot(state)
                     best_cost = current_cost
                     emit("incumbent", cost=best_cost, moves=moves)
+                    if lower_bound is not None and best_cost <= lower_bound:
+                        at_floor = True
+                        break
             else:
                 move.revert(state)
         trace.append(current_cost)
         emit("temperature", temperature=temperature, cost=current_cost, moves=moves)
-        if moves >= schedule.max_total_moves:
+        if at_floor or moves >= schedule.max_total_moves:
             break
     _ANNEAL_RUNS.inc()
+    if at_floor:
+        _ANNEAL_FLOOR_STOPS.inc()
     _ANNEAL_MOVES.inc(moves)
     _ANNEAL_ACCEPTS.inc(accepted)
     return AnnealingResult(

@@ -17,6 +17,9 @@ call at all when no block entered or left the outline.  Only the blocks at
 the positions the :class:`IncrementalPacker` reports as touched by the move
 are re-tested.  The full re-score it is checked against lives in the
 copy-engine oracle, ``tests/oracles/annealing.py``.
+
+Once every block is inside with no overshoot, the cost sits at its floor
+(:meth:`FixedOutlinePacker.cost_floor`) and the search stops there.
 """
 
 from __future__ import annotations
@@ -217,6 +220,23 @@ class FixedOutlinePacker:
         rows = [c for c, flag in enumerate(inside) if flag]
         return self._model_vsb - self._model_reductions[rows].sum(axis=0)
 
+    def cost_floor(self) -> float | None:
+        """The least cost any packing can reach, or None when there is none to use.
+
+        With every reduction entry ≥ 0, each block that enters the outline
+        can only lower the region times, so every region time is at least
+        its all-inside value and the writing time at least the all-inside
+        peak.  When that peak is ≥ 0 too, the overshoot penalty factor
+        (≥ 1) cannot take a cost below it.  So the all-inside peak is the
+        floor, and a start that fits with no overshoot scores exactly it,
+        because it is computed through the same :meth:`_region_times`.  A
+        negative entry or floor breaks the argument: no bound.
+        """
+        if (self._model_reductions < 0).any():
+            return None
+        floor = float(self._region_times([True] * len(self.blocks)).max())
+        return floor if floor >= 0 else None
+
     @staticmethod
     def _propose_swap(packer: IncrementalPacker, rng: random.Random):
         """Uniform swap proposal, RNG-compatible with the copy-engine oracle.
@@ -258,7 +278,11 @@ class FixedOutlinePacker:
 
         The search is the mutate/undo engine over an
         :class:`IncrementalPacker`: one mutable state, dirty-suffix packing
-        updates, O(changed) cost updates.  With no blocks there is nothing to
+        updates, O(changed) cost updates.  It stops once every block is
+        inside the outline with no overshoot, at :meth:`cost_floor`: no
+        later state can be strictly cheaper, so the best state, and with it
+        the plan, is the one the full ladder would return.  A start that
+        fits therefore costs 0 moves.  With no blocks there is nothing to
         anneal: the result is the empty packing after 0 moves, at the peak
         pure-VSB region time.
         """
@@ -282,6 +306,7 @@ class FixedOutlinePacker:
                 snapshot=IncrementalPacker.snapshot_pair,
                 schedule=schedule,
                 rng=rng,
+                lower_bound=self.cost_floor(),
             )
         packing = pack_sequence_pair(result.best_state, self.blocks)
         return FixedOutlineResult(

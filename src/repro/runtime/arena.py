@@ -27,7 +27,11 @@ unlinks them all in :meth:`close` (idempotent; also wired to ``atexit`` so
 an exception path cannot orphan ``/dev/shm`` entries — and a hard parent
 kill is covered by the stdlib resource tracker, which unlinks registered
 segments when the process tree dies).  Workers only ever attach; their
-mappings stay valid until process exit even after the parent unlinks.
+mappings stay valid until process exit even after the parent unlinks.  An
+attach registers nothing with the resource tracker: a worker forked before
+the parent's tracker started would otherwise start its own, which reports
+every attached segment as leaked at the worker's exit and tries to unlink
+it.
 """
 
 from __future__ import annotations
@@ -37,9 +41,11 @@ import hashlib
 import json
 import os
 import secrets
+import sys
+import threading
 import weakref
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -293,6 +299,34 @@ def _evict_oldest_attachment() -> None:
             pass
 
 
+_UNTRACKED_ATTACH = threading.Lock()
+
+
+def _attach(name: str) -> shared_memory.SharedMemory:
+    """Open the existing segment ``name`` without registering it with this
+    process's resource tracker.
+
+    Python 3.13 says so with ``track=False``.  Before it, ``SharedMemory``
+    registers every segment it opens, so the attach skips the ``register``
+    call for its own segment only.  It never calls ``unregister``: a worker
+    that shares the parent's tracker would drop the parent's entry.
+    """
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, track=False)
+    register = resource_tracker.register
+
+    def register_others(resource: str, rtype: str) -> None:
+        if rtype != "shared_memory" or resource.lstrip("/") != name:
+            register(resource, rtype)
+
+    with _UNTRACKED_ATTACH:
+        resource_tracker.register = register_others
+        try:
+            return shared_memory.SharedMemory(name=name)
+        finally:
+            resource_tracker.register = register
+
+
 def attached_instance(ref: ArenaRef) -> "OSPInstance":
     """The instance behind ``ref``, attached zero-copy and cached per process.
 
@@ -309,7 +343,7 @@ def attached_instance(ref: ArenaRef) -> "OSPInstance":
 
     from repro.model import OSPInstance
 
-    segment = shared_memory.SharedMemory(name=ref.segment)
+    segment = _attach(ref.segment)
     try:
         buf = segment.buf
         header_len = int.from_bytes(bytes(buf[0:8]), "little")

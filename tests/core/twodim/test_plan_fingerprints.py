@@ -9,6 +9,11 @@ straddle ``IncrementalPacker._FUSED_LIMIT``: sixteen tiny 2T instances
 (6-12 characters) and the 2D-4 and 2M-4 cells at scale 0.06 anneal no
 more clusters than the limit, the 2M-8 cell at 0.06 more (51).
 
+The annealer stops at its cost floor, the all-inside writing time: seven
+tiny plans start there and make no move, and 2T-n8-s1 reaches it after 73
+moves.  :func:`test_stopping_at_the_cost_floor_keeps_the_plan` checks that
+the whole ladder, walked with no bound, ends at the same plans.
+
 ``GOLDEN_SA`` pins the plain [24] annealer (``sa-2d``: no pre-filter, no
 clustering, one block per character) the same way.  Its 2D-4 cell at 0.06
 anneals 60 blocks on the support walk, and its 2M-5 cell at 0.035 anneals
@@ -24,6 +29,8 @@ import json
 import pytest
 
 from repro.core.twodim import EBlow2DConfig, EBlow2DPlanner
+from repro.floorplan import FixedOutlinePacker
+from repro.obs import metrics as obs_metrics
 from repro.workloads import build_instance, generate_tiny_2d_instance
 
 KINDS = ("swap_both", "swap_negative", "swap_positive")
@@ -32,38 +39,17 @@ KINDS = ("swap_both", "swap_negative", "swap_positive")
 #          (proposed, accepted, improved) per move kind in KINDS order,
 #          placement digest, clusters annealed)
 GOLDEN = {
-    "2T-n6-s1": (
-        17.0, 624, 467, ((198, 198, 0), (211, 142, 0), (215, 127, 0)),
-        "4f07e00b7d2f2a7a", 6,
-    ),
-    "2T-n6-s2": (
-        15.0, 624, 467, ((198, 198, 0), (211, 142, 0), (215, 127, 0)),
-        "f7cbdbb521fd7497", 6,
-    ),
-    "2T-n6-s3": (
-        17.0, 624, 467, ((198, 198, 0), (211, 142, 0), (215, 127, 0)),
-        "f02f8d4279df6c2e", 6,
-    ),
-    "2T-n6-s4": (
-        21.0, 624, 386, ((202, 176, 0), (205, 95, 0), (217, 115, 0)),
-        "42cf64d0536d08b4", 5,
-    ),
+    "2T-n6-s1": (17.0, 0, 0, (), "4f07e00b7d2f2a7a", 6),
+    "2T-n6-s2": (15.0, 0, 0, (), "f7cbdbb521fd7497", 6),
+    "2T-n6-s3": (17.0, 0, 0, (), "f02f8d4279df6c2e", 6),
+    "2T-n6-s4": (21.0, 0, 0, (), "42cf64d0536d08b4", 5),
     "2T-n8-s1": (
-        22.0, 624, 268, ((209, 166, 4), (199, 47, 2), (216, 55, 2)),
+        22.0, 73, 37, ((33, 19, 4), (18, 6, 2), (22, 12, 2)),
         "070a224d11bd0bb1", 7,
     ),
-    "2T-n8-s2": (
-        22.0, 624, 346, ((177, 177, 0), (226, 95, 0), (221, 74, 0)),
-        "613bff5978081cc7", 8,
-    ),
-    "2T-n8-s3": (
-        21.0, 624, 346, ((177, 177, 0), (226, 95, 0), (221, 74, 0)),
-        "d2e07b6f6d917860", 8,
-    ),
-    "2T-n8-s4": (
-        25.0, 624, 236, ((213, 139, 0), (207, 44, 0), (204, 53, 0)),
-        "f50728c26824ab70", 6,
-    ),
+    "2T-n8-s2": (22.0, 0, 0, (), "613bff5978081cc7", 8),
+    "2T-n8-s3": (21.0, 0, 0, (), "d2e07b6f6d917860", 8),
+    "2T-n8-s4": (25.0, 0, 0, (), "f50728c26824ab70", 6),
     "2T-n10-s1": (
         66.0, 624, 201, ((195, 130, 39), (203, 41, 11), (226, 30, 6)),
         "28ec6bb7933eb11a", 9,
@@ -153,12 +139,14 @@ def placement_digest(plan) -> str:
 
 def fingerprint(plan) -> tuple:
     stats = plan.stats
-    assert tuple(stats["move_acceptance"]) == KINDS
+    acceptance = stats["move_acceptance"]
+    # A plan whose start sits at the cost floor makes no move at all.
+    assert tuple(acceptance) == (KINDS if stats["annealing_moves"] else ())
     return (
         stats["writing_time"],
         stats["annealing_moves"],
         stats["annealing_accepted"],
-        tuple(tuple(stats["move_acceptance"][kind]) for kind in KINDS),
+        tuple(tuple(counts) for counts in acceptance.values()),
         placement_digest(plan),
         stats["num_clusters"],
     )
@@ -177,3 +165,36 @@ def test_sa_2d_plan_matches_its_fingerprint(name, scale):
     config = EBlow2DConfig(use_prefilter=False, use_clustering=False)
     plan = EBlow2DPlanner(config).plan(_instance(name, scale))
     assert fingerprint(plan) == GOLDEN_SA[(name, scale)]
+
+
+TINY = [name for name in GOLDEN if name.startswith("2T-")]
+
+
+@pytest.mark.parametrize("name", TINY)
+def test_stopping_at_the_cost_floor_keeps_the_plan(name, monkeypatch):
+    """The whole ladder, walked with no bound, ends at the plan the stopped
+    search returns: the same inside set, placements and writing time."""
+    stopped = EBlow2DPlanner().plan(_instance(name))
+    monkeypatch.setattr(FixedOutlinePacker, "cost_floor", lambda self: None)
+    full = EBlow2DPlanner().plan(_instance(name))
+    assert full.stats["annealing_moves"] == 624
+    assert sorted(p.name for p in stopped.placements2d) == sorted(
+        p.name for p in full.placements2d
+    )
+    assert placement_digest(stopped) == placement_digest(full)
+    assert stopped.stats["writing_time"] == full.stats["writing_time"]
+
+
+def test_floor_stop_is_counted_once():
+    """A 2T-n6 plan whose start fits counts one floor stop, one run, no move."""
+    with obs_metrics.collecting() as registry:
+        plan = EBlow2DPlanner().plan(_instance("2T-n6-s1"))
+        metrics = registry.snapshot()["metrics"]
+    assert plan.stats["annealing_moves"] == 0
+
+    def total(name):
+        return sum(series["value"] for series in metrics[name]["series"])
+
+    assert total("anneal_floor_stops_total") == 1
+    assert total("anneal_runs_total") == 1
+    assert total("anneal_moves_total") == 0

@@ -57,6 +57,10 @@ def _schedule() -> AnnealingSchedule:
     )
 
 
+# Moves in the whole ladder of _schedule(): 47 temperatures of 40 moves.
+FULL_LADDER = 1880
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_engines_visit_identical_best_states(seed):
     """Same seed + schedule -> bit-identical best state, cost, and trace."""
@@ -74,6 +78,37 @@ def test_engines_visit_identical_best_states(seed):
     assert incremental.annealing.moves == reference.annealing.moves
     assert incremental.annealing.accepted == reference.annealing.accepted
     assert incremental.annealing.cost_trace == reference.annealing.cost_trace
+
+
+# (blocks, outline side, seed): a start at the cost floor, and two searches
+# that reach it after 671 and 1539 of the ladder's 1880 moves.
+FLOOR_CASES = [(6, 100, 1), (7, 80, 1), (8, 80, 1)]
+
+
+@pytest.mark.parametrize("n, side, seed", FLOOR_CASES)
+def test_engines_stop_together_at_the_cost_floor(n, side, seed):
+    """Both engines stop at the same move once every block fits, and the
+    full ladder (no bound) ends at the same best state."""
+    blocks = _blocks(n)
+    model = _ToyTimeModel(sorted(blocks))
+    packer = FixedOutlinePacker(side, side, blocks, model)
+
+    reference = CopyEngine(FixedOutlinePacker(side, side, blocks, model)).pack(
+        schedule=_schedule(), seed=seed
+    )
+    incremental = packer.pack(schedule=_schedule(), seed=seed)
+    unbounded = CopyEngine(FixedOutlinePacker(side, side, blocks, model)).pack(
+        schedule=_schedule(), seed=seed, bound=False
+    )
+
+    assert incremental.cost == reference.cost == packer.cost_floor()
+    assert len(incremental.inside) == n
+    assert incremental.pair == reference.pair == unbounded.pair
+    assert incremental.annealing.moves == reference.annealing.moves < FULL_LADDER
+    assert incremental.annealing.accepted == reference.annealing.accepted
+    assert incremental.annealing.cost_trace == reference.annealing.cost_trace
+    assert unbounded.cost == incremental.cost
+    assert unbounded.annealing.moves == FULL_LADDER
 
 
 def test_engines_identical_across_rebase_boundaries():
@@ -134,15 +169,70 @@ def test_move_stats_cover_all_moves():
 
 
 def test_single_block_runs_null_moves():
-    """One block has nothing to swap: both engines walk the ladder in place."""
+    """One block has nothing to swap: both engines walk the ladder in place.
+
+    The block is larger than the outline, so the search never reaches its
+    cost floor.
+    """
+    blocks = _blocks(1)
+    model = _ToyTimeModel(sorted(blocks))
+    packer = FixedOutlinePacker(10, 10, blocks, model)
+    reference = CopyEngine(packer).pack(schedule=_schedule(), seed=0)
+    incremental = packer.pack(schedule=_schedule(), seed=0)
+    assert incremental.inside == {}
+    assert incremental.cost == reference.cost > packer.cost_floor()
+    assert incremental.annealing.moves == reference.annealing.moves == FULL_LADDER
+    assert set(incremental.annealing.move_stats) == {"none"}
+
+
+def test_single_block_that_fits_costs_no_move():
+    """A lone block inside the outline starts at the cost floor: 0 moves."""
+    from repro.events import emitting
+
     blocks = _blocks(1)
     model = _ToyTimeModel(sorted(blocks))
     packer = FixedOutlinePacker(90, 90, blocks, model)
     reference = CopyEngine(packer).pack(schedule=_schedule(), seed=0)
-    incremental = packer.pack(schedule=_schedule(), seed=0)
-    assert incremental.cost == reference.cost
-    assert incremental.annealing.moves == reference.annealing.moves > 0
-    assert set(incremental.annealing.move_stats) == {"none"}
+    seen = []
+    with emitting(seen.append):
+        incremental = packer.pack(schedule=_schedule(), seed=0)
+    assert incremental.inside == {"b00": (0.0, 0.0)}
+    assert incremental.cost == reference.cost == packer.cost_floor() == 648.0
+    assert incremental.annealing.moves == reference.annealing.moves == 0
+    assert incremental.annealing.accepted == 0
+    assert incremental.annealing.move_stats == {}
+    assert incremental.annealing.cost_trace == [incremental.cost]
+    assert seen == []
+
+
+class _NegativeRowModel(_ToyTimeModel):
+    """The toy model with one block whose reduction row has a negative entry."""
+
+    def __init__(self, names):
+        super().__init__(names)
+        self.rows[self.names[0]] = np.array([1.0, -2.0, 0.5])
+
+
+class _NegativeFloorModel(_ToyTimeModel):
+    """The toy model with reductions that take every region time below 0."""
+
+    def __init__(self, names):
+        super().__init__(names)
+        self.vsb = np.array([0.5, 1.0, 0.25])
+
+
+@pytest.mark.parametrize("model_class", [_NegativeRowModel, _NegativeFloorModel])
+def test_model_outside_the_bound_argument_gets_no_bound(model_class):
+    """A negative reduction entry or floor gives no bound: the search walks
+    the whole ladder even though its start fits."""
+    blocks = _blocks(1)
+    model = model_class(sorted(blocks))
+    packer = FixedOutlinePacker(90, 90, blocks, model)
+    assert packer.cost_floor() is None
+    assert CopyEngine(packer).cost_floor() is None
+    result = packer.pack(schedule=_schedule(), seed=0)
+    assert result.inside == {"b00": (0.0, 0.0)}
+    assert result.annealing.moves == FULL_LADDER
 
 
 class _Shift:
@@ -201,3 +291,33 @@ def test_cost_trace_has_one_entry_per_temperature():
     # One entry per temperature plus the initial cost.
     temps = len(list(AnnealingSchedule(moves_per_temperature=5, cooling_rate=0.7).temperatures()))
     assert len(result.cost_trace) == temps + 1
+
+
+def _walk_down(lower_bound):
+    """A walk from 10 down by one per move, to a floor of ``lower_bound``."""
+    return simulated_annealing_in_place(
+        state=[10],
+        cost=lambda s: float(s[0]),
+        propose=lambda s, rng: _Shift(-1),
+        snapshot=lambda s: s[0],
+        schedule=AnnealingSchedule(moves_per_temperature=4, cooling_rate=0.5),
+        rng=random.Random(1),
+        lower_bound=lower_bound,
+    )
+
+
+def test_search_stops_on_the_move_that_reaches_its_lower_bound():
+    """The 7th move reaches the bound: the stop comes mid-temperature, and
+    the visited temperatures keep their trace entries, the partial one too."""
+    result = _walk_down(3.0)
+    assert result.best_state == 3
+    assert result.best_cost == 3.0
+    assert result.moves == result.accepted == 7
+    assert result.cost_trace == [10.0, 6.0, 3.0]
+
+
+def test_search_starting_at_its_lower_bound_makes_no_move():
+    result = _walk_down(10.0)
+    assert result.best_state == 10
+    assert result.moves == 0
+    assert result.cost_trace == [10.0]

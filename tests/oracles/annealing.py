@@ -13,10 +13,10 @@ or, with ``delta=False``, re-scoring it in full.
 
 The planner runs the mutate/undo engine
 (:func:`repro.floorplan.simulated_annealing_in_place`).  It walks the same
-schedule, applies the same acceptance rule, draws the same random numbers
-and emits the same ``temperature``/``incumbent`` events, so with equal seeds
-both engines visit bit-identical states; the floorplan tests and
-``benchmarks/test_floorplan_micro.py`` compare them.
+schedule, applies the same acceptance rule, draws the same random numbers,
+stops at the same cost floor and emits the same ``temperature``/``incumbent``
+events, so with equal seeds both engines visit bit-identical states; the
+floorplan tests and ``benchmarks/test_floorplan_micro.py`` compare them.
 """
 
 from __future__ import annotations
@@ -100,11 +100,15 @@ def simulated_annealing(
     schedule: AnnealingSchedule | None = None,
     rng: random.Random | None = None,
     delta_cost: Callable[[S, S, float], float] | None = None,
+    lower_bound: float | None = None,
 ) -> AnnealingResult[S]:
     """Minimize ``cost`` over states reachable through ``neighbor``.
 
     The initial temperature is auto-scaled to the magnitude of the initial
     cost so callers can use the default schedule regardless of cost units.
+    ``lower_bound`` stops the search once the best cost reaches it, tested
+    where the in-place engine tests it: before the first temperature and
+    on the new-best branch.
 
     ``delta_cost`` is the optional *delta-cost protocol*: when given, it is
     called as ``delta_cost(current, candidate, current_cost)`` instead of
@@ -122,12 +126,13 @@ def simulated_annealing(
     best = current
     best_cost = current_cost
     scale = max(abs(current_cost), 1.0)
+    at_floor = lower_bound is not None and best_cost <= lower_bound
 
     moves = 0
     accepted = 0
     trace = [current_cost]
 
-    for temperature in schedule.temperatures():
+    for temperature in () if at_floor else schedule.temperatures():
         effective_t = temperature * scale
         for _ in range(schedule.moves_per_temperature):
             if moves >= schedule.max_total_moves:
@@ -147,9 +152,12 @@ def simulated_annealing(
                     best = current
                     best_cost = current_cost
                     emit("incumbent", cost=best_cost, moves=moves)
+                    if lower_bound is not None and best_cost <= lower_bound:
+                        at_floor = True
+                        break
         trace.append(current_cost)
         emit("temperature", temperature=temperature, cost=current_cost, moves=moves)
-        if moves >= schedule.max_total_moves:
+        if at_floor or moves >= schedule.max_total_moves:
             break
     return AnnealingResult(
         best_state=best,
@@ -263,17 +271,29 @@ class CopyEngine:
         self._remember_last(candidate, mask, times)
         return self._penalized(float(times.max()), x, y)
 
+    def cost_floor(self) -> float | None:
+        """``FixedOutlinePacker.cost_floor``, re-derived: the all-inside full re-score.
+
+        None when a reduction entry is negative or the floor itself is.
+        """
+        if (self._model_reductions < 0).any():
+            return None
+        floor = float((self._model_vsb - self._model_reductions.sum(axis=0)).max())
+        return floor if floor >= 0 else None
+
     def pack(
         self,
         schedule: AnnealingSchedule | None = None,
         seed: int = 0,
         initial: SequencePair | None = None,
         delta: bool = True,
+        bound: bool = True,
     ) -> FixedOutlineResult:
         """Anneal with the copy engine; same contract as ``FixedOutlinePacker.pack``.
 
         ``delta=False`` scores every candidate with the full re-score
-        ``cost_of`` instead of the delta-cost protocol.
+        ``cost_of`` instead of the delta-cost protocol.  ``bound=False``
+        walks the whole ladder, with no :meth:`cost_floor` to stop at.
         """
         self._reset_delta_cache()
         packer = self.packer
@@ -287,6 +307,7 @@ class CopyEngine:
             schedule=schedule,
             rng=rng,
             delta_cost=self.delta_cost if delta else None,
+            lower_bound=self.cost_floor() if bound else None,
         )
         packing = pack_sequence_pair(result.best_state, packer.blocks)
         return FixedOutlineResult(

@@ -97,6 +97,27 @@ class TestRoundTrip:
             second = arena_module.attached_instance(ref)
             assert first is second
 
+    def test_attach_registers_nothing_with_the_resource_tracker(self, monkeypatch):
+        """Only the export registers its segment; the attach neither
+        registers nor unregisters it, and leaves ``register`` as it was."""
+        from multiprocessing import resource_tracker
+
+        calls = []
+        monkeypatch.setattr(
+            resource_tracker, "register", lambda name, rtype: calls.append(("register", name))
+        )
+        monkeypatch.setattr(
+            resource_tracker, "unregister", lambda name, rtype: calls.append(("unregister", name))
+        )
+        recording = resource_tracker.register
+        instance = build_instance("1T-1", 1.0)
+        with InstanceArena() as arena:
+            ref = arena.export(instance)
+            assert calls == [("register", "/" + ref.segment)]
+            arena_module.attached_instance(ref)
+            assert calls == [("register", "/" + ref.segment)]
+            assert resource_tracker.register is recording
+
     def test_digest_mismatch_rejected(self):
         instance = build_instance("1T-1", 1.0)
         with InstanceArena() as arena:

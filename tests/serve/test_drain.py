@@ -158,6 +158,53 @@ class TestServeSigterm:
         assert _shm_segments() - before == set()
 
 
+class TestServeArenaDrain:
+    def test_drain_reports_no_leaked_segments_after_an_inline_instance(self, tmp_path):
+        """Named cases first, then an inline instance, then SIGTERM.
+
+        The named cases start the pool's workers before the parent's first
+        arena export starts its resource tracker, so a worker that
+        registered its attach would start a tracker of its own, and that
+        tracker would report the segment as leaked at the drain.
+        """
+        from repro.workloads import build_instance
+
+        socket_path = str(tmp_path / "serve.sock")
+        before = _shm_segments()
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--socket", socket_path,
+                "--workers", "2",
+                "--cache-dir", str(tmp_path / "cache"),
+            ],
+            env=_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            _wait_for(socket_path)
+            with ServeClient(socket=socket_path, timeout=120) as client:
+                burst = client.batch(
+                    [{"case": "1T-1", "scale": 0.12, "planner": "eblow"}] * 4
+                )
+                assert all(result.ok for result in burst)
+                assert client.plan("2T-4", planner="eblow-2d", scale=1.0).ok
+                inline = client.plan(build_instance("1T-2", 0.12), planner="greedy-1d")
+                assert inline.ok
+            proc.send_signal(signal.SIGTERM)
+            stdout, stderr = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate(timeout=30)
+        assert proc.returncode == 0, stderr
+        assert "resource_tracker" not in stderr
+        assert stderr == ""
+        assert _shm_segments() - before == set()
+
+
 class TestBatchSigterm:
     def test_sigterm_drains_and_flushes_the_manifest(self, tmp_path):
         manifest = str(tmp_path / "run.jsonl")
