@@ -1,4 +1,4 @@
-"""Extra ablations for the design choices called out in DESIGN.md.
+"""Extra ablations for E-BLOW's design choices.
 
 These go beyond the paper's figures and quantify the contribution of the
 individual E-BLOW ingredients:

@@ -12,8 +12,8 @@ typical user needs:
 >>> report.total <= max(instance.vsb_times())
 True
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
-reproduction of every table and figure of the paper.
+See ``README.md`` for the quickstart and the CLI verbs that reproduce the
+paper's tables and figures, and ``docs/API.md`` for the planning API.
 """
 
 from repro.model import (
@@ -50,8 +50,6 @@ __all__ = [
     "generate_2d_instance",
     # The unified planning API (see repro.api for the full surface).
     "plan",
-    "PlanRequest",
-    "PlanResult",
     "PlanEvent",
     "list_planners",
     "__version__",
@@ -66,8 +64,6 @@ _LAZY_ATTRS = {
     "generate_1d_instance": ("repro.workloads.generator", "generate_1d_instance"),
     "generate_2d_instance": ("repro.workloads.generator", "generate_2d_instance"),
     "plan": ("repro.api", "plan"),
-    "PlanRequest": ("repro.api", "PlanRequest"),
-    "PlanResult": ("repro.api", "PlanResult"),
     "PlanEvent": ("repro.api", "PlanEvent"),
     "list_planners": ("repro.api", "list_planners"),
     # attr None: the attribute is the module itself

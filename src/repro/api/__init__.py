@@ -1,12 +1,11 @@
-"""``repro.api`` — the unified public planning API.
+"""``repro.api`` — the public planning API.
 
-One façade, one typed lifecycle, one event protocol:
+One façade, one event protocol, one planner registry:
 
-* :func:`plan` / :func:`submit` — the one-call entry point every other
-  entry point (CLI, experiments, batch runtime, portfolio) is a thin
-  client of,
-* :class:`PlanRequest` → :class:`PlanResult` — the serializable lifecycle
-  models unifying ``AlgorithmResult`` / ``JobResult`` / plan stats,
+* :func:`plan` — the one-call entry point: a
+  :class:`~repro.runtime.jobs.PlanJob` built, validated and run, a
+  :class:`~repro.runtime.jobs.JobResult` returned (:class:`PlanningError`
+  when the run fails),
 * :class:`PlanEvent` + :func:`emitting` — the streaming progress protocol
   (see :mod:`repro.events`),
 * :class:`PlannerHandle` / :class:`PlannerCapabilities` /
@@ -19,8 +18,7 @@ One façade, one typed lifecycle, one event protocol:
 True
 """
 
-from repro.api.facade import plan, submit
-from repro.api.lifecycle import PlanningError, PlanRequest, PlanResult
+from repro.api.facade import PlanningError, plan
 from repro.api.registry import (
     OptionField,
     OptionSchema,
@@ -43,10 +41,6 @@ from repro.events import EVENT_TYPES, EventSink, PlanEvent, emit, emitting, even
 __all__ = [
     # façade
     "plan",
-    "submit",
-    # lifecycle
-    "PlanRequest",
-    "PlanResult",
     "PlanningError",
     # events
     "PlanEvent",

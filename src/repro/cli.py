@@ -465,7 +465,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _planner_options(planner: str, kind: str, time_limit: float | None) -> dict:
     """Options implied by CLI flags (ILP planners also get the time limit)."""
-    from repro.runtime import resolve_planner
+    from repro.api import resolve_planner
 
     options: dict = {}
     resolved = resolve_planner(planner, kind)
@@ -499,7 +499,7 @@ def _cmd_planners(args: argparse.Namespace) -> int:
 
 
 def _write_events_out(path: str | None, result) -> None:
-    """Persist a PlanResult's captured event stream as JSONL telemetry."""
+    """Persist a result's captured event stream as JSONL telemetry."""
     if not path:
         return
     from repro.runtime import Telemetry
@@ -619,6 +619,7 @@ def _graceful_drain(pool, what: str):
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    from repro.api import list_planners
     from repro.runtime import (
         LeasePolicy,
         LocalScheduler,
@@ -626,7 +627,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         Telemetry,
         grid_jobs,
         iter_jobs,
-        list_planners,
     )
     from repro.workloads import resolve_cases
 
@@ -839,16 +839,14 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
         kind = target.kind
         scale = None
     else:
-        from repro.workloads import ALL_CASES
+        from repro.runtime.jobs import case_kind
 
-        case = ALL_CASES.get(args.case)
-        if case is None:
+        kind = case_kind(args.case)
+        if kind is None:
             print(f"portfolio: unknown case {args.case!r}", file=sys.stderr)
             return 2
         target = args.case
         scale = args.scale if args.scale is not None else default_scale()
-        # Tiny suites use their own kind tags; the planner kind is 1D/2D.
-        kind = {"1T": "1D", "2T": "2D"}.get(case.kind, case.kind)
 
     if args.planner:
         entries = {name: PlannerSpec(name) for name in args.planner}

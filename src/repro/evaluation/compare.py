@@ -1,30 +1,26 @@
 """Comparison harness: run several planners over a list of benchmark cases.
 
-This is the engine behind the Table 3 / Table 4 / Table 5 reproductions — a
-thin client of the unified planning API: planner specs build through the
-shared :mod:`repro.api.registry` handles (declared capabilities + option
-schemas), and pooled grids execute through the batch runtime's single
-execution path.  Results are grouped per case so the reporting module can
-lay them out in the paper's row format.
-
-Planners may still be supplied as bare factories (legacy, serial-only); the
-spec form (:class:`~repro.runtime.jobs.PlannerSpec` or registry-name
-strings) is required for pooled execution and validated against the
-planner's declared option schema.
+This is the engine behind the Table 3 / Table 4 / Table 5 reproductions.
+The cases × planners grid runs through the batch runtime's one path
+(:func:`~repro.runtime.engine.grid_jobs` →
+:func:`~repro.runtime.engine.run_jobs`), so every cell is a
+:class:`~repro.runtime.jobs.JobResult` carrying the paper's three columns:
+writing time ``T``, the characters on the stencil ``char#``, and the
+runtime ``CPU(s)``.  Results are grouped per case so the reporting module
+can lay them out in the paper's row format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.evaluation.metrics import AlgorithmResult, result_from_plan
 from repro.model import OSPInstance
-from repro.workloads import build_instance
+
+if TYPE_CHECKING:
+    from repro.runtime.jobs import JobResult, PlannerSpec
 
 __all__ = ["ComparisonRow", "Comparison", "run_comparison"]
-
-PlannerFactory = Callable[[], object]
 
 
 @dataclass
@@ -33,7 +29,7 @@ class ComparisonRow:
 
     case: str
     instance_summary: dict
-    results: dict[str, AlgorithmResult] = field(default_factory=dict)
+    results: dict[str, JobResult] = field(default_factory=dict)
 
 
 @dataclass
@@ -86,7 +82,17 @@ class Comparison:
                 {
                     "case": row.case,
                     "instance": row.instance_summary,
-                    "results": {k: v.to_dict() for k, v in row.results.items()},
+                    "results": {
+                        name: {
+                            "algorithm": result.label,
+                            "case": result.case,
+                            "writing_time": result.writing_time,
+                            "num_selected": result.num_selected,
+                            "runtime_seconds": result.runtime_seconds,
+                            "extra": dict(result.extra),
+                        }
+                        for name, result in row.results.items()
+                    },
                 }
                 for row in self.rows
             ]
@@ -95,7 +101,7 @@ class Comparison:
 
 def run_comparison(
     cases: Sequence[str] | Sequence[OSPInstance],
-    planners: Mapping[str, PlannerFactory],
+    planners: Mapping[str, PlannerSpec | str],
     scale: float = 1.0,
     jobs: int = 1,
     store=None,
@@ -104,72 +110,34 @@ def run_comparison(
 ) -> Comparison:
     """Run every planner on every case.
 
-    ``cases`` may contain benchmark-case names (resolved through
-    :func:`repro.workloads.build_instance` with ``scale``) or pre-built
-    :class:`OSPInstance` objects.
-
-    ``planners`` values may be plain factories (legacy, serial-only) or
-    :class:`repro.runtime.PlannerSpec` / registry-name strings.  With
-    ``jobs > 1`` — or a result ``store`` / ``telemetry`` manifest — the grid
-    executes through the batch runtime (:mod:`repro.runtime`), which requires
-    the spec form.  Plans are identical to serial runs provided the planner
-    configs are load-independent.  Every default config is, E-BLOW's
-    included (its fast-convergence ILP stops on a MIP gap, not on wall
-    clock); only the exact ILP planners' ``time_limit`` returns whatever
-    incumbent the wall clock allowed.
+    ``cases`` may contain benchmark-case names (resolved with ``scale``) or
+    pre-built :class:`OSPInstance` objects; ``planners`` maps each column
+    label to a :class:`~repro.runtime.jobs.PlannerSpec` or a registry name.
+    ``jobs > 1`` runs the grid on a local process pool.  Plans are identical
+    to an inline run provided the planner configs are load-independent.
+    Every default config is, E-BLOW's included (its fast-convergence ILP
+    stops on a MIP gap, not on wall clock); only the exact ILP planners'
+    ``time_limit`` returns whatever incumbent the wall clock allowed.
     """
-    if jobs > 1 or store is not None or telemetry is not None:
-        return _run_comparison_pooled(
-            cases, planners, scale=scale, jobs=jobs, store=store,
-            telemetry=telemetry, timeout=timeout,
-        )
-    from repro.runtime.jobs import summarize_instance
-
-    comparison = Comparison()
-    for case in cases:
-        instance = case if isinstance(case, OSPInstance) else build_instance(case, scale)
-        row = ComparisonRow(case=instance.name, instance_summary=summarize_instance(instance))
-        for name, factory in planners.items():
-            planner = _build_planner(factory, instance.kind)
-            plan = planner.plan(instance)
-            row.results[name] = result_from_plan(plan, algorithm=name, case=instance.name)
-        comparison.rows.append(row)
-    return comparison
-
-
-def _build_planner(factory, kind: str):
-    """Support both legacy factories and runtime planner specs."""
-    from repro.runtime.jobs import PlannerSpec
-
-    if isinstance(factory, PlannerSpec):
-        return factory.build(kind)
-    if isinstance(factory, str):
-        return PlannerSpec(factory).build(kind)
-    return factory()
-
-
-def _run_comparison_pooled(
-    cases, planners, scale, jobs, store, telemetry, timeout
-) -> Comparison:
     from repro.runtime import LocalScheduler, grid_jobs, run_jobs
 
     grid = grid_jobs(cases, planners, scale=scale, timeout=timeout)
-    results = run_jobs(
-        grid, scheduler=LocalScheduler(jobs), store=store, telemetry=telemetry
-    )
+    results = run_jobs(grid, scheduler=LocalScheduler(jobs), store=store, telemetry=telemetry)
 
     comparison = Comparison()
-    row_by_case: dict[str, ComparisonRow] = {}
-    for result in results:
+    # Rows are keyed by the planning input, not by its name: two instances
+    # that share a name are two rows.
+    row_by_input: dict[str, ComparisonRow] = {}
+    for job, result in zip(grid, results):
         if not result.ok:
             raise RuntimeError(
                 f"planner {result.label!r} failed on case {result.case!r} "
                 f"({result.status}): {result.error}"
             )
-        row = row_by_case.get(result.case)
+        row = row_by_input.get(job.instance_hash)
         if row is None:
             row = ComparisonRow(case=result.case, instance_summary=dict(result.instance_summary))
-            row_by_case[result.case] = row
+            row_by_input[job.instance_hash] = row
             comparison.rows.append(row)
-        row.results[result.label] = result.to_algorithm_result()
+        row.results[result.label] = result
     return comparison

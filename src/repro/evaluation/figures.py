@@ -1,8 +1,8 @@
 """Text rendering of the paper's figures (convergence traces, histograms, bars).
 
 The reproduction is terminal-first: instead of matplotlib plots, the figure
-data is rendered as compact ASCII charts that can be pasted into
-``EXPERIMENTS.md`` or read straight off a CI log.
+data is rendered as compact ASCII charts that read straight off a terminal
+or a CI log.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Reproduction entry points for every table and figure of the paper.
 
 Each function regenerates one experiment of Section 5 and returns plain data
-structures; the CLI prints them, the benchmark harness times them, and
-``EXPERIMENTS.md`` records representative outputs.
+structures; the CLI prints them and the benchmark harness times them.
 
 * :func:`run_table3`  — 1DOSP comparison (Greedy[24], Heur[24], [25]-style, E-BLOW),
 * :func:`run_table4`  — 2DOSP comparison (Greedy[24], SA[24], E-BLOW),

@@ -2,8 +2,7 @@
 
 The formats are intentionally simple: plain dictionaries produced by the
 ``to_dict`` methods of the model classes, written with :mod:`json`.  They are
-stable enough to archive benchmark instances and planner outputs alongside
-``EXPERIMENTS.md``.
+stable enough to archive benchmark instances and planner outputs.
 
 Two properties matter to the batch runtime (:mod:`repro.runtime`):
 

@@ -40,12 +40,9 @@ from repro.runtime.jobs import (
     PlanJob,
     PlannerSpec,
     execute_job,
-    list_planners,
-    register_planner,
-    resolve_planner,
 )
 from repro.runtime.pool import EventRelay, PlannerPool, default_workers
-from repro.runtime.portfolio import PortfolioOutcome, portfolio_jobs, run_portfolio
+from repro.runtime.portfolio import PortfolioOutcome, run_portfolio
 from repro.runtime.store import ResultStore, code_version, default_cache_dir
 from repro.runtime.supervision import JobJournal, JobLease, LeasePolicy
 from repro.runtime.telemetry import Telemetry, read_manifest, summarize_manifest
@@ -58,9 +55,6 @@ __all__ = [
     "JobTimeoutError",
     "JobCancelledError",
     "execute_job",
-    "register_planner",
-    "resolve_planner",
-    "list_planners",
     "ArenaRef",
     "InstanceArena",
     "instance_digest",
@@ -73,7 +67,6 @@ __all__ = [
     "iter_jobs",
     "run_jobs",
     "PortfolioOutcome",
-    "portfolio_jobs",
     "run_portfolio",
     "ResultStore",
     "code_version",

@@ -3,7 +3,7 @@
 This is the high-level entry the CLI and the evaluation layer share:
 
 * :func:`grid_jobs` expands a cases × planners grid into :class:`PlanJob`
-  specs (the same grid ``run_comparison`` used to loop over serially),
+  specs (the comparison tables' grid, and a portfolio race's one-case row),
 * a :class:`Scheduler` — the one dispatch knob — decides where a batch
   runs: :class:`LocalScheduler` in this process or on a local pool,
   optionally supervised; :class:`~repro.dist.BrokerScheduler` over a spool,
@@ -34,10 +34,7 @@ def _as_spec(value) -> PlannerSpec:
         return value
     if isinstance(value, str):
         return PlannerSpec(value)
-    raise TypeError(
-        "pooled execution needs picklable planner specs; got "
-        f"{value!r} — pass a PlannerSpec (or registry name) instead of a factory"
-    )
+    raise TypeError(f"planners are PlannerSpecs or registry names; got {value!r}")
 
 
 def grid_jobs(

@@ -1,9 +1,11 @@
-"""Declarative planning jobs and the planner registry.
+"""Declarative planning jobs, their results, and the one execution path.
 
 A :class:`PlanJob` is a self-contained, picklable description of one planner
 run: *what* to plan (a named benchmark case + scale, or an inline
 :class:`~repro.model.OSPInstance`) and *how* (a :class:`PlannerSpec` naming a
 registered planner plus JSON-able options, an optional wall-clock timeout).
+It is the request of every layer: ``repro.plan``, the batch runtime, the
+serve protocol (``to_dict`` / ``from_dict``) and the comparison tables.
 
 Because the description is pure data, it has a deterministic identity:
 ``job_id`` is a content hash over the canonical-JSON encoding of the job
@@ -15,7 +17,8 @@ Because the description is pure data, it has a deterministic identity:
 the process pool, and portfolio racing — it resolves the instance, builds the
 planner from the registry, enforces the timeout (SIGALRM-based, so a stuck
 planner is interrupted inside the worker instead of orphaning it), and
-condenses the plan into a :class:`JobResult`.
+condenses the plan into a :class:`JobResult` — the one record of a run's
+outcome, whichever layer ran it.
 """
 
 from __future__ import annotations
@@ -30,22 +33,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
-# The planner registry now lives in repro.api.registry (planners declare
-# capabilities and option schemas there and self-register on import); these
-# re-exports keep the historic `repro.runtime` import surface working.
 from repro.api import planners as _catalogue  # noqa: F401  (self-registration)
-from repro.api.registry import (  # noqa: F401  (re-exported shims)
-    PlannerBuilder,
-    get_handle,
-    list_planners,
-    register_planner,
-    resolve_planner,
-)
+from repro.api.registry import get_handle
 from repro.errors import ValidationError
-from repro.evaluation.metrics import AlgorithmResult, result_from_plan
-from repro.events import emit
+from repro.events import PlanEvent, emit
 from repro.io.serialization import canonical_json
-from repro.model import OSPInstance, StencilPlan
+from repro.model import OSPInstance, StencilPlan, evaluate_plan
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import span
 from repro.runtime import faults
@@ -62,9 +55,6 @@ __all__ = [
     "request_cancel",
     "cancel_pending",
     "summarize_instance",
-    "register_planner",
-    "resolve_planner",
-    "list_planners",
 ]
 
 
@@ -174,6 +164,38 @@ class PlanJob:
     def display_label(self) -> str:
         return self.label or self.spec.planner
 
+    def validate(self) -> "PlanJob":
+        """Check the options against the planner's schema; return the job.
+
+        Raises :class:`ValidationError` before anything runs (``execute_job``
+        would turn it into a ``status="error"`` result instead).
+        """
+        kind = self.instance.kind if self.instance is not None else case_kind(self.case)
+        get_handle(self.spec.planner, kind).validate_options(self.spec.options)
+        return self
+
+    def to_dict(self) -> dict:
+        """The request as JSON-able data (the serve protocol's ``request``)."""
+        data = {**self.spec.to_dict(), "timeout": self.timeout, "label": self.label}
+        if self.case is not None:
+            data["case"] = self.case
+            data["scale"] = self.scale
+        else:
+            data["instance"] = self.instance.to_dict()
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> "PlanJob":
+        instance = data.get("instance")
+        return cls(
+            spec=PlannerSpec.from_dict(data),
+            case=data.get("case"),
+            scale=data.get("scale"),
+            instance=None if instance is None else OSPInstance.from_dict(instance),
+            timeout=data.get("timeout"),
+            label=data.get("label"),
+        )
+
     @property
     def case_name(self) -> str:
         return self.case if self.case is not None else self.instance.name
@@ -278,6 +300,22 @@ class JobDescriptor:
         return job
 
 
+def case_kind(case: str) -> str | None:
+    """The planner kind (1D/2D) of a named benchmark case, if known.
+
+    The tiny suites carry their own kind tags (``1T`` / ``2T``); they map to
+    the planner kinds.  Unknown case names return ``None`` — the resulting
+    "unknown planner" error from bare-name resolution is the right message,
+    and a fully-qualified planner name still resolves fine.
+    """
+    from repro.workloads import ALL_CASES
+
+    entry = ALL_CASES.get(case)
+    if entry is None:
+        return None
+    return {"1T": "1D", "2T": "2D"}.get(entry.kind, entry.kind)
+
+
 def _digest(payload) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
@@ -308,7 +346,13 @@ def _cached_case_instance(case: str, scale: float) -> OSPInstance:
 
 @dataclass
 class JobResult:
-    """Outcome of one :class:`PlanJob` execution (or a store hit)."""
+    """Outcome of one :class:`PlanJob` execution (or a store hit).
+
+    The one result record of every layer: the paper's three comparison
+    columns (writing time, char#, CPU(s)), execution provenance, the
+    serialized plan, and the planner telemetry in ``extra``.  ``to_dict`` is
+    the store entry's body and the serve ``result`` frame.
+    """
 
     job_id: str
     case: str
@@ -331,10 +375,44 @@ class JobResult:
     # *execution*, not the result — persisting it in the store would replay
     # stale counters into every cache hit.  The pool pops and merges it.
     metrics: dict | None = None
+    # The PlanEvent stream ``repro.plan`` captured during the run; excluded
+    # from to_dict/from_dict for the same reason as ``metrics``.
+    events: list[PlanEvent] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
+
+    @property
+    def stats(self) -> dict:
+        """The planner's full ``plan.stats`` dict (empty when no plan)."""
+        if self.plan is None:
+            return {}
+        return dict(self.plan.get("stats", {}))
+
+    def event_counts(self) -> dict[str, int]:
+        """How many events of each type the run emitted."""
+        counts: dict[str, int] = {}
+        for event in self.events:
+            counts[event.type] = counts.get(event.type, 0) + 1
+        return counts
+
+    def trace(self):
+        """The run's span tree assembled from the captured event stream.
+
+        Returns a :class:`repro.obs.tracing.Span` (render it with
+        :func:`repro.obs.report.render_report`), or ``None`` when the run
+        carries no ``span`` events (a store hit, or a result that did not
+        come from ``repro.plan``).
+        """
+        from repro.obs.tracing import TraceCollector
+
+        collector = TraceCollector()
+        for event in self.events:
+            collector(event)
+        if not collector.spans():
+            return None
+        return collector.tree()
 
     def to_dict(self) -> dict:
         return {
@@ -377,18 +455,7 @@ class JobResult:
             extra=dict(data.get("extra", {})),
         )
 
-    def to_algorithm_result(self) -> AlgorithmResult:
-        """Condense into the comparison-table record (see evaluation.metrics)."""
-        return AlgorithmResult(
-            algorithm=self.label,
-            case=self.case,
-            writing_time=self.writing_time,
-            num_selected=self.num_selected,
-            runtime_seconds=self.runtime_seconds,
-            extra=dict(self.extra),
-        )
-
-    def to_plan(self, instance: OSPInstance) -> StencilPlan:
+    def plan_object(self, instance: OSPInstance) -> StencilPlan:
         """Rebuild the stencil plan against its (re-resolved) instance."""
         if self.plan is None:
             raise ValidationError(f"job {self.job_id} carries no plan (status={self.status})")
@@ -398,6 +465,20 @@ class JobResult:
 # --------------------------------------------------------------------------- #
 # Execution
 # --------------------------------------------------------------------------- #
+
+#: The ``plan.stats`` keys a result carries in ``extra`` (planner telemetry
+#: beside the paper's three columns: writing time, char#, CPU(s)).
+_EXTRA_STATS = (
+    "lp_iterations",
+    "lp_solve_seconds",
+    "stage_seconds",
+    "post_swaps",
+    "post_insertions",
+    "num_clusters",
+    "annealing_moves",
+    "optimal",
+    "ilp_binary_variables",
+)
 
 _PLANS = obs_metrics.declare_counter(
     "plans_total", "Planner executions by outcome", ("planner", "status")
@@ -503,12 +584,12 @@ def execute_job(job: PlanJob, on_event=None) -> JobResult:
             planner = job.spec.build(instance.kind)
             with _deadline(job.timeout):
                 plan = planner.plan(instance)
-            condensed = result_from_plan(plan, algorithm=job.display_label, case=instance.name)
+            report = evaluate_plan(plan)
             result.status = "ok"
-            result.writing_time = condensed.writing_time
-            result.num_selected = condensed.num_selected
-            result.runtime_seconds = condensed.runtime_seconds
-            result.extra = dict(condensed.extra)
+            result.writing_time = report.total
+            result.num_selected = report.num_selected
+            result.runtime_seconds = float(plan.stats.get("runtime_seconds", 0.0))
+            result.extra = {k: v for k, v in plan.stats.items() if k in _EXTRA_STATS}
             result.plan = plan.to_dict()
         except JobTimeoutError as exc:
             result.status = "timeout"

@@ -34,12 +34,13 @@ from repro.events import PlanEvent, guarded_sink
 from repro.model import OSPInstance
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import span
+from repro.runtime.engine import grid_jobs
 from repro.runtime.jobs import JobResult, PlanJob, PlannerSpec, execute_job
 from repro.runtime.pool import EventRelay, PlannerPool, default_workers, labelled_event
 from repro.runtime.store import ResultStore
 from repro.runtime.telemetry import Telemetry
 
-__all__ = ["PortfolioOutcome", "portfolio_jobs", "run_portfolio"]
+__all__ = ["PortfolioOutcome", "run_portfolio"]
 
 _RACES = obs_metrics.declare_counter("portfolio_races_total", "Portfolio races run")
 _ENTRANTS = obs_metrics.declare_counter(
@@ -70,27 +71,6 @@ class PortfolioOutcome:
     @property
     def ok(self) -> bool:
         return self.winner is not None
-
-
-def portfolio_jobs(
-    instance_or_case: OSPInstance | str,
-    entries: Mapping[str, PlannerSpec | str],
-    scale: float | None = None,
-    timeout: float | None = None,
-) -> list[PlanJob]:
-    """One job per portfolio entrant, all targeting the same instance."""
-    jobs = []
-    for label, value in entries.items():
-        spec = value if isinstance(value, PlannerSpec) else PlannerSpec(str(value))
-        if isinstance(instance_or_case, OSPInstance):
-            jobs.append(PlanJob(spec=spec, instance=instance_or_case, timeout=timeout, label=label))
-        else:
-            jobs.append(
-                PlanJob(
-                    spec=spec, case=instance_or_case, scale=scale, timeout=timeout, label=label
-                )
-            )
-    return jobs
 
 
 def _better(candidate: JobResult, incumbent: JobResult | None) -> bool:
@@ -209,7 +189,7 @@ def run_portfolio(
     # A budget without per-job timeouts would leave stragglers running
     # unattended in the workers; bound them by the budget itself.
     job_timeout = timeout if timeout is not None else budget
-    jobs = portfolio_jobs(instance_or_case, entries, scale=scale, timeout=job_timeout)
+    jobs = grid_jobs([instance_or_case], entries, scale=scale, timeout=job_timeout)
 
     start = time.perf_counter()
     outcome = PortfolioOutcome(winner=None)

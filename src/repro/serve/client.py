@@ -2,7 +2,7 @@
 
 :class:`ServeClient` mirrors the façade surface over the wire — the same
 arguments ``repro.plan`` takes produce a request frame, and the result
-comes back as the same :class:`~repro.api.lifecycle.PlanResult`::
+comes back as the same :class:`~repro.runtime.jobs.JobResult`::
 
     from repro.serve.client import ServeClient
 
@@ -25,9 +25,10 @@ import socket as socketlib
 import time
 from typing import Callable, Iterator, Mapping
 
-from repro.api.lifecycle import PlanningError, PlanResult
+from repro.api.facade import PlanningError
 from repro.errors import ReproError
 from repro.events import PlanEvent
+from repro.runtime.jobs import JobResult, PlanJob
 from repro.serve.protocol import decode_frame, encode_frame, request_frame
 
 __all__ = ["ServeClient", "ServeError"]
@@ -226,7 +227,7 @@ class ServeClient:
         label: str | None = None,
         on_event: Callable[[PlanEvent], None] | None = None,
         check: bool = True,
-    ) -> PlanResult:
+    ) -> JobResult:
         """Plan on the daemon; mirrors :func:`repro.plan`.
 
         ``instance`` is a benchmark-case name (resolved with ``scale``) or
@@ -253,10 +254,10 @@ class ServeClient:
         label,
         on_event,
         check,
-    ) -> PlanResult:
+    ) -> JobResult:
         request = self._request_payload(instance, planner, options, scale, timeout, label)
         rid = self._send("plan", request=request, events=on_event is not None)
-        result: PlanResult | None = None
+        result: JobResult | None = None
         for frame in self._frames(rid):
             kind = frame.get("frame")
             if kind == "ack":
@@ -266,7 +267,7 @@ class ServeClient:
                 on_event(PlanEvent.from_dict(frame["event"]))
             elif kind == "result":
                 self.last_outcome = frame.get("outcome", self.last_outcome)
-                result = PlanResult.from_dict(frame["result"])
+                result = JobResult.from_dict(frame["result"])
             elif kind == "error":
                 self._raise(frame)
         if result is None:
@@ -283,32 +284,28 @@ class ServeClient:
         requests,
         *,
         on_event: Callable[[PlanEvent], None] | None = None,
-    ) -> list[PlanResult | ServeError]:
+    ) -> list[JobResult | ServeError]:
         """Run several plan requests; one list slot per request, in order.
 
-        Each element of ``requests`` is a :class:`PlanRequest`-shaped dict
-        (or a :class:`~repro.api.lifecycle.PlanRequest`).  Rejected or
-        malformed entries come back as :class:`ServeError` values in their
-        slot — the batch itself never raises for per-entry failures.
+        Each element of ``requests`` is a :class:`~repro.runtime.jobs.PlanJob`
+        or its ``to_dict()`` form.  Rejected or malformed entries come back
+        as :class:`ServeError` values in their slot — the batch itself never
+        raises for per-entry failures.
         Whole-batch failures are retried under the reconnect budget.
         """
         return self._retrying(lambda: self._batch_once(requests, on_event=on_event))
 
-    def _batch_once(self, requests, *, on_event) -> list[PlanResult | ServeError]:
-        from repro.api.lifecycle import PlanRequest
-
-        payloads = [
-            r.to_dict() if isinstance(r, PlanRequest) else dict(r) for r in requests
-        ]
+    def _batch_once(self, requests, *, on_event) -> list[JobResult | ServeError]:
+        payloads = [r.to_dict() if isinstance(r, PlanJob) else dict(r) for r in requests]
         rid = self._send("batch", requests=payloads, events=on_event is not None)
-        slots: list[PlanResult | ServeError | None] = [None] * len(payloads)
+        slots: list[JobResult | ServeError | None] = [None] * len(payloads)
         for frame in self._frames(rid):
             kind = frame.get("frame")
             index = frame.get("index")
             if kind == "event" and on_event is not None:
                 on_event(PlanEvent.from_dict(frame["event"]))
             elif kind == "result" and index is not None:
-                slots[index] = PlanResult.from_dict(frame["result"])
+                slots[index] = JobResult.from_dict(frame["result"])
             elif kind == "error":
                 if index is None:
                     self._raise(frame)

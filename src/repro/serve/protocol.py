@@ -18,13 +18,14 @@ so concurrent requests on one connection demultiplex cleanly)::
      "outcome": "computed"}
     {"v": 1, "id": "q1", "frame": "event", "event": {…PlanEvent…}}
     {"v": 1, "id": "q1", "frame": "result", "outcome": "computed",
-     "result": {…PlanResult…}}
+     "result": {…JobResult.to_dict()…}}
 
 Verbs (see ``docs/SERVING.md`` for the full schema):
 
 ==============  =============================================================
-``plan``        one :class:`~repro.api.lifecycle.PlanRequest`; streams
-                optional ``event`` frames, ends with one ``result`` frame
+``plan``        one :class:`~repro.runtime.jobs.PlanJob` as ``to_dict`` gives
+                it; streams optional ``event`` frames, ends with one
+                ``result`` frame
 ``batch``       a list of plan requests; one ``result`` frame per request
                 (stamped ``index``), ends with a ``done`` summary frame
 ``portfolio``   race several planner specs on one instance; ends with a

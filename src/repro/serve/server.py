@@ -57,11 +57,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from repro.api.lifecycle import PlanRequest, PlanResult
 from repro.errors import ValidationError
 from repro.events import PlanEvent
 from repro.obs import metrics as obs_metrics
-from repro.runtime.jobs import JobResult, PlannerSpec
+from repro.runtime.jobs import JobResult, PlanJob, PlannerSpec
 from repro.runtime.pool import CANCEL_GRACE, EventRelay, PlannerPool
 from repro.runtime.store import ResultStore
 from repro.serve.protocol import (
@@ -587,8 +586,7 @@ class PlanServer:
         try:
             if not isinstance(payload, Mapping):
                 raise ValidationError("missing or malformed 'request' object")
-            request = PlanRequest.from_dict(payload).validated()
-            job = request.to_job()
+            job = PlanJob.from_dict(payload).validate()
         except Exception as exc:  # noqa: BLE001 — anything wrong with the payload
             self._count(verb, "error")
             await conn.send(error_frame(rid, "bad_request", f"{type(exc).__name__}: {exc}") | extra)
@@ -603,14 +601,13 @@ class PlanServer:
             if cached is not None:
                 self._store_hits += 1
                 self._count(verb, "store_hit")
-                result = PlanResult.from_job_result(cached, timeout=request.timeout)
                 await conn.send(response_frame(
                     rid, "ack", job_id=job.job_id, state="done", outcome="store_hit", **extra
                 ))
                 await conn.send(response_frame(
-                    rid, "result", outcome="store_hit", result=result.to_dict(), **extra
+                    rid, "result", outcome="store_hit", result=cached.to_dict(), **extra
                 ))
-                return result.status
+                return cached.status
         flight = self._flights.get(job.job_id)
         if flight is not None:
             outcome = "coalesced"
@@ -661,11 +658,13 @@ class PlanServer:
             flight.waiters -= 1
             if channel is not None:
                 flight.channels.discard(channel)
-        plan_result = PlanResult.from_job_result(result, timeout=request.timeout)
+        # A coalesced waiter shares the flight's result but not its label:
+        # each frame names its own request, as a store hit does.
         await conn.send(response_frame(
-            rid, "result", outcome=outcome, result=plan_result.to_dict(), **extra
+            rid, "result", outcome=outcome,
+            result={**result.to_dict(), "label": job.display_label}, **extra,
         ))
-        return plan_result.status
+        return result.status
 
     async def _handle_batch(self, conn: _Connection, frame: Mapping) -> None:
         rid = frame.get("id")

@@ -3,6 +3,7 @@
 from repro.api import plan
 from repro.events import PlanEvent, emit, emitting, events_enabled
 from repro.model import StencilPlan
+from repro.runtime import PlanJob, PlannerSpec, execute_job
 from repro.workloads import build_instance
 
 
@@ -106,8 +107,9 @@ class TestPlannerInstrumentation:
         assert any(event.type == "temperature" for event in seen)
 
     def test_instrumentation_does_not_change_plans(self, small_2d_instance):
-        silent = plan(small_2d_instance, planner="eblow-2d", collect_events=False)
+        silent = execute_job(PlanJob(spec=PlannerSpec("eblow-2d"), instance=small_2d_instance))
         chatty = plan(small_2d_instance, planner="eblow-2d")
+        assert chatty.events  # the façade captured the stream; execute_job had no sink
         strip = lambda p: {k: v for k, v in p.items() if k != "stats"}  # noqa: E731
         assert strip(silent.plan) == strip(chatty.plan)
         assert silent.writing_time == chatty.writing_time

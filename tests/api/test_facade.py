@@ -1,9 +1,9 @@
-"""Tests for the one-call façade ``repro.plan`` / ``repro.api.submit``."""
+"""Tests for the one-call façade ``repro.plan``."""
 
 import pytest
 
 import repro
-from repro.api import PlanningError, PlanRequest, plan, submit
+from repro.api import PlanningError, plan
 from repro.errors import ValidationError
 from repro.runtime import ResultStore
 from repro.workloads import build_instance
@@ -63,16 +63,6 @@ class TestPlanCall:
         assert [e.type for e in live] == [e.type for e in result.events]
         assert live[0].type == "started" and live[-1].type == "finished"
 
-    def test_collect_events_false_keeps_callback_only(self, small_1d_instance):
-        live = []
-        result = repro.plan(
-            small_1d_instance,
-            planner="greedy-1d",
-            on_event=live.append,
-            collect_events=False,
-        )
-        assert result.events == [] and len(live) >= 2
-
     def test_three_distinct_event_types_on_2d_case(self):
         result = plan("2D-1", planner="eblow-2d", scale=0.05)
         assert len(result.event_counts()) >= 3
@@ -102,23 +92,16 @@ class TestStoreIntegration:
 
 
 class TestSubmit:
+    """``plan(check=False)``: failed runs come back, bad input still raises."""
+
     def test_submit_never_raises_for_planner_failures(self, small_2d_instance):
-        request = PlanRequest(planner="greedy-1d", instance=small_2d_instance)
-        result = submit(request)
+        result = plan(small_2d_instance, planner="greedy-1d", check=False)
         assert result.status == "error" and result.error
+        assert result.event_counts()["finished"] == 1
 
     def test_submit_validates_options_eagerly(self, small_1d_instance):
-        request = PlanRequest(
-            planner="greedy-1d", options={"nope": 1}, instance=small_1d_instance
-        )
         with pytest.raises(ValidationError, match="unknown option"):
-            submit(request)
-
-    def test_timeout_recorded_on_result(self, small_1d_instance):
-        request = PlanRequest(
-            planner="greedy-1d", instance=small_1d_instance, timeout=45.0
-        )
-        assert submit(request).timeout == 45.0
+            plan(small_1d_instance, planner="greedy-1d", options={"nope": 1}, check=False)
 
 
 class TestBitIdenticalWithLegacyPaths:

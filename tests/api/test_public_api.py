@@ -26,8 +26,6 @@ REPRO_EXPORTS = sorted(
         "generate_1d_instance",
         "generate_2d_instance",
         "plan",
-        "PlanRequest",
-        "PlanResult",
         "PlanEvent",
         "list_planners",
         "__version__",
@@ -37,9 +35,6 @@ REPRO_EXPORTS = sorted(
 REPRO_API_EXPORTS = sorted(
     [
         "plan",
-        "submit",
-        "PlanRequest",
-        "PlanResult",
         "PlanningError",
         "PlanEvent",
         "EventSink",
@@ -71,9 +66,6 @@ RUNTIME_EXPORTS = sorted(
         "JobTimeoutError",
         "JobCancelledError",
         "execute_job",
-        "register_planner",
-        "resolve_planner",
-        "list_planners",
         "ArenaRef",
         "InstanceArena",
         "instance_digest",
@@ -86,7 +78,6 @@ RUNTIME_EXPORTS = sorted(
         "iter_jobs",
         "run_jobs",
         "PortfolioOutcome",
-        "portfolio_jobs",
         "run_portfolio",
         "ResultStore",
         "code_version",

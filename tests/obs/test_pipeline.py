@@ -168,12 +168,9 @@ class TestFacadeTrace:
         assert "successive_rounding" in names and "lp_solve" in names
 
     def test_trace_is_none_without_collected_events(self):
-        from repro.api import PlanRequest, submit
+        from repro.runtime import PlanJob, PlannerSpec, execute_job
 
-        result = submit(
-            PlanRequest(planner="eblow-1d", case="1T-1", scale=0.5),
-            collect_events=False,
-        )
+        result = execute_job(PlanJob(spec=PlannerSpec("eblow-1d"), case="1T-1", scale=0.5))
         assert result.ok and result.trace() is None
 
 

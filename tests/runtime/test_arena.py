@@ -17,6 +17,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.api import register_planner
 from repro.runtime import (
     InstanceArena,
     LocalScheduler,
@@ -29,7 +30,6 @@ from repro.runtime import (
     run_jobs,
 )
 from repro.runtime import arena as arena_module
-from repro.runtime.jobs import register_planner
 from repro.workloads import build_instance
 
 

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro.api import register_planner
 from repro.events import emit
 from repro.model import StencilPlan
 from repro.runtime import (
@@ -16,7 +17,6 @@ from repro.runtime import (
     grid_jobs,
     iter_jobs,
     read_manifest,
-    register_planner,
     run_jobs,
     summarize_manifest,
 )

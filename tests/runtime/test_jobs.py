@@ -4,17 +4,10 @@ import time
 
 import pytest
 
+from repro.api import list_planners, register_planner, resolve_planner
 from repro.errors import ValidationError
 from repro.model import StencilPlan
-from repro.runtime import (
-    JobResult,
-    PlanJob,
-    PlannerSpec,
-    execute_job,
-    list_planners,
-    register_planner,
-    resolve_planner,
-)
+from repro.runtime import JobResult, PlanJob, PlannerSpec, execute_job
 
 
 class _SleepyPlanner:
@@ -104,7 +97,7 @@ class TestExecuteJob:
         assert result.num_selected > 0
         assert result.plan is not None and result.plan["row_placements"]
         assert result.instance_summary["kind"] == "1D"
-        plan = result.to_plan(job.resolve_instance())
+        plan = result.plan_object(job.resolve_instance())
         plan.validate()
 
     def test_wrong_kind_is_error_not_exception(self):
@@ -131,7 +124,7 @@ class TestExecuteJob:
         again = JobResult.from_dict(result.to_dict())
         assert again.writing_time == result.writing_time
         assert again.plan == result.plan
-        assert again.to_algorithm_result().algorithm == result.label
+        assert again.label == result.label
 
 
 class TestDeterministicMode:

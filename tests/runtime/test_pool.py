@@ -11,6 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.api import register_planner
 from repro.evaluation import run_comparison
 from repro.events import PlanEvent, emit
 from repro.experiments import planners_table3
@@ -23,7 +24,6 @@ from repro.runtime import (
     PlannerPool,
     PlannerSpec,
     grid_jobs,
-    register_planner,
     run_jobs,
 )
 from repro.runtime.relay import RelayQueue

@@ -4,13 +4,13 @@ import time
 
 import pytest
 
+from repro.api import register_planner
 from repro.errors import ValidationError
 from repro.runtime import (
     PlannerSpec,
     ResultStore,
     Telemetry,
     execute_job,
-    register_planner,
     run_portfolio,
 )
 from repro.runtime.jobs import JobResult, PlanJob

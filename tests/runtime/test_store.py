@@ -1,11 +1,13 @@
 """Result store: round trips, invalidation, integrity, stats, clearing."""
 
+import dataclasses
 import hashlib
 import json
 import os
 
 import pytest
 
+from repro.events import PlanEvent
 from repro.io.serialization import canonical_json
 from repro.runtime import PlanJob, PlannerSpec, ResultStore, execute_job
 
@@ -164,7 +166,25 @@ class TestLabelRebinding:
         cached = store.get(reader)
         assert cached is not None
         assert cached.label == "e-blow-1"
-        assert cached.to_algorithm_result().algorithm == "e-blow-1"
+
+
+class TestEventsStayOut:
+    def test_events_change_neither_the_envelope_nor_the_hit(self, tmp_path):
+        job = _job()
+        bare = execute_job(job)
+        chatty = dataclasses.replace(bare, events=[PlanEvent(type="started", seq=1)])
+        bare_store = ResultStore(tmp_path / "bare")
+        chatty_store = ResultStore(tmp_path / "chatty")
+        bare_store.put(job, bare)
+        chatty_store.put(job, chatty)
+
+        def envelope(store):
+            return json.loads(store.path_for(job).read_text())
+
+        assert envelope(chatty_store)["sha256"] == envelope(bare_store)["sha256"]
+        assert envelope(chatty_store) == envelope(bare_store)
+        cached = chatty_store.get(job)
+        assert cached is not None and cached.events == []
 
 
 class TestPrune:

@@ -20,15 +20,14 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.api.lifecycle import PlanRequest
-from repro.runtime import execute_job
+from repro.runtime import PlanJob, PlannerSpec, execute_job
 from repro.serve import ServeClient, ServeConfig, ServeError, start_in_thread
 from repro.serve.server import EventChannel
 from repro.workloads import build_instance
 
 CASE = "1T-1"
 SCALE = 0.12
-#: Fields of a PlanResult that must be identical however the plan was
+#: Fields of a JobResult that must be identical however the plan was
 #: computed (provenance fields — worker pid, wall clock — legitimately vary).
 DETERMINISTIC_FIELDS = ("status", "writing_time", "num_selected")
 
@@ -81,9 +80,7 @@ class TestPlanRoundTrip:
                 result = client.plan(CASE, scale=SCALE, on_event=events.append)
                 assert client.last_outcome == "computed"
         assert result.ok
-        serial = execute_job(
-            PlanRequest(planner="eblow", case=CASE, scale=SCALE).to_job()
-        )
+        serial = execute_job(PlanJob(spec=PlannerSpec("eblow"), case=CASE, scale=SCALE))
         for field in DETERMINISTIC_FIELDS:
             assert getattr(result, field) == getattr(serial, field), field
         assert deterministic_plan(result) == deterministic_plan(serial)
@@ -121,7 +118,7 @@ class TestPlanRoundTrip:
         assert info.value.code == "bad_request"
 
     def test_failed_plans_raise_with_check(self, tmp_path):
-        from repro.api.lifecycle import PlanningError
+        from repro.api import PlanningError
 
         with serving(tmp_path) as handle:
             with ServeClient(socket=handle.address) as client:
@@ -145,6 +142,19 @@ class TestPlanRoundTrip:
                 )
         assert [r.ok for r in results] == [True, True]
         assert [r.case for r in results] == ["1T-1", "1T-2"]
+
+    def test_batch_accepts_plan_jobs(self, tmp_path):
+        jobs = [
+            PlanJob(spec=PlannerSpec("greedy-1d"), case="1T-1", scale=SCALE),
+            PlanJob(spec=PlannerSpec("rows-1d"), instance=build_instance("1T-2", 1.0)),
+        ]
+        with serving(tmp_path) as handle:
+            with ServeClient(socket=handle.address) as client:
+                results = client.batch(jobs)
+        assert [r.job_id for r in results] == [job.job_id for job in jobs]
+        assert [r.writing_time for r in results] == [
+            execute_job(job).writing_time for job in jobs
+        ]
 
     def test_portfolio_verb(self, tmp_path):
         with serving(tmp_path, max_inflight=2) as handle:
@@ -209,11 +219,27 @@ class TestCoalescing:
         assert status["requests"]["coalesced"] == 3
         # ... and the shared record matches a serial run on its deterministic
         # fields (provenance like worker pid may differ).
-        serial = execute_job(
-            PlanRequest(planner="eblow", case=CASE, scale=SCALE).to_job()
-        )
+        serial = execute_job(PlanJob(spec=PlannerSpec("eblow"), case=CASE, scale=SCALE))
         for field in ("status", "writing_time", "num_selected"):
             assert dicts[0][field] == getattr(serial, field), field
+
+
+    def test_coalesced_waiters_keep_their_own_labels(self, tmp_path, monkeypatch):
+        """Two labels, one job id: one execution, each frame under its own label."""
+        delay_fault(monkeypatch, 0.5, match="1T-3")
+        requests = [
+            {"planner": "eblow", "case": "1T-3", "scale": 1.0, "label": label}
+            for label in ("a", "b")
+        ]
+        with serving(tmp_path) as handle:
+            with ServeClient(socket=handle.address) as client:
+                results = client.batch(requests)
+                status = client.status()
+        assert [r.label for r in results] == ["a", "b"]
+        assert {k: v for k, v in status["requests"].items() if v} == {
+            "computed": 1, "coalesced": 1,
+        }
+        assert results[1].to_dict() == {**results[0].to_dict(), "label": "b"}
 
 
 class TestAdmission:
