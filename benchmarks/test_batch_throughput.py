@@ -11,15 +11,16 @@ simply smaller machine (two workers on one CPU cannot beat one process).
 
 The workload is E-BLOW-0 (the ablated flow: successive rounding + post-swap,
 no hand-over ILP), which is deterministic by construction — pooled plans are
-asserted bit-identical to the serial ones.  Jobs cross the process boundary
-as thin descriptors in chunks; on a multi-core box the pooled run should
+asserted bit-identical to the serial ones.  Each job crosses the process
+boundary pickled on its own future, and the named cases travel by name; on
+a multi-core box the pooled run should
 show near-linear speedup (the jobs are embarrassingly parallel); on a
 single-core CI runner it only checks that pool overhead is sane.
 
 ``test_batch_warm_pool_reuse`` times the same batch twice through one
 persistent :class:`~repro.runtime.PlannerPool`: the second pass skips
-process spawn, interpreter imports, and instance builds (worker-resident
-digest caches), which is the serving-path win the shared-memory arena and
+process spawn, interpreter imports, and instance builds (each worker
+memoises named cases per ``(case, scale)``), which is the serving-path win
 warm pools exist for.
 """
 

@@ -5,9 +5,9 @@ planners grid, fan it out over one **warm worker pool** with a result store
 and a telemetry manifest, re-run it to show cache hits (same pool, zero
 respawn), then race a portfolio of planner configs on a single instance.
 
-Inline instances would ship through the pool's shared-memory arena exactly
-once; named cases (used here) travel as thin descriptors and are memoised
-by digest inside each worker.
+Each job crosses to a worker pickled; an inline instance would travel
+inside its job, while named cases (used here) travel by name and are
+memoised per ``(case, scale)`` inside each worker.
 
 Run with::
 

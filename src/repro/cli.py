@@ -747,8 +747,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         drain = nullcontext({"flag": False})
     else:
         # One explicit warm pool for the whole invocation: workers (and their
-        # per-digest instance caches) persist across every job of the grid,
-        # and shutdown reclaims the arena segments deterministically.
+        # per-case instance memos) persist across every job of the grid,
+        # and shutdown joins them deterministically.
         pool = PlannerPool(max_workers=args.jobs)
         scheduler = LocalScheduler(
             pool=pool, supervisor=policy, journal=journal, resume=args.resume

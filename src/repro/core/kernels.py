@@ -14,12 +14,9 @@ The kernels are cached per instance (instances are immutable, so the cache
 is never invalidated) and are cross-checked against the scalar
 implementations by property tests in ``tests/core/test_kernels.py``.
 
-In pool workers the underlying arrays may be **shared-memory views**
-installed by :meth:`repro.model.OSPInstance.adopt_array_cache` (see
-:mod:`repro.runtime.arena`) rather than locally computed: same values, same
-read-only contract, zero copies.  Kernel code must treat the arrays as
-immutable inputs — any derived mutable state belongs in fresh arrays (which
-is what :class:`RunningTimes` and every ``region_times`` call already do).
+The cached arrays are read-only.  Kernel code must treat them as immutable
+inputs — any derived mutable state belongs in fresh arrays (which is what
+:class:`RunningTimes` and every ``region_times`` call already do).
 """
 
 from __future__ import annotations
@@ -74,14 +71,6 @@ class InstanceKernels:
             return self.vsb.copy()
         idx = np.asarray(selected_indices, dtype=int)
         return self.vsb - self.reductions[idx].sum(axis=0)
-
-    def region_times_for_names(self, names: Iterable[str]) -> np.ndarray:
-        """Region writing times for a selection given by character names."""
-        return self.region_times(self.indices_of(names))
-
-    def system_time(self, selected_indices: Sequence[int]) -> float:
-        """System writing time ``max_c T_c`` for a selection."""
-        return float(self.region_times(selected_indices).max())
 
     # ------------------------------------------------------------------ #
     # Eqn. 6 — profits

@@ -34,9 +34,7 @@ class FastConvergenceConfig:
     # same instance yields the same plan regardless of machine load.  The
     # old 5-second default cap pinned four benchmark cells at exactly the
     # cap while HiGHS sat in its root node; at a 3 % gap those cells solve
-    # in 0.5–3 s with equal-or-better writing times.  ``time_limit`` remains
-    # as an opt-in safety valve (it reintroduces load-dependence).
-    time_limit: float | None = None
+    # in 0.5–3 s with equal-or-better writing times.
     mip_rel_gap: float | None = 0.03
     # Safety valve: if more than this many variables stay undecided, only the
     # highest-LP-value ones are kept in the ILP (keeps the model tractable).
@@ -104,11 +102,7 @@ def fast_ilp_convergence(
                 upper=0.0,
                 is_integer=variable.is_integer,
             )
-    solution = solve_ilp(
-        formulation.program,
-        time_limit=config.time_limit,
-        mip_rel_gap=config.mip_rel_gap,
-    )
+    solution = solve_ilp(formulation.program, mip_rel_gap=config.mip_rel_gap)
     if not solution.status.has_solution:
         return state
     state.stats_last_ilp_variables = len(keep)  # type: ignore[attr-defined]

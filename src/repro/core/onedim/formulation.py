@@ -45,10 +45,6 @@ class SimplifiedFormulation:
     assign_index: dict[tuple[int, int], int]
     blank_index: dict[int, int]
 
-    def assignment_values(self, values: Sequence[float]) -> dict[tuple[int, int], float]:
-        """Extract the ``a_ij`` values from a solver solution vector."""
-        return {key: values[idx] for key, idx in self.assign_index.items()}
-
 
 def build_simplified_formulation(
     instance: OSPInstance,

@@ -152,16 +152,16 @@ class BrokerLease:
 
 
 # --------------------------------------------------------------------------- #
-# Job payload (what crosses the spool — JSON, no pickles, no shared memory)
+# Job payload (what crosses the spool — JSON, no pickles)
 # --------------------------------------------------------------------------- #
 
 
 def job_payload(job: PlanJob) -> dict:
     """The JSON spool record for ``job``.
 
-    Unlike the in-process :class:`~repro.runtime.jobs.JobDescriptor`, the
-    spool cannot lean on a shared-memory arena: inline instances ship as
-    their full ``to_dict`` payload.  The precomputed content hashes ride
+    The spool holds JSON, not the pickled :class:`PlanJob` the in-process
+    pool ships, so workers on other code can read it: inline instances ship
+    as their full ``to_dict`` payload.  The precomputed content hashes ride
     along so the worker-side rebuild has byte-identical identity.
     """
     return {

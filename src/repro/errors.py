@@ -16,14 +16,6 @@ class ValidationError(ReproError):
     """An object (character, instance, plan, ...) violates an invariant."""
 
 
-class InfeasibleError(ReproError):
-    """A mathematical program or packing problem has no feasible solution."""
-
-
-class UnboundedError(ReproError):
-    """A linear program is unbounded in the direction of optimization."""
-
-
 class SolverError(ReproError):
     """A solver backend failed for a reason other than infeasibility."""
 

@@ -21,10 +21,13 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.errors import ValidationError
-from repro.evaluation.compare import Comparison
 from repro.model import OSPInstance, StencilPlan
+
+if TYPE_CHECKING:  # only an annotation: repro.evaluation imports repro.runtime
+    from repro.evaluation.compare import Comparison
 
 __all__ = [
     "save_instance",

@@ -137,37 +137,6 @@ class OSPInstance:
             self.metadata["_arrays"] = cache  # type: ignore[index]
         return cache
 
-    def adopt_array_cache(self, arrays: Mapping[str, np.ndarray]) -> None:
-        """Install an externally built kernel-array cache (zero-copy serving).
-
-        The batch runtime's shared-memory arena rebuilds instances in worker
-        processes and hands them read-only views over the shared segment
-        instead of recomputing (or copying) the Section-2.1 constants.  The
-        mapping must carry exactly the keys :meth:`_array_cache` would build;
-        shapes are validated against the instance, and the views are marked
-        read-only so accidental mutation cannot corrupt sibling jobs.
-        """
-        expected = {
-            "repeats": (self.num_characters, self.num_regions),
-            "shot_delta": (self.num_characters,),
-            "reductions": (self.num_characters, self.num_regions),
-            "vsb_times": (self.num_regions,),
-        }
-        if set(arrays) != set(expected):
-            raise ValidationError(
-                f"array cache needs keys {sorted(expected)}, got {sorted(arrays)}"
-            )
-        cache = {}
-        for key, shape in expected.items():
-            arr = arrays[key]
-            if tuple(arr.shape) != shape:
-                raise ValidationError(
-                    f"array cache {key!r} has shape {tuple(arr.shape)}, expected {shape}"
-                )
-            arr.setflags(write=False)
-            cache[key] = arr
-        self.metadata["_arrays"] = cache  # type: ignore[index]
-
     def repeat_matrix_array(self) -> np.ndarray:
         """Read-only ``(n, P)`` matrix of occurrence counts ``t_ic``."""
         return self._array_cache()["repeats"]

@@ -95,10 +95,6 @@ class StencilPlan:
         """Number of characters on the stencil (the paper's "char #")."""
         return len(self.selected_names)
 
-    def is_selected(self, name: str) -> bool:
-        """Whether character ``name`` is on the stencil."""
-        return name in set(self.selected_names)
-
     def selection_vector(self) -> list[int]:
         """0/1 vector ``a_i`` aligned with ``instance.characters``."""
         selected = set(self.selected_names)

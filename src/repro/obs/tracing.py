@@ -29,7 +29,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from repro.events import PlanEvent, emit, events_enabled
 
@@ -205,10 +205,6 @@ class TraceCollector:
         """Feed one recorded event dict (e.g. a manifest ``event`` record)."""
         if record.get("type") == "span":
             self(PlanEvent.from_dict(record))
-
-    def add_events(self, records: Iterable[Mapping]) -> None:
-        for record in records:
-            self.add_event_dict(record)
 
     def spans(self) -> list[Span]:
         """All collected spans in arrival order (children lists unset)."""

@@ -4,12 +4,9 @@ This package turns the single-shot planners into a batch-serving engine:
 
 * :mod:`repro.runtime.jobs`      — declarative :class:`PlanJob` specs with
   deterministic content-hash identities and the shared execution path,
-* :mod:`repro.runtime.arena`     — shared-memory instance arena: each
-  distinct instance's kernel arrays + canonical JSON cross the process
-  boundary once, workers attach zero-copy read-only views,
 * :mod:`repro.runtime.pool`      — :class:`PlannerPool`, a warm process-pool
-  executor that runs one job per future (``submit`` / ``collect``) with
-  per-job timeouts, and bounds its shared-memory arena around live futures,
+  executor that ships each pickled job to a worker and runs it as one
+  future (``submit`` / ``collect``) with per-job timeouts,
 * :mod:`repro.runtime.relay`     — :class:`EventRelay`, the workers' plan
   events streamed to the parent over one Unix-socket connection per worker,
 * :mod:`repro.runtime.engine`    — store-aware batch orchestration
@@ -29,12 +26,10 @@ This package turns the single-shot planners into a batch-serving engine:
   the chaos tests drive (kill/stall/delay/raise/corrupt).
 """
 
-from repro.runtime.arena import ArenaRef, InstanceArena, instance_digest
 from repro.runtime.engine import LocalScheduler, Scheduler, grid_jobs, iter_jobs, run_jobs
 from repro.runtime.faults import FaultPlan, FaultSpec, InjectedFaultError
 from repro.runtime.jobs import (
     JobCancelledError,
-    JobDescriptor,
     JobResult,
     JobTimeoutError,
     PlanJob,
@@ -50,14 +45,10 @@ from repro.runtime.telemetry import Telemetry, read_manifest, summarize_manifest
 __all__ = [
     "PlanJob",
     "PlannerSpec",
-    "JobDescriptor",
     "JobResult",
     "JobTimeoutError",
     "JobCancelledError",
     "execute_job",
-    "ArenaRef",
-    "InstanceArena",
-    "instance_digest",
     "PlannerPool",
     "EventRelay",
     "default_workers",

@@ -42,12 +42,10 @@ from repro.model import OSPInstance, StencilPlan, evaluate_plan
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracing import span
 from repro.runtime import faults
-from repro.runtime.arena import ArenaRef, InstanceArena, attached_instance
 
 __all__ = [
     "PlannerSpec",
     "PlanJob",
-    "JobDescriptor",
     "JobResult",
     "JobTimeoutError",
     "JobCancelledError",
@@ -143,6 +141,10 @@ class PlanJob:
     seconds of one execution attempt; it is an infrastructure knob and is
     deliberately *excluded* from the job identity, so cached results survive
     timeout-policy changes.
+
+    The content hashes are cached on the job once computed, so a pickled job
+    carries them: a pool worker plans under the parent's ``job_id`` and
+    store keys without hashing the instance again.
     """
 
     spec: PlannerSpec
@@ -229,75 +231,6 @@ class PlanJob:
         if self.instance is not None:
             return self.instance
         return _cached_case_instance(self.case, float(self.scale))
-
-    def describe(self, arena: InstanceArena | None = None) -> "JobDescriptor":
-        """The thin, picklable descriptor the pool ships to workers.
-
-        Inline instances are exported into ``arena`` (each distinct digest at
-        most once) so the descriptor carries only an :class:`ArenaRef`; the
-        precomputed content hashes ride along so the worker-side rebuild has
-        byte-identical identity — store keys and job ids never depend on
-        which side of the process boundary resolved the job.
-        """
-        ref = None
-        if self.instance is not None:
-            if arena is None:
-                raise ValidationError(
-                    "inline-instance jobs need an InstanceArena to describe"
-                )
-            ref = arena.export(self.instance, digest=self.instance_hash)
-        return JobDescriptor(
-            spec=self.spec,
-            case=self.case,
-            scale=self.scale,
-            timeout=self.timeout,
-            label=self.label,
-            arena_ref=ref,
-            instance_hash=self.instance_hash,
-            config_hash=self.config_hash,
-            job_id=self.job_id,
-        )
-
-
-@dataclass(frozen=True)
-class JobDescriptor:
-    """What actually crosses the process boundary: spec + digests, no bulk.
-
-    ``rebuild`` reconstitutes an equivalent :class:`PlanJob` in the worker —
-    named cases resolve through the per-process memo, arena-backed instances
-    attach zero-copy — and seeds the job's cached content hashes from the
-    parent so identities match exactly.
-    """
-
-    spec: PlannerSpec
-    case: str | None
-    scale: float | None
-    timeout: float | None
-    label: str | None
-    arena_ref: ArenaRef | None
-    instance_hash: str
-    config_hash: str
-    job_id: str
-
-    def rebuild(self) -> PlanJob:
-        instance = None
-        if self.arena_ref is not None:
-            instance = attached_instance(self.arena_ref)
-        job = PlanJob(
-            spec=self.spec,
-            case=self.case,
-            scale=self.scale,
-            instance=instance,
-            timeout=self.timeout,
-            label=self.label,
-        )
-        # cached_property stores straight into __dict__, so the parent's
-        # hashes can be seeded without recomputing (or trusting a JSON
-        # round-trip) in the worker.
-        job.__dict__["instance_hash"] = self.instance_hash
-        job.__dict__["config_hash"] = self.config_hash
-        job.__dict__["job_id"] = self.job_id
-        return job
 
 
 def case_kind(case: str) -> str | None:

@@ -3,23 +3,16 @@
 :class:`PlannerPool` wraps :class:`concurrent.futures.ProcessPoolExecutor`
 with the policies a batch planner needs:
 
-* **zero-copy dispatch** — jobs cross the process boundary as thin
-  :class:`~repro.runtime.jobs.JobDescriptor` records (spec + content
-  digests); inline instances are exported once into a shared-memory
-  :class:`~repro.runtime.arena.InstanceArena` and attached by workers as
-  read-only views, so a grid ships each instance's bulk data at most once
-  instead of once per job,
+* **pickled dispatch** — each :class:`~repro.runtime.jobs.PlanJob` crosses
+  the process boundary as itself, inline instance included, with its
+  content hashes computed once in the parent and carried in the pickle,
 * **one future per job** — :meth:`~PlannerPool.submit` is the only way in
   and :meth:`~PlannerPool.collect` the only way out; batches, the serve
   daemon, the supervisor and the portfolio race all dispatch that way,
-* **bounded arena** — the pool records which arena segment each live
-  future needs, and every :meth:`~PlannerPool.submit` trims the arena to
-  its capacity around those digests, so a long-lived pool over a stream of
-  distinct instances never grows ``/dev/shm`` without bound,
 * **warm workers** — the executor persists across batches until
-  :meth:`~PlannerPool.shutdown`; workers memoise resolved instances and
-  their kernel caches by digest, so repeated planners over the same case
-  skip deserialization entirely,
+  :meth:`~PlannerPool.shutdown`; workers memoise named cases and their
+  kernel caches per ``(case, scale)``, so repeated planners over the same
+  case build it once,
 * **per-job timeouts** — enforced *inside* the worker via ``SIGALRM`` (see
   :func:`repro.runtime.jobs.execute_job`), so a runaway planner is
   interrupted in place and its worker process is immediately reusable; the
@@ -27,9 +20,8 @@ with the policies a batch planner needs:
   worker that blows through even the grace margin (the alarm is deferred
   while native solver code runs) is reported as timed out and *terminated*
   at shutdown rather than joined, so shutdown stays bounded,
-* **graceful shutdown** — the context manager cancels queued futures, joins
-  every worker, and unlinks every arena segment, leaving no orphaned
-  processes or ``/dev/shm`` entries behind.
+* **graceful shutdown** — the context manager cancels queued futures and
+  joins every worker, leaving no orphaned processes behind.
 
 ``max_workers=1`` marks an inline pool: schedulers run its jobs in the
 calling process (no worker at all).  That is the honest serial baseline the
@@ -53,8 +45,7 @@ from typing import Callable, Sequence
 from repro.events import PlanEvent
 from repro.obs import metrics as obs_metrics
 from repro.runtime import faults
-from repro.runtime.arena import InstanceArena
-from repro.runtime.jobs import JobDescriptor, JobResult, PlanJob, execute_job
+from repro.runtime.jobs import JobResult, PlanJob, execute_job
 from repro.runtime.relay import EventRelay
 
 __all__ = ["PlannerPool", "EventRelay", "default_workers"]
@@ -92,9 +83,6 @@ _POOL_WORKERS = obs_metrics.declare_gauge(
 )
 _POOL_JOB_SECONDS = obs_metrics.declare_histogram(
     "pool_job_seconds", "Wall seconds per job attempt as observed by the pool", ("mode",)
-)
-_ARENA_SEGMENTS = obs_metrics.declare_gauge(
-    "arena_segments", "Live shared-memory segments in the instance arena"
 )
 _POOL_BREAKS = obs_metrics.declare_counter(
     "pool_breaks_total",
@@ -146,8 +134,8 @@ def inline_sink(
     return sink
 
 
-def _execute_descriptor(
-    desc: JobDescriptor,
+def _execute_in_worker(
+    job: PlanJob,
     event_queue=None,
     event_types=None,
     collect_metrics=False,
@@ -168,14 +156,10 @@ def _execute_descriptor(
         pid = os.getpid()
 
         def _beat() -> None:
-            payload = {
-                "job_id": desc.job_id,
-                "label": desc.label or desc.spec.planner,
-                "worker_pid": pid,
-            }
+            payload = {"job_id": job.job_id, "label": job.display_label, "worker_pid": pid}
             while True:
                 try:
-                    if not faults.heartbeat_stalled(desc.job_id):
+                    if not faults.heartbeat_stalled(job.job_id):
                         event_queue.put(PlanEvent(type="heartbeat", payload=payload).to_dict())
                 except Exception:  # noqa: BLE001 — closed or dead relay: stop beating
                     return
@@ -185,33 +169,19 @@ def _execute_descriptor(
         beater = threading.Thread(target=_beat, name="job-heartbeat", daemon=True)
         beater.start()
         try:
-            return _execute_descriptor(desc, event_queue, event_types, collect_metrics)
+            return _execute_in_worker(job, event_queue, event_types, collect_metrics)
         finally:
             stop.set()
             beater.join(timeout=1.0)
     if collect_metrics:
         # Worker-side half of the cross-process metrics pipeline: run the
-        # whole execution (descriptor rebuild and arena attach included)
-        # under a fresh registry and ship its snapshot home on the result;
-        # the parent folds it into its own registry at collection time.
+        # whole execution under a fresh registry and ship its snapshot home
+        # on the result; the parent folds it into its own registry at
+        # collection time.
         with obs_metrics.collecting() as registry:
-            result = _execute_descriptor(desc, event_queue, event_types, False)
+            result = _execute_in_worker(job, event_queue, event_types, False)
         result.metrics = registry.snapshot()
         return result
-    try:
-        job = desc.rebuild()
-    except Exception as exc:  # noqa: BLE001 — e.g. arena segment gone after a
-        # concurrent pool teardown.  Report it as THIS job's failure, with
-        # the job's own identity, instead of a bare exception on its future.
-        return JobResult(
-            job_id=desc.job_id,
-            case=desc.case or "<inline>",
-            label=desc.label or desc.spec.planner,
-            planner=desc.spec.planner,
-            status="error",
-            error=f"descriptor rebuild failed: {type(exc).__name__}: {exc}",
-            worker_pid=os.getpid(),
-        )
     if event_queue is None:
         return execute_job(job)
     label = job.display_label
@@ -225,7 +195,7 @@ def _execute_descriptor(
         if event_types is not None and event.type not in event_types:
             return
         event_queue.put(
-            labelled_event(event, label, worker_pid=pid, job_id=desc.job_id).to_dict()
+            labelled_event(event, label, worker_pid=pid, job_id=job.job_id).to_dict()
         )
 
     return execute_job(job, on_event=_relay)
@@ -237,11 +207,8 @@ def _worker_init() -> None:
     A SIGKILLed parent can run no cleanup, and executor workers blocked on
     the call queue outlive it indefinitely (each worker holds a write end
     of the queue pipe, so nobody ever sees EOF).  Linux's parent-death
-    signal makes the workers exit with the parent; once the last of them is
-    gone the stdlib resource tracker loses its final pipe writer, wakes up,
-    and unlinks every shared-memory segment the arena had registered — no
-    orphaned processes or ``/dev/shm`` entries even on ``kill -9``.
-    Elsewhere this degrades to a no-op.
+    signal makes the workers exit with the parent, so no orphaned process
+    survives even a ``kill -9``.  Elsewhere this degrades to a no-op.
 
     PDEATHSIG fires on the death of the *thread* that forked the worker,
     which for a lazily-spawned executor can be a short-lived caller thread
@@ -310,12 +277,11 @@ class PlannerPool:
         #: Executor breakages seen over this pool's lifetime (worker deaths).
         self.break_count = 0
         self._executor: ProcessPoolExecutor | None = None
-        self._arena: InstanceArena | None = None
         # Every submitted future not yet collected (or seen done by a later
-        # submit) → the executor it went to and the arena digest it needs.
-        self._live: dict[Future, tuple[ProcessPoolExecutor, str | None]] = {}
-        # Guards the executor, the arena and _live across threads; reentrant
-        # because reset_broken() shuts down under it.
+        # submit) → the executor it went to.
+        self._live: dict[Future, ProcessPoolExecutor] = {}
+        # Guards the executor and _live across threads; reentrant because
+        # reset_broken() shuts down under it.
         self._lock = threading.RLock()
         # Set when a worker blew through its grace wait: its SIGALRM was
         # deferred by a long-running native call (e.g. a MILP solve), so a
@@ -329,13 +295,6 @@ class PlannerPool:
     def inline(self) -> bool:
         """Whether jobs run in the calling process (``max_workers == 1``)."""
         return self.max_workers == 1
-
-    @property
-    def arena(self) -> InstanceArena:
-        """The pool's shared-memory arena (created lazily)."""
-        if self._arena is None:
-            self._arena = InstanceArena()
-        return self._arena
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
@@ -435,7 +394,7 @@ class PlannerPool:
         return not any(process.is_alive() for process in processes)
 
     def shutdown(self, wait: bool = True) -> None:
-        """Cancel queued jobs, join the workers, unlink the arena (idempotent).
+        """Cancel queued jobs and join the workers (idempotent).
 
         If a worker is known to be stuck in native code past its timeout,
         teardown escalates (soft cancel → SIGTERM → SIGKILL, each with a
@@ -453,11 +412,6 @@ class PlannerPool:
                     # never crash.
                     self._escalate_stop(executor)
                 executor.shutdown(wait=wait, cancel_futures=True)
-            # Unlink after the workers are gone (their mappings stay valid
-            # regardless — POSIX keeps unlinked segments alive while mapped).
-            if self._arena is not None:
-                arena, self._arena = self._arena, None
-                arena.close()
 
     def __enter__(self) -> "PlannerPool":
         return self
@@ -473,9 +427,9 @@ class PlannerPool:
     ) -> list[Future]:
         """Submit jobs one future each; resolve each with :meth:`collect`.
 
-        Inline instances are exported into the arena once per digest.  The
-        pool then forgets the futures that are already done and trims the
-        arena to its capacity, keeping every segment a live future needs.
+        Each job is hashed here and then pickled whole, inline instance
+        included: its ``job_id``, ``instance_hash`` and ``config_hash`` ride
+        in the pickle, so workers never recompute them.
 
         ``event_queue`` (an :class:`EventRelay` queue) streams worker events
         back to the parent.  ``event_types`` (a tuple of
@@ -488,17 +442,19 @@ class PlannerPool:
         lease liveness channel.  Heartbeats bypass the ``event_types`` filter.
         """
         jobs = list(jobs)
+        # Hash before the executor's feeder thread pickles the jobs: job_id
+        # caches instance_hash and config_hash on the job as well.
+        for job in jobs:
+            _ = job.job_id
         collect_metrics = obs_metrics.installed() is not None
         with self._lock:
             executor = self._ensure_executor()
-            arena = self.arena if any(job.instance is not None for job in jobs) else None
-            descriptors = [job.describe(arena) for job in jobs]
             futures = [
                 executor.submit(
-                    _execute_descriptor, desc, event_queue, event_types, collect_metrics,
+                    _execute_in_worker, job, event_queue, event_types, collect_metrics,
                     heartbeat,
                 )
-                for desc in descriptors
+                for job in jobs
             ]
             # Forget the futures already done, then record this call's own:
             # collect() resets a broken executor only through a recorded
@@ -506,12 +462,8 @@ class PlannerPool:
             # broke a moment ago.
             for future in [future for future in self._live if future.done()]:
                 del self._live[future]
-            for future, desc in zip(futures, descriptors):
-                digest = desc.arena_ref.digest if desc.arena_ref is not None else None
-                self._live[future] = (executor, digest)
-            if self._arena is not None:
-                self._arena.trim(keep={digest for _, digest in self._live.values()})
-            _ARENA_SEGMENTS.set(len(self._arena) if self._arena is not None else 0)
+            for future in futures:
+                self._live[future] = executor
             _POOL_QUEUE_DEPTH.set(len(self._live))
         _POOL_DISPATCHES.inc(len(futures))
         return futures
@@ -537,7 +489,7 @@ class PlannerPool:
         """Account one resolved job attempt, folding in its worker snapshot.
 
         This is the parent-side half of the cross-process metrics pipeline:
-        the snapshot a worker attached in ``_execute_descriptor`` is popped
+        the snapshot a worker attached in ``_execute_in_worker`` is popped
         off the result (it is transport, not payload) and merged into the
         installed registry.  No-op without one.  The pool's worker and
         queue-depth gauges are refreshed here too, on every dispatch path.
@@ -565,7 +517,7 @@ class PlannerPool:
             # executor the future went to is reset, and only while it is
             # still the current one — never the executor that replaced it.
             with self._lock:
-                executor, _ = self._live.get(future, (None, None))
+                executor = self._live.get(future)
                 if executor is not None and executor is self._executor:
                     self.reset_broken()
             status, message = "error", f"worker pool broke: {exc}"

@@ -168,9 +168,9 @@ def run_portfolio(
     cancelled and listed in :attr:`PortfolioOutcome.cancelled`.
 
     ``pool`` reuses a caller-owned warm :class:`PlannerPool` (kept open
-    afterwards; ``max_workers`` is ignored) — races over the same instance
-    then skip instance shipping entirely thanks to the pool's arena and the
-    workers' digest caches.  Cancelled stragglers on a caller-owned pool
+    afterwards; ``max_workers`` is ignored) — repeated races then skip the
+    worker spawn, and workers plan named cases from their per-process
+    instance memo.  Cancelled stragglers on a caller-owned pool
     are *soft-cancelled* in place (``SIGUSR1`` → the job resolves as
     ``cancelled`` and the worker stays warm, see
     :meth:`PlannerPool.cancel_running`) — a wedged worker no longer leaks

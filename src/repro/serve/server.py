@@ -2,8 +2,8 @@
 
 ``python -m repro serve`` keeps one process alive between requests so no
 client ever pays cold-start: a warm :class:`~repro.runtime.pool.PlannerPool`
-(worker processes with per-digest instance caches and a shared-memory
-arena), one :class:`~repro.runtime.store.ResultStore`, and one metrics
+(worker processes that memoise named cases; inline instances ship pickled
+with their job), one :class:`~repro.runtime.store.ResultStore`, and one metrics
 registry serve every connection.  Clients speak the NDJSON protocol of
 :mod:`repro.serve.protocol` over a Unix socket or localhost TCP.
 
@@ -32,15 +32,15 @@ Lifecycle: SIGTERM / SIGINT (or the ``shutdown`` verb) starts a graceful
 drain — stop admitting, let queued + running flights finish within
 ``drain_grace`` seconds, then escalate through the pool's soft-cancel /
 terminate ladder — and ends with the telemetry flush: an optional store
-prune, a metrics snapshot written to ``metrics_out``, and a full pool +
-arena teardown that leaves no orphaned workers or ``/dev/shm`` segments.
+prune, a metrics snapshot written to ``metrics_out``, and a full pool
+teardown that leaves no orphaned workers.
 
 Threading model: the event loop owns every data structure in this module
 (flights, queues, channels).  Blocking work — pool dispatch + collect,
 store writes, portfolio races — runs on a small ``ThreadPoolExecutor``;
 the only thread → loop crossings are ``call_soon_threadsafe`` hops (event
 routing, ready/shutdown signalling), and the only loop → thread state
-shared is the dispatch lock serialising arena exports.
+shared is the pool itself, whose ``submit`` takes its own lock.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ __all__ = ["ServeConfig", "PlanServer", "ServerHandle", "start_in_thread"]
 
 #: Seconds the server waits after a flight's result for a straggling
 #: ``finished`` event before force-closing its subscriber channels (covers
-#: failure paths that emit no events at all: descriptor rebuild errors,
+#: failure paths that emit no events at all: jobs that fail to pickle,
 #: broken pools, drain cancellations).
 _CHANNEL_SETTLE = 0.5
 

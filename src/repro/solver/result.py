@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 __all__ = ["SolveStatus", "Solution"]
 
@@ -55,7 +54,3 @@ class Solution:
         if not self.values:
             return 0.0
         return self.values[index]
-
-    def values_by_name(self, names: Sequence[str]) -> dict[str, float]:
-        """Map variable names to values (helper for debugging and tests)."""
-        return {name: self.value_of(i) for i, name in enumerate(names)}

@@ -61,14 +61,10 @@ RUNTIME_EXPORTS = sorted(
     [
         "PlanJob",
         "PlannerSpec",
-        "JobDescriptor",
         "JobResult",
         "JobTimeoutError",
         "JobCancelledError",
         "execute_job",
-        "ArenaRef",
-        "InstanceArena",
-        "instance_digest",
         "PlannerPool",
         "EventRelay",
         "default_workers",

@@ -20,7 +20,7 @@ def rounded_state(instance, trigger=10):
 def test_assigns_more_characters(small_1d_instance):
     state = rounded_state(small_1d_instance)
     before = len(state.assignment)
-    fast_ilp_convergence(state, FastConvergenceConfig(time_limit=10))
+    fast_ilp_convergence(state, FastConvergenceConfig())
     after = len(state.assignment)
     assert after >= before
     for row in state.rows:
@@ -44,7 +44,7 @@ def test_noop_when_everything_solved(small_1d_instance):
 def test_upper_threshold_assigns_directly(small_mcc_instance):
     state = rounded_state(small_mcc_instance)
     # Force every remaining LP value above the "assign immediately" threshold.
-    config = FastConvergenceConfig(lower_threshold=0.0, upper_threshold=0.0, time_limit=5)
+    config = FastConvergenceConfig(lower_threshold=0.0, upper_threshold=0.0)
     before_unsolved = len(state.unsolved)
     fast_ilp_convergence(state, config)
     # All pairs were either assigned directly or dropped; rows stay legal.
@@ -55,7 +55,7 @@ def test_upper_threshold_assigns_directly(small_mcc_instance):
 
 def test_respects_max_ilp_variables(small_mcc_instance):
     state = rounded_state(small_mcc_instance)
-    config = FastConvergenceConfig(max_ilp_variables=3, time_limit=5)
+    config = FastConvergenceConfig(max_ilp_variables=3)
     fast_ilp_convergence(state, config)
     for row in state.rows:
         assert row.used_width <= row.capacity + 1e-6

@@ -1,9 +1,14 @@
 """Unit tests for JSON serialization of instances, plans, and comparisons."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.baselines import Greedy1DPlanner
 from repro.evaluation import run_comparison
 from repro.io import (
@@ -98,3 +103,21 @@ class TestCanonicalJson:
     def test_sets_are_encoded_in_sorted_order(self):
         assert canonical_json({"s": {"b", "a", "c"}}) == '{"s":["a","b","c"]}'
         assert canonical_json(frozenset({2, 1})) == "[1,2]"
+
+
+class TestImports:
+    def test_serialization_does_not_import_the_evaluation_package(self):
+        """``repro.runtime.jobs`` imports this module, and ``repro.evaluation``
+        imports ``repro.runtime``: an import back would make a cycle that
+        breaks ``import repro.runtime`` once the evaluation code imports the
+        runtime at module level."""
+        probe = (
+            "import sys, repro.io.serialization; "
+            "print('repro.evaluation.compare' in sys.modules)"
+        )
+        src = str(pathlib.Path(repro.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"

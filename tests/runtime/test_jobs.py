@@ -133,5 +133,4 @@ class TestDeterministicMode:
         # clock: the default flow is deterministic (same plan under any load)
         # and cells can no longer pin at exactly the cap.
         default = PlannerSpec("eblow-1d").build("1D")
-        assert default.config.convergence.time_limit is None
         assert default.config.convergence.mip_rel_gap is not None

@@ -3,6 +3,7 @@
 import itertools
 import multiprocessing
 import os
+import pickle
 import stat
 import sys
 import threading
@@ -23,11 +24,13 @@ from repro.runtime import (
     PlanJob,
     PlannerPool,
     PlannerSpec,
+    ResultStore,
     grid_jobs,
     run_jobs,
 )
+from repro.runtime import jobs as jobs_module
 from repro.runtime.relay import RelayQueue
-from repro.workloads import generate_1d_instance
+from repro.workloads import build_instance, generate_1d_instance
 
 register_planner(
     "test-slow",
@@ -144,6 +147,64 @@ class TestSerialEquivalence:
             assert a.writing_time == b.writing_time
 
 
+class TestPooledPlansBitIdentical:
+    @pytest.mark.parametrize(
+        "planner,case",
+        [
+            ("greedy-1d", "1T-1"),
+            ("rows-1d", "1T-2"),
+            ("eblow-1d", "1T-3"),
+            ("greedy-2d", "2T-1"),
+            ("sa-2d", "2T-2"),
+            ("eblow-2d", "2T-3"),
+        ],
+    )
+    def test_inline_instance_jobs_match_serial_per_planner(self, planner, case):
+        instance = build_instance(case, 1.0)
+        jobs = grid_jobs([instance], {planner: PlannerSpec(planner)})
+        serial = run_jobs(jobs)
+        pooled = run_jobs(jobs, scheduler=LocalScheduler(2))
+        wall = ("runtime_seconds", "lp_solve_seconds", "stage_seconds")
+        for a, b in zip(serial, pooled):
+            assert b.ok, b.error
+            assert a.job_id == b.job_id
+            assert a.writing_time == b.writing_time
+            assert a.num_selected == b.num_selected
+            stats_a = {k: v for k, v in a.plan["stats"].items() if k not in wall}
+            stats_b = {k: v for k, v in b.plan["stats"].items() if k not in wall}
+            assert stats_a == stats_b
+            assert {k: v for k, v in a.plan.items() if k != "stats"} == {
+                k: v for k, v in b.plan.items() if k != "stats"
+            }
+
+
+class TestPickledTransport:
+    def test_unpickled_job_keeps_its_hashes_and_store_key(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        jobs = [
+            PlanJob(spec=PlannerSpec("greedy-1d"), instance=build_instance("1T-1", 1.0)),
+            PlanJob(spec=PlannerSpec("eblow-1d"), case="1T-2", scale=1.0, label="b"),
+        ]
+        with PlannerPool(max_workers=2) as pool:
+            futures = pool.submit(jobs)
+            # submit hashed each job before its pickle was written.
+            for job in jobs:
+                assert {"job_id", "instance_hash", "config_hash"} <= set(vars(job))
+            results = [pool.collect(job, future) for job, future in zip(jobs, futures)]
+        assert [r.job_id for r in results] == [job.job_id for job in jobs]
+        shipped = [pickle.loads(pickle.dumps(job)) for job in jobs]
+
+        def no_rehash(payload):
+            raise AssertionError("an unpickled job hashed itself again")
+
+        monkeypatch.setattr(jobs_module, "_digest", no_rehash)
+        for job, again in zip(jobs, shipped):
+            assert again.job_id == job.job_id
+            assert again.instance_hash == job.instance_hash
+            assert again.config_hash == job.config_hash
+            assert store.path_for(again) == store.path_for(job)
+
+
 class TestStreaming:
     def test_scheduler_yields_in_submission_order(self):
         jobs = grid_jobs(
@@ -158,7 +219,41 @@ class TestStreaming:
             assert run_jobs([], scheduler=LocalScheduler(pool=pool)) == []
 
 
+def _assert_no_worker_survives(before: set[int]) -> None:
+    """No child process started since ``before`` (a set of pids) is alive."""
+    deadline = time.monotonic() + 10
+    while True:
+        alive = [p.pid for p in multiprocessing.active_children() if p.pid not in before]
+        if not alive or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert alive == []
+
+
 class TestCleanup:
+    def test_no_worker_survives_pool_close(self):
+        instance = build_instance("1T-1", 1.0)
+        jobs = grid_jobs(
+            [instance], {"g": PlannerSpec("greedy-1d"), "r": PlannerSpec("rows-1d")}
+        )
+        before = {p.pid for p in multiprocessing.active_children()}
+        pool = PlannerPool(max_workers=2)
+        with pool:
+            results = run_jobs(jobs, scheduler=LocalScheduler(pool=pool))
+            assert all(r.ok for r in results)
+        _assert_no_worker_survives(before)
+
+    def test_no_worker_survives_worker_crash(self):
+        instance = build_instance("1T-2", 1.0)
+        crash = PlanJob(spec=PlannerSpec("test-kill-worker"), instance=instance)
+        before = {p.pid for p in multiprocessing.active_children()}
+        pool = PlannerPool(max_workers=2)
+        with pool:
+            [result] = run_jobs([crash], scheduler=LocalScheduler(pool=pool))
+            assert not result.ok
+            assert "broke" in (result.error or "")
+        _assert_no_worker_survives(before)
+
     def test_shutdown_leaves_no_orphaned_workers(self):
         jobs = grid_jobs(["1T-1", "1T-2"], {"e-blow": PlannerSpec("eblow-1d")}, scale=1.0)
         pool = PlannerPool(max_workers=2)
@@ -193,6 +288,40 @@ class TestCleanup:
         for process in workers:
             process.join(timeout=10)
             assert not process.is_alive()
+
+
+class TestWarmPoolReuse:
+    def test_pool_survives_across_run_jobs_calls(self):
+        jobs = grid_jobs(["1T-1", "1T-2"], {"g": PlannerSpec("greedy-1d")}, scale=1.0)
+        with PlannerPool(max_workers=2) as pool:
+            first = run_jobs(jobs, scheduler=LocalScheduler(pool=pool))
+            executor = pool._executor
+            assert executor is not None
+            second = run_jobs(jobs, scheduler=LocalScheduler(pool=pool))
+            # Same executor object: no respawn between batches.
+            assert pool._executor is executor
+        for a, b in zip(first, second):
+            assert a.job_id == b.job_id
+            assert a.writing_time == b.writing_time
+
+
+class TestDispatch:
+    def test_failure_does_not_poison_neighbours(self):
+        jobs = [
+            PlanJob(spec=PlannerSpec("greedy-1d"), case="1T-1", scale=1.0, label="ok1"),
+            PlanJob(
+                spec=PlannerSpec("eblow-1d", {"ablated": "not-a-bool"}),
+                case="1T-2",
+                scale=1.0,
+                label="bad",
+            ),
+            PlanJob(spec=PlannerSpec("greedy-1d"), case="1T-3", scale=1.0, label="ok2"),
+        ]
+        with PlannerPool(max_workers=2) as pool:
+            results = run_jobs(jobs, scheduler=LocalScheduler(pool=pool))
+        assert [r.label for r in results] == ["ok1", "bad", "ok2"]
+        assert results[0].ok and results[2].ok
+        assert results[1].status == "error"
 
 
 class TestPoolBreaks:
@@ -232,7 +361,7 @@ class TestPoolBreaks:
 
 
 class TestConcurrentSubmit:
-    def test_threads_share_one_pool_and_keep_the_arena_bounded(self):
+    def test_threads_share_one_pool_and_lose_no_future(self):
         instances = [
             generate_1d_instance(num_characters=12, num_regions=2, seed=seed)
             for seed in range(24)
@@ -251,7 +380,6 @@ class TestConcurrentSubmit:
         sys.setswitchinterval(1e-6)
         try:
             with PlannerPool(max_workers=3) as pool:
-                pool.arena.capacity = 2
                 threads = [
                     threading.Thread(target=client, args=(pool, instances[index::6]))
                     for index in range(6)
@@ -262,13 +390,12 @@ class TestConcurrentSubmit:
                 for thread in threads:
                     thread.join(timeout=max(0.0, deadline - time.monotonic()))
                 assert not any(thread.is_alive() for thread in threads)
-                # No live job lost its segment, and every entry was collected.
+                # No job failed, and every entry was collected.
                 assert failures == []
                 assert pool._live == {}
                 last = PlanJob(spec=PlannerSpec("greedy-1d"), instance=instances[0])
                 [future] = pool.submit([last])
                 assert pool.collect(last, future).ok
-                assert len(pool.arena) <= 2
         finally:
             sys.setswitchinterval(interval)
 

@@ -4,8 +4,8 @@ These tests exercise the paths a deployment hits: ``SIGTERM`` to a running
 ``eblow serve`` daemon mid-job, and ``SIGTERM`` to a CLI ``eblow batch``
 run.  Both must drain — finish or cancel in-flight work, flush their
 artifacts (metrics snapshot, manifest) — and leave nothing behind: no
-orphaned worker processes, no leaked ``/dev/shm`` arena segments, no stale
-socket files.
+orphaned worker processes, no ``/dev/shm`` segments, no stale socket
+files.
 """
 
 import glob
@@ -162,10 +162,9 @@ class TestServeArenaDrain:
     def test_drain_reports_no_leaked_segments_after_an_inline_instance(self, tmp_path):
         """Named cases first, then an inline instance, then SIGTERM.
 
-        The named cases start the pool's workers before the parent's first
-        arena export starts its resource tracker, so a worker that
-        registered its attach would start a tracker of its own, and that
-        tracker would report the segment as leaked at the drain.
+        The inline instance ships to a worker pickled with its job, so the
+        drain leaves no ``/dev/shm`` segment and stderr carries no
+        ``resource_tracker`` leak report.
         """
         from repro.workloads import build_instance
 
