@@ -8,9 +8,9 @@ One façade, one event protocol, one planner registry:
   when the run fails),
 * :class:`PlanEvent` + :func:`emitting` — the streaming progress protocol
   (see :mod:`repro.events`),
-* :class:`PlannerHandle` / :class:`PlannerCapabilities` /
-  :class:`OptionSchema` — the self-registering planner registry with
-  declared capabilities and declarative, versioned option schemas.
+* :class:`PlannerHandle` + :func:`register` — the planner registry: one
+  handle per planner, declaring its kind, its options and the events it
+  emits.
 
 >>> import repro
 >>> result = repro.plan("1T-1", planner="greedy-1d", scale=1.0)
@@ -21,16 +21,13 @@ True
 from repro.api.facade import PlanningError, plan
 from repro.api.registry import (
     OptionField,
-    OptionSchema,
     Planner,
-    PlannerCapabilities,
     PlannerHandle,
     describe_planners,
     get_handle,
     iter_handles,
     list_planners,
     register,
-    register_planner,
     resolve_planner,
 )
 
@@ -52,11 +49,8 @@ __all__ = [
     # registry
     "Planner",
     "PlannerHandle",
-    "PlannerCapabilities",
     "OptionField",
-    "OptionSchema",
     "register",
-    "register_planner",
     "resolve_planner",
     "get_handle",
     "iter_handles",

@@ -66,7 +66,7 @@ def plan(
     on_event:
         Callback receiving each :class:`~repro.events.PlanEvent` live.
     options / ``**extra_options``:
-        Planner options, validated against the planner's declared schema
+        Planner options, validated against the planner's declared options
         before anything runs (``repro.plan(inst, "eblow-2d", seed=3)``).
     timeout:
         Wall-clock bound in seconds for the run.

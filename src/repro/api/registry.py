@@ -1,23 +1,16 @@
-"""The planner registry: handles, capabilities, and declarative option schemas.
+"""The planner registry: one :class:`PlannerHandle` per planner.
 
-Every planner the system can run is described by a :class:`PlannerHandle`:
-its registry name, a one-line description, its :class:`PlannerCapabilities`
-(instance kind, determinism, which knobs it understands, which events it
-emits), a declarative :class:`OptionSchema` for its options, and a builder
-that turns a validated options dict into an object satisfying the
-:class:`Planner` protocol.
-
-Handles self-register at definition time (see :mod:`repro.api.planners`),
-replacing the ad-hoc ``_build_*`` closures and per-planner option filtering
-the batch runtime used to hide.  Everything on a handle round-trips to
-canonical JSON (:meth:`PlannerHandle.describe`), which is what the CLI's
-``planners`` verb prints and what keys versioned artifacts.
+A handle names a planner, says which instance kind it plans, declares the
+options it takes, and carries the builder that turns a validated options
+dict into an object satisfying the :class:`Planner` protocol.  The
+first-party handles register themselves in :mod:`repro.api.planners`;
+:meth:`PlannerHandle.describe` is what the CLI's ``planners`` verb prints.
 """
 
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Protocol, runtime_checkable
 
 from repro.errors import ValidationError
@@ -25,11 +18,8 @@ from repro.errors import ValidationError
 __all__ = [
     "Planner",
     "OptionField",
-    "OptionSchema",
-    "PlannerCapabilities",
     "PlannerHandle",
     "register",
-    "register_planner",
     "resolve_planner",
     "get_handle",
     "iter_handles",
@@ -47,7 +37,7 @@ class Planner(Protocol):
 
 
 # --------------------------------------------------------------------------- #
-# Option schemas
+# Options
 # --------------------------------------------------------------------------- #
 
 def _coerce_bool(value):
@@ -81,19 +71,17 @@ _COERCERS: dict[str, Callable] = {
 
 @dataclass(frozen=True)
 class OptionField:
-    """One declarative planner option.
+    """One declared planner option.
 
-    ``type`` is one of ``bool`` / ``int`` / ``float`` / ``str``; ``choices``
-    (for ``str`` fields) enumerates the legal values.  ``default`` documents
-    what the planner uses when the option is omitted — validation never
-    injects it, so an options dict only ever contains what the caller wrote
-    (keeping content hashes of old jobs stable).
+    ``type`` is one of ``bool`` / ``int`` / ``float`` / ``str``.  ``default``
+    documents what the planner uses when the option is omitted — validation
+    never injects it, so an options dict only ever contains what the caller
+    wrote (keeping content hashes of old jobs stable).
     """
 
     name: str
     type: str = "str"
     default: object = None
-    choices: tuple[str, ...] = ()
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -105,142 +93,20 @@ class OptionField:
 
     def coerce(self, value, planner: str):
         try:
-            coerced = _COERCERS[self.type](value)
+            return _COERCERS[self.type](value)
         except (TypeError, ValueError) as exc:
             raise ValidationError(
                 f"option {self.name!r} of planner {planner!r} expects "
                 f"{self.type}, got {value!r}"
             ) from exc
-        if self.choices and coerced not in self.choices:
-            raise ValidationError(
-                f"option {self.name!r} of planner {planner!r} must be one of "
-                f"{sorted(self.choices)}, got {coerced!r}"
-            )
-        return coerced
 
     def to_dict(self) -> dict:
         data: dict = {"name": self.name, "type": self.type}
         if self.default is not None:
             data["default"] = self.default
-        if self.choices:
-            data["choices"] = list(self.choices)
         if self.description:
             data["description"] = self.description
         return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "OptionField":
-        return cls(
-            name=data["name"],
-            type=data.get("type", "str"),
-            default=data.get("default"),
-            choices=tuple(data.get("choices", ())),
-            description=data.get("description", ""),
-        )
-
-
-@dataclass(frozen=True)
-class OptionSchema:
-    """The declared options of one planner, versioned for serialization.
-
-    ``open_schema=True`` disables unknown-option checking (used by the legacy
-    :func:`register_planner` back-compat path, whose free-form builders take
-    whatever dict they are given).
-    """
-
-    fields: tuple[OptionField, ...] = ()
-    version: int = 1
-    open_schema: bool = False
-
-    def __post_init__(self) -> None:
-        names = [f.name for f in self.fields]
-        if len(names) != len(set(names)):
-            raise ValidationError(f"duplicate option names in schema: {names}")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self.fields)
-
-    def field_by_name(self, name: str) -> OptionField | None:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        return None
-
-    def validate(self, options: Mapping, planner: str) -> dict:
-        """Check ``options`` against the schema; return the coerced dict.
-
-        Raises :class:`~repro.errors.ValidationError` naming the unknown
-        option(s) and the allowed set — the same contract the runtime's old
-        ``_take`` filter enforced.  Declared defaults are *not* injected:
-        the result contains exactly the keys the caller supplied.
-        """
-        options = dict(options or {})
-        if self.open_schema:
-            return options
-        unknown = sorted(set(options) - set(self.names))
-        if unknown:
-            raise ValidationError(
-                f"unknown option(s) {unknown} for planner {planner!r}; "
-                f"allowed: {sorted(self.names)}"
-            )
-        return {
-            name: self.field_by_name(name).coerce(value, planner)
-            for name, value in options.items()
-        }
-
-    def to_dict(self) -> dict:
-        data: dict = {"version": self.version, "fields": [f.to_dict() for f in self.fields]}
-        if self.open_schema:
-            data["open"] = True
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "OptionSchema":
-        return cls(
-            fields=tuple(OptionField.from_dict(f) for f in data.get("fields", ())),
-            version=int(data.get("version", 1)),
-            open_schema=bool(data.get("open", False)),
-        )
-
-
-# --------------------------------------------------------------------------- #
-# Capabilities
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class PlannerCapabilities:
-    """What a planner can do, as declared data.
-
-    ``kind`` is ``"1D"``, ``"2D"``, or ``None`` for kind-agnostic planners.
-    ``deterministic`` means identical inputs give bit-identical plans under
-    the planner's *default* options regardless of machine load (the
-    time-limited exact ILP planners return whatever incumbent the wall
-    clock allowed, so they declare ``False``).
-    """
-
-    kind: str | None = None
-    deterministic: bool = True
-    supports_time_limit: bool = False
-    event_types: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "deterministic": self.deterministic,
-            "supports_time_limit": self.supports_time_limit,
-            "event_types": list(self.event_types),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "PlannerCapabilities":
-        return cls(
-            kind=data.get("kind"),
-            deterministic=bool(data.get("deterministic", True)),
-            supports_time_limit=bool(data.get("supports_time_limit", False)),
-            event_types=tuple(data.get("event_types", ())),
-        )
 
 
 # --------------------------------------------------------------------------- #
@@ -252,21 +118,53 @@ PlannerBuilder = Callable[[dict], Planner]
 
 @dataclass(frozen=True)
 class PlannerHandle:
-    """One registered planner: identity, declared surface, and builder."""
+    """One registered planner: identity, declared surface, and builder.
+
+    ``kind`` is ``"1D"``, ``"2D"``, or ``None`` for kind-agnostic planners.
+    ``deterministic`` means identical inputs give bit-identical plans under
+    the planner's *default* options regardless of machine load (the
+    time-limited exact ILP planners return whatever incumbent the wall
+    clock allowed, so they declare ``False``).  ``event_types`` lists the
+    :data:`~repro.events.EVENT_TYPES` the planner emits.
+    """
 
     name: str
     description: str
-    capabilities: PlannerCapabilities
-    schema: OptionSchema = field(default_factory=OptionSchema)
-    builder: PlannerBuilder | None = None
+    kind: str | None
+    builder: PlannerBuilder
+    options: tuple[OptionField, ...] = ()
+    deterministic: bool = True
+    event_types: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        names = [option.name for option in self.options]
+        if len(names) != len(set(names)):
+            raise ValidationError(f"duplicate option names for planner {self.name!r}: {names}")
+
+    @property
+    def supports_time_limit(self) -> bool:
+        """Whether the planner takes a ``time_limit`` option."""
+        return any(option.name == "time_limit" for option in self.options)
 
     def validate_options(self, options: Mapping | None) -> dict:
-        return self.schema.validate(options or {}, self.name)
+        """Check ``options`` against the declared ones; return the coerced dict.
+
+        Raises :class:`~repro.errors.ValidationError` naming the unknown
+        option(s) and the allowed set.  Declared defaults are *not* injected:
+        the result contains exactly the keys the caller supplied.
+        """
+        declared = {option.name: option for option in self.options}
+        options = dict(options or {})
+        unknown = sorted(set(options) - set(declared))
+        if unknown:
+            raise ValidationError(
+                f"unknown option(s) {unknown} for planner {self.name!r}; "
+                f"allowed: {sorted(declared)}"
+            )
+        return {name: declared[name].coerce(value, self.name) for name, value in options.items()}
 
     def build(self, options: Mapping | None = None) -> Planner:
-        """Validate ``options`` against the schema and instantiate the planner."""
-        if self.builder is None:
-            raise ValidationError(f"planner {self.name!r} has no builder registered")
+        """Validate ``options`` and instantiate the planner."""
         return self.builder(self.validate_options(options))
 
     def describe(self) -> dict:
@@ -274,8 +172,13 @@ class PlannerHandle:
         return {
             "name": self.name,
             "description": self.description,
-            "capabilities": self.capabilities.to_dict(),
-            "options": self.schema.to_dict(),
+            "capabilities": {
+                "kind": self.kind,
+                "deterministic": self.deterministic,
+                "supports_time_limit": self.supports_time_limit,
+                "event_types": list(self.event_types),
+            },
+            "options": {"version": 1, "fields": [option.to_dict() for option in self.options]},
         }
 
 
@@ -286,29 +189,6 @@ def register(handle: PlannerHandle) -> PlannerHandle:
     """Register (or replace) a planner handle under its lowercased name."""
     _REGISTRY[handle.name.lower()] = handle
     return handle
-
-
-def register_planner(
-    name: str,
-    builder: PlannerBuilder,
-    kind: str | None = None,
-    description: str = "",
-) -> None:
-    """Legacy registration shim: wrap a bare builder in an open-schema handle.
-
-    Kept so pre-façade callers (and their pickled worker processes) keep
-    working; new code should build a :class:`PlannerHandle` and call
-    :func:`register` with explicit capabilities and an option schema.
-    """
-    register(
-        PlannerHandle(
-            name=name.lower(),
-            description=description,
-            capabilities=PlannerCapabilities(kind=kind),
-            schema=OptionSchema(open_schema=True),
-            builder=builder,
-        )
-    )
 
 
 def resolve_planner(name: str, kind: str | None = None) -> str:
@@ -352,7 +232,7 @@ def iter_handles(kind: str | None = None) -> Iterator[PlannerHandle]:
     """All registered handles in name order, optionally filtered by kind."""
     for name in sorted(_REGISTRY):
         handle = _REGISTRY[name]
-        if kind is None or handle.capabilities.kind is None or handle.capabilities.kind == kind:
+        if kind is None or handle.kind is None or handle.kind == kind:
             yield handle
 
 

@@ -1,9 +1,9 @@
 """Baseline planners the paper compares E-BLOW against.
 
 Each planner here is registered with the unified planning API through the
-declarative catalogue in :mod:`repro.api.planners` (capabilities + option
-schema); run them via ``repro.plan(instance, planner="greedy-1d")`` or the
-batch runtime rather than instantiating configs by hand.
+catalogue in :mod:`repro.api.planners` (one handle per planner); run them
+via ``repro.plan(instance, planner="greedy-1d")`` or the batch runtime
+rather than instantiating configs by hand.
 """
 
 from repro.baselines.exact_ilp import ExactILP1DPlanner, ExactILP2DPlanner, ExactILPConfig

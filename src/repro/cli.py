@@ -80,13 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--out", required=True)
 
     planners = sub.add_parser(
-        "planners", help="list registered planners with capabilities and option schemas"
+        "planners", help="list registered planners with their kinds, flags and options"
     )
     planners.add_argument("--kind", choices=["1D", "2D"], default=None)
     planners.add_argument(
-        "--verbose", action="store_true", help="also print each planner's option schema"
+        "--verbose", action="store_true", help="also print each planner's declared options"
     )
-    planners.add_argument("--json", action="store_true", help="emit the full schema as JSON")
+    planners.add_argument("--json", action="store_true", help="emit the whole catalogue as JSON")
 
     plan = sub.add_parser("plan", help="plan an instance with a registered planner")
     plan.add_argument("--instance", required=True)
@@ -464,14 +464,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _planner_options(planner: str, kind: str, time_limit: float | None) -> dict:
-    """Options implied by CLI flags (ILP planners also get the time limit)."""
-    from repro.api import resolve_planner
+    """Options implied by CLI flags (planners that take one get the time limit)."""
+    from repro.api import get_handle
 
-    options: dict = {}
-    resolved = resolve_planner(planner, kind)
-    if time_limit is not None and resolved.startswith("ilp"):
-        options["time_limit"] = time_limit
-    return options
+    if time_limit is not None and get_handle(planner, kind).supports_time_limit:
+        return {"time_limit": time_limit}
+    return {}
 
 
 def _cmd_planners(args: argparse.Namespace) -> int:
@@ -481,20 +479,18 @@ def _cmd_planners(args: argparse.Namespace) -> int:
         print(json.dumps(describe_planners(args.kind), indent=2))
         return 0
     for handle in iter_handles(args.kind):
-        caps = handle.capabilities
-        flags = [caps.kind or "any"]
-        if caps.deterministic:
+        flags = [handle.kind or "any"]
+        if handle.deterministic:
             flags.append("deterministic")
-        if caps.supports_time_limit:
+        if handle.supports_time_limit:
             flags.append("time-limit")
-        if caps.event_types:
-            flags.append("events:" + ",".join(caps.event_types))
+        if handle.event_types:
+            flags.append("events:" + ",".join(handle.event_types))
         print(f"{handle.name:12s} [{' '.join(flags)}] {handle.description}")
         if args.verbose:
-            for option in handle.schema.fields:
+            for option in handle.options:
                 default = f" (default {option.default!r})" if option.default is not None else ""
-                choices = f" one of {list(option.choices)}" if option.choices else ""
-                print(f"    {option.name}: {option.type}{choices}{default} — {option.description}")
+                print(f"    {option.name}: {option.type}{default} — {option.description}")
     return 0
 
 
@@ -947,6 +943,7 @@ def _with_metrics_snapshot(args: argparse.Namespace, run) -> int:
 def _load_metrics_source(path: str) -> dict:
     """A snapshot from a JSON file or the last metrics record of a manifest."""
     from repro.obs.export import validate_snapshot
+    from repro.runtime.telemetry import read_manifest
 
     with open(path) as handle:
         text = handle.read()
@@ -956,20 +953,11 @@ def _load_metrics_source(path: str) -> dict:
         data = None
     if isinstance(data, dict) and "metrics" in data:
         return validate_snapshot(data)
-    snapshot = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(record, dict) and record.get("record") == "metrics":
-            snapshot = {"v": record.get("v", 1), "metrics": record.get("metrics", {})}
-    if snapshot is None:
+    records = [r for r in read_manifest(path) if r.get("record") == "metrics"]
+    if not records:
         raise ValueError(f"no metrics snapshot or metrics record found in {path}")
-    return validate_snapshot(snapshot)
+    last = records[-1]
+    return validate_snapshot({"v": last.get("v", 1), "metrics": last.get("metrics", {})})
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -996,23 +984,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.report import render_report
     from repro.obs.tracing import TraceCollector
+    from repro.runtime.telemetry import read_manifest
 
-    collector = TraceCollector()
     try:
-        with open(args.source) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(record, dict):
-                    collector.add_event_dict(record)
+        records = read_manifest(args.source)
     except OSError as exc:
         print(f"trace: cannot read {args.source}: {exc}", file=sys.stderr)
         return 2
+    collector = TraceCollector()
+    for record in records:
+        collector.add_event_dict(record)
     if not collector.spans():
         print(f"trace: no span events found in {args.source}", file=sys.stderr)
         return 1

@@ -90,11 +90,7 @@ class InstanceKernels:
 
 def kernels_of(instance: OSPInstance) -> InstanceKernels:
     """The (cached) kernel bundle of an instance."""
-    cache = instance.metadata.get("_kernels")
-    if cache is None:
-        cache = InstanceKernels(instance)
-        instance.metadata["_kernels"] = cache  # type: ignore[index]
-    return cache
+    return instance.cached("kernels", lambda: InstanceKernels(instance))
 
 
 class RunningTimes:

@@ -13,7 +13,7 @@ It also pre-computes the constants of Section 2.1 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from repro.model.region import Region
 from repro.model.stencil import StencilSpec
 
 __all__ = ["OSPInstance"]
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -49,10 +51,11 @@ class OSPInstance:
     regions: tuple[Region, ...]
     stencil: StencilSpec
     kind: str = "1D"
-    # Excluded from __eq__: metadata doubles as the lazy cache slot for the
-    # NumPy kernel arrays (underscore keys), which would otherwise make
-    # equality depend on — and choke on — cache population order.
+    # Excluded from __eq__ (and so from the generated hash): caller notes
+    # such as the generator seed do not change the problem.
     metadata: Mapping[str, object] = field(default_factory=dict, compare=False)
+    # Data derived from the fields above, built on first use (see cached()).
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("1D", "2D"):
@@ -102,40 +105,56 @@ class OSPInstance:
         return self.characters[self.character_index(name)]
 
     def _name_to_index(self) -> dict[str, int]:
-        cache = self.metadata.get("_name_index")
-        if cache is None:
-            cache = {c.name: i for i, c in enumerate(self.characters)}
-            self.metadata["_name_index"] = cache  # type: ignore[index]
-        return cache  # type: ignore[return-value]
+        return self.cached("name_index", self._index_names)
+
+    def _index_names(self) -> dict[str, int]:
+        return {c.name: i for i, c in enumerate(self.characters)}
+
+    # ------------------------------------------------------------------ #
+    # Derived data
+    # ------------------------------------------------------------------ #
+    def cached(self, key: str, build: Callable[[], T]) -> T:
+        """``build()``, computed once per instance under ``key``.
+
+        Instances are immutable, so derived data never goes stale.  It is
+        never compared, serialized or pickled: a pickled instance (a job
+        shipped to a pool worker) carries its data only, and the other side
+        rebuilds what it uses.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build()
+        return value
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_derived": {}}
 
     # ------------------------------------------------------------------ #
     # Writing-time constants (Section 2.1)
     # ------------------------------------------------------------------ #
     def _array_cache(self) -> dict:
-        """Lazily built NumPy views of the Section-2.1 constants.
+        return self.cached("arrays", self._build_arrays)
 
-        Instances are immutable, so the arrays are computed once and cached in
-        ``metadata`` (underscore keys are excluded from serialization).  The
-        arrays are marked read-only; callers that need to mutate must copy.
+    def _build_arrays(self) -> dict:
+        """NumPy views of the Section-2.1 constants, marked read-only.
+
+        Callers that need to mutate must copy.
         """
-        cache = self.metadata.get("_arrays")
-        if cache is None:
-            repeats = np.array([ch.repeats for ch in self.characters], dtype=float)
-            vsb_shots = np.array([ch.vsb_shots for ch in self.characters], dtype=float)
-            cp_shots = np.array([ch.cp_shots for ch in self.characters], dtype=float)
-            shot_delta = vsb_shots - cp_shots
-            reductions = repeats * shot_delta[:, None]
-            vsb_times = (repeats * vsb_shots[:, None]).sum(axis=0)
-            cache = {
-                "repeats": repeats,
-                "shot_delta": shot_delta,
-                "reductions": reductions,
-                "vsb_times": vsb_times,
-            }
-            for arr in cache.values():
-                arr.setflags(write=False)
-            self.metadata["_arrays"] = cache  # type: ignore[index]
-        return cache
+        repeats = np.array([ch.repeats for ch in self.characters], dtype=float)
+        vsb_shots = np.array([ch.vsb_shots for ch in self.characters], dtype=float)
+        cp_shots = np.array([ch.cp_shots for ch in self.characters], dtype=float)
+        shot_delta = vsb_shots - cp_shots
+        reductions = repeats * shot_delta[:, None]
+        vsb_times = (repeats * vsb_shots[:, None]).sum(axis=0)
+        arrays = {
+            "repeats": repeats,
+            "shot_delta": shot_delta,
+            "reductions": reductions,
+            "vsb_times": vsb_times,
+        }
+        for arr in arrays.values():
+            arr.setflags(write=False)
+        return arrays
 
     def repeat_matrix_array(self) -> np.ndarray:
         """Read-only ``(n, P)`` matrix of occurrence counts ``t_ic``."""
@@ -195,7 +214,7 @@ class OSPInstance:
             regions=self.regions,
             stencil=self.stencil,
             kind=self.kind,
-            metadata={k: v for k, v in self.metadata.items() if not k.startswith("_")},
+            metadata=self.metadata,
         )
 
     # ------------------------------------------------------------------ #
@@ -208,9 +227,7 @@ class OSPInstance:
             "stencil": self.stencil.to_dict(),
             "regions": [r.to_dict() for r in self.regions],
             "characters": [c.to_dict() for c in self.characters],
-            "metadata": {
-                k: v for k, v in self.metadata.items() if not k.startswith("_")
-            },
+            "metadata": dict(self.metadata),
         }
 
     @classmethod

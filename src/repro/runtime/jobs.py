@@ -118,7 +118,7 @@ class PlannerSpec:
     def build(self, kind: str | None = None):
         """Instantiate the planner (dispatching bare names on ``kind``).
 
-        Options are validated against the planner's declared schema (see
+        Options are validated against the planner's declared options (see
         :mod:`repro.api.registry`) before the builder runs.
         """
         return get_handle(self.planner, kind).build(dict(self.options))
@@ -167,7 +167,7 @@ class PlanJob:
         return self.label or self.spec.planner
 
     def validate(self) -> "PlanJob":
-        """Check the options against the planner's schema; return the job.
+        """Check the options against the planner's declared ones; return the job.
 
         Raises :class:`ValidationError` before anything runs (``execute_job``
         would turn it into a ``status="error"`` result instead).

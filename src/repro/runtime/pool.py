@@ -26,7 +26,10 @@ with the policies a batch planner needs:
 ``max_workers=1`` marks an inline pool: schedulers run its jobs in the
 calling process (no worker at all).  That is the honest serial baseline the
 throughput benchmark compares against, and it keeps tiny batches free of
-process-spawn overhead.
+process-spawn overhead.  :meth:`~PlannerPool.submit` still runs each job in
+the pool's one worker process, which is how the serve daemon and a
+portfolio race use a one-worker pool: there a timeout can fire and a cancel
+can reach the job.
 
 The pool only executes: each job runs once, a failed attempt comes back as a
 failed result, and re-running it is the supervisor's call.

@@ -170,7 +170,10 @@ def run_portfolio(
     ``pool`` reuses a caller-owned warm :class:`PlannerPool` (kept open
     afterwards; ``max_workers`` is ignored) — repeated races then skip the
     worker spawn, and workers plan named cases from their per-process
-    instance memo.  Cancelled stragglers on a caller-owned pool
+    instance memo.  Its entrants always run on its worker processes, even
+    when it has only one; only a one-worker pool the race builds itself
+    runs them in the calling thread, where no per-entrant alarm can arm
+    and nothing can cancel them.  Cancelled stragglers on a caller-owned pool
     are *soft-cancelled* in place (``SIGUSR1`` → the job resolves as
     ``cancelled`` and the worker stays warm, see
     :meth:`PlannerPool.cancel_running`) — a wedged worker no longer leaks
@@ -236,7 +239,7 @@ def run_portfolio(
                 entrants=len(jobs),
                 pending=len(pending_jobs),
             ):
-                if pool.inline:
+                if owns_pool and pool.inline:
                     _run_serial(
                         pending_jobs, outcome, race, start,
                         budget=budget, straggler_grace=straggler_grace,

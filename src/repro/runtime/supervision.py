@@ -63,7 +63,7 @@ from repro.obs.tracing import span
 from repro.runtime.jobs import JobResult, PlanJob, execute_job
 from repro.runtime.pool import CANCEL_GRACE, EventRelay, PlannerPool, inline_sink
 from repro.runtime.store import ResultStore
-from repro.runtime.telemetry import Telemetry
+from repro.runtime.telemetry import Telemetry, read_manifest
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -273,21 +273,7 @@ class JobJournal:
     @staticmethod
     def read(path: str | os.PathLike) -> list[dict]:
         """All parseable records of ``path`` (a torn final line is dropped)."""
-        import json
-
-        records: list[dict] = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    item = json.loads(line)
-                except ValueError:
-                    continue  # torn write from a crashed run
-                if isinstance(item, dict):
-                    records.append(item)
-        return records
+        return read_manifest(path)
 
     @classmethod
     def replay(cls, path: str | os.PathLike) -> dict[str, dict]:

@@ -48,9 +48,3 @@ class Solution:
     values: list[float] = field(default_factory=list)
     iterations: int = 0
     metadata: dict = field(default_factory=dict)
-
-    def value_of(self, index: int) -> float:
-        """Value of variable ``index`` (0.0 when no solution is stored)."""
-        if not self.values:
-            return 0.0
-        return self.values[index]

@@ -40,7 +40,7 @@ class TestPlanRequest:
 
     def test_case_round_trip_for_every_planner(self):
         for name in FIRST_PARTY:
-            kind = get_handle(name).capabilities.kind
+            kind = get_handle(name).kind
             job = PlanJob(
                 spec=PlannerSpec(name, dict(TIGHT_OPTIONS.get(name, {}))),
                 case=TINY_CASE[kind],
@@ -99,7 +99,7 @@ class TestPlanRequest:
 class TestPlanResultRoundTrip:
     @pytest.mark.parametrize("name", FIRST_PARTY)
     def test_executed_result_round_trips(self, name):
-        kind = get_handle(name).capabilities.kind
+        kind = get_handle(name).kind
         result = plan(
             TINY_CASE[kind],
             planner=name,

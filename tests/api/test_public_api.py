@@ -44,11 +44,8 @@ REPRO_API_EXPORTS = sorted(
         "events_enabled",
         "Planner",
         "PlannerHandle",
-        "PlannerCapabilities",
         "OptionField",
-        "OptionSchema",
         "register",
-        "register_planner",
         "resolve_planner",
         "get_handle",
         "iter_handles",

@@ -1,12 +1,9 @@
-"""Tests for the planner registry: handles, capabilities, option schemas."""
+"""Tests for the planner registry: handles, their options, resolution."""
 
 import pytest
 
-from repro.api import registry as reg
 from repro.api.registry import (
     OptionField,
-    OptionSchema,
-    PlannerCapabilities,
     PlannerHandle,
     describe_planners,
     get_handle,
@@ -31,14 +28,14 @@ class TestCatalogue:
     def test_every_handle_declares_kind_and_description(self):
         for name in EXPECTED:
             handle = get_handle(name)
-            assert handle.capabilities.kind in ("1D", "2D")
+            assert handle.kind in ("1D", "2D")
             assert handle.description
 
     def test_time_limit_capability_matches_schema(self):
         for name in EXPECTED:
             handle = get_handle(name)
-            assert handle.capabilities.supports_time_limit == (
-                "time_limit" in handle.schema.names
+            assert handle.supports_time_limit == (
+                "time_limit" in [option.name for option in handle.options]
             )
 
     def test_every_handle_builds_with_defaults(self):
@@ -48,7 +45,7 @@ class TestCatalogue:
 
     def test_kind_filter(self):
         for handle in iter_handles("1D"):
-            assert handle.capabilities.kind in (None, "1D")
+            assert handle.kind in (None, "1D")
 
 
 class TestResolution:
@@ -89,12 +86,6 @@ class TestOptionSchemas:
         with pytest.raises(ValidationError, match=r"unknown option\(s\) \['bogus'\]"):
             get_handle("eblow-1d").build({"bogus": 1})
 
-    def test_choices_enforced(self):
-        schema = OptionSchema(fields=(OptionField("mode", choices=("fast", "exact")),))
-        assert schema.validate({"mode": "exact"}, "toy") == {"mode": "exact"}
-        with pytest.raises(ValidationError, match="must be one of"):
-            schema.validate({"mode": "warp-drive"}, "toy")
-
     @pytest.mark.parametrize(
         "planner, option, value",
         [
@@ -104,30 +95,32 @@ class TestOptionSchemas:
             ("eblow-2d", "deterministic", True),
             ("ilp-1d", "backend", "scipy"),
             ("ilp-2d", "backend", "bnb"),
+            ("greedy-1d", "by_density", False),
+            ("greedy-2d", "by_density", False),
+            ("heur-1d", "exchange_passes", 2),
+            ("heur-1d", "refinement_threshold", 8),
+            ("rows-1d", "refinement_threshold", 8),
         ],
     )
     def test_removed_options_are_rejected(self, planner, option, value):
-        """Options that only selected a reference oracle, or did nothing, are gone."""
+        """Options that selected a reference oracle, did nothing, or no caller set are gone."""
         with pytest.raises(ValidationError, match=rf"unknown option\(s\) \['{option}'\]"):
             get_handle(planner).build({option: value})
 
     def test_values_coerced_to_declared_types(self):
-        schema = get_handle("eblow-2d").schema
-        validated = schema.validate({"seed": "5"}, "eblow-2d")
+        validated = get_handle("eblow-2d").validate_options({"seed": "5"})
         assert validated == {"seed": 5} and isinstance(validated["seed"], int)
 
     def test_defaults_not_injected(self):
-        schema = get_handle("eblow-2d").schema
-        assert schema.validate({}, "eblow-2d") == {}
+        assert get_handle("eblow-2d").validate_options({}) == {}
 
     def test_bad_type_rejected(self):
-        schema = get_handle("ilp-1d").schema
         with pytest.raises(ValidationError, match="expects float"):
-            schema.validate({"time_limit": "soon"}, "ilp-1d")
+            get_handle("ilp-1d").validate_options({"time_limit": "soon"})
 
     def test_duplicate_field_names_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
-            OptionSchema(fields=(OptionField("a"), OptionField("a")))
+            PlannerHandle("toy", "", "1D", _stub, options=(OptionField("a"), OptionField("a")))
 
     def test_unknown_field_type_rejected(self):
         with pytest.raises(ValidationError, match="unknown type"):
@@ -139,59 +132,32 @@ class TestSerialization:
         for description in describe_planners():
             assert canonical_json(description)  # raises on non-JSON-able content
 
-    def test_schema_round_trip_for_every_planner(self):
-        for handle in iter_handles():
-            schema = handle.schema
-            assert OptionSchema.from_dict(schema.to_dict()) == schema
-
-    def test_capabilities_round_trip_for_every_planner(self):
-        for handle in iter_handles():
-            caps = handle.capabilities
-            assert PlannerCapabilities.from_dict(caps.to_dict()) == caps
-
     def test_schema_version_serialized(self):
-        data = get_handle("eblow-2d").schema.to_dict()
-        assert data["version"] == 1
+        for description in describe_planners():
+            assert description["options"]["version"] == 1
 
 
-class TestLegacyRegistration:
-    def test_open_schema_passthrough(self):
-        calls = []
-        reg.register_planner(
-            "test-legacy", lambda o: calls.append(o) or _Stub(), description="legacy"
-        )
-        handle = get_handle("test-legacy")
-        assert handle.schema.open_schema
-        handle.build({"anything": "goes", "n": 3})
-        assert calls == [{"anything": "goes", "n": 3}]
-
+class TestRegistration:
     def test_replace_takes_latest(self):
-        register(
-            PlannerHandle(
-                name="test-replace",
-                description="first",
-                capabilities=PlannerCapabilities(kind="1D"),
-            )
-        )
-        register(
-            PlannerHandle(
-                name="test-replace",
-                description="second",
-                capabilities=PlannerCapabilities(kind="1D"),
-            )
-        )
+        register(PlannerHandle("test-replace", "first", "1D", _stub))
+        register(PlannerHandle("test-replace", "second", "1D", _stub))
         assert get_handle("test-replace").description == "second"
 
-    def test_builderless_handle_cannot_build(self):
+    def test_builder_gets_the_validated_options(self):
+        calls = []
         register(
             PlannerHandle(
-                name="test-nobuilder",
-                description="",
-                capabilities=PlannerCapabilities(kind="1D"),
+                "test-builder",
+                "records its options",
+                None,
+                lambda options: calls.append(options) or _Stub(),
+                options=(OptionField("n", "int"),),
             )
         )
-        with pytest.raises(ValidationError, match="no builder"):
-            get_handle("test-nobuilder").build({})
+        assert isinstance(get_handle("test-builder").build({"n": "3"}), _Stub)
+        assert calls == [{"n": 3}]
+        with pytest.raises(ValidationError, match="unknown option"):
+            get_handle("test-builder").build({"anything": "goes"})
 
 
 class _Stub:
@@ -199,19 +165,23 @@ class _Stub:
         raise NotImplementedError
 
 
+def _stub(options):
+    return _Stub()
+
+
 class TestBoolCoercion:
     """bool options must never be inverted by Python truthiness on strings."""
 
     def test_string_spellings(self):
-        schema = reg.get_handle("eblow-1d").schema
-        assert schema.validate({"ablated": "false"}, "eblow-1d") == {"ablated": False}
-        assert schema.validate({"ablated": "true"}, "eblow-1d") == {"ablated": True}
-        assert schema.validate({"ablated": "0"}, "eblow-1d") == {"ablated": False}
-        assert schema.validate({"ablated": 1}, "eblow-1d") == {"ablated": True}
+        validate = get_handle("eblow-1d").validate_options
+        assert validate({"ablated": "false"}) == {"ablated": False}
+        assert validate({"ablated": "true"}) == {"ablated": True}
+        assert validate({"ablated": "0"}) == {"ablated": False}
+        assert validate({"ablated": 1}) == {"ablated": True}
 
     def test_ambiguous_strings_rejected(self):
-        schema = reg.get_handle("eblow-1d").schema
+        validate = get_handle("eblow-1d").validate_options
         with pytest.raises(ValidationError, match="expects bool"):
-            schema.validate({"ablated": "maybe"}, "eblow-1d")
+            validate({"ablated": "maybe"})
         with pytest.raises(ValidationError, match="expects bool"):
-            schema.validate({"ablated": 2}, "eblow-1d")
+            validate({"ablated": 2})

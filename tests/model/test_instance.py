@@ -1,5 +1,7 @@
 """Unit tests for :mod:`repro.model.instance`."""
 
+import pickle
+
 import pytest
 
 from repro.errors import ValidationError
@@ -94,6 +96,20 @@ class TestSerializationAndFactories:
         assert again.name == inst.name
         assert again.num_characters == inst.num_characters
         assert again.vsb_times() == inst.vsb_times()
+
+    def test_derived_data_stays_out_of_pickles(self):
+        from repro.core.kernels import kernels_of
+        from repro.workloads import generate_1d_instance
+
+        inst = generate_1d_instance(num_characters=40, num_regions=3, seed=4)
+        cold = pickle.dumps(inst)
+        kernels_of(inst)
+        inst.character_index(inst.characters[-1].name)
+        assert len(pickle.dumps(inst)) == len(cold)
+        again = pickle.loads(pickle.dumps(inst))
+        assert again == inst and again.metadata == inst.metadata
+        assert not again.reduction_matrix_array().flags.writeable
+        assert again.to_dict() == inst.to_dict()
 
     def test_single_region_factory_fills_repeats(self):
         chars = [Character(name="a", width=30, height=10, vsb_shots=5)]

@@ -232,6 +232,29 @@ class TestObservabilityCLI:
         assert self._run(["stats", str(manifest)]) == 0
         assert "pool_jobs_total" in capsys.readouterr().out
 
+    def test_trace_and_stats_skip_a_torn_last_line(self, tmp_path, capsys):
+        events = tmp_path / "events.jsonl"
+        manifest = tmp_path / "run.jsonl"
+        argv = [
+            "batch", "--cases", "1T-1", "--jobs", "1", "--no-cache",
+            "--events-out", str(events),
+            "--metrics-out", str(tmp_path / "m.json"),
+            "--manifest", str(manifest),
+        ]
+        assert self._run(argv) == 0
+        capsys.readouterr()
+
+        def reports():
+            assert self._run(["trace", str(events), "--json"]) == 0
+            assert self._run(["stats", str(manifest), "--format", "json"]) == 0
+            return capsys.readouterr().out
+
+        whole = reports()
+        for path in (events, manifest):
+            with open(path, "a") as handle:
+                handle.write('{"v": 1, "record": "ev')  # a crashed writer's tail
+        assert reports() == whole
+
     def test_stats_rejects_sources_without_metrics(self, tmp_path, capsys):
         empty = tmp_path / "nothing.jsonl"
         empty.write_text(json.dumps({"v": 1, "record": "job", "status": "ok"}) + "\n")

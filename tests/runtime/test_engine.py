@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.api import register_planner
+from repro.api import OptionField, PlannerHandle, register
 from repro.events import emit
 from repro.model import StencilPlan
 from repro.runtime import (
@@ -46,12 +46,16 @@ class _LoudPlanner:
         return StencilPlan.empty(instance)
 
 
-register_planner(
-    "test-loud",
-    lambda options: _LoudPlanner(
-        int(options.get("events", 200)), int(options.get("payload_bytes", 100_000))
-    ),
-    description="test-only planner that streams large events back to back",
+register(
+    PlannerHandle(
+        "test-loud",
+        "test-only planner that streams large events back to back",
+        None,
+        lambda options: _LoudPlanner(
+            options.get("events", 200), options.get("payload_bytes", 100_000)
+        ),
+        options=(OptionField("events", "int", 200), OptionField("payload_bytes", "int", 100_000)),
+    )
 )
 
 

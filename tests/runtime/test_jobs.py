@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.api import list_planners, register_planner, resolve_planner
+from repro.api import OptionField, PlannerHandle, list_planners, register, resolve_planner
 from repro.errors import ValidationError
 from repro.model import StencilPlan
 from repro.runtime import JobResult, PlanJob, PlannerSpec, execute_job
@@ -22,10 +22,14 @@ class _SleepyPlanner:
         return StencilPlan.empty(instance)
 
 
-register_planner(
-    "test-sleepy",
-    lambda options: _SleepyPlanner(float(options.get("seconds", 0.0))),
-    description="test-only planner that sleeps",
+register(
+    PlannerHandle(
+        "test-sleepy",
+        "test-only planner that sleeps",
+        None,
+        lambda options: _SleepyPlanner(options.get("seconds", 0.0)),
+        options=(OptionField("seconds", "float", 0.0),),
+    )
 )
 
 

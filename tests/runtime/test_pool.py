@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.api import register_planner
+from repro.api import OptionField, PlannerHandle, register
 from repro.evaluation import run_comparison
 from repro.events import PlanEvent, emit
 from repro.experiments import planners_table3
@@ -32,10 +32,14 @@ from repro.runtime import jobs as jobs_module
 from repro.runtime.relay import RelayQueue
 from repro.workloads import build_instance, generate_1d_instance
 
-register_planner(
-    "test-slow",
-    lambda options: _SlowPlanner(float(options.get("seconds", 1.0))),
-    description="test-only planner that sleeps before planning",
+register(
+    PlannerHandle(
+        "test-slow",
+        "test-only planner that sleeps before planning",
+        None,
+        lambda options: _SlowPlanner(options.get("seconds", 1.0)),
+        options=(OptionField("seconds", "float", 1.0),),
+    )
 )
 
 
@@ -67,19 +71,24 @@ class _WorkerKillingPlanner:
         os._exit(17)
 
 
-register_planner(
-    "test-kill-worker",
-    lambda options: _WorkerKillingPlanner(),
-    description="test-only planner that kills its worker process",
+register(
+    PlannerHandle(
+        "test-kill-worker",
+        "test-only planner that kills its worker process",
+        None,
+        lambda options: _WorkerKillingPlanner(),
+    )
 )
 
 
-register_planner(
-    "test-chatty",
-    lambda options: _ChattyPlanner(
-        int(options.get("events", 50)), float(options.get("seconds", 0.01))
-    ),
-    description="test-only planner that streams iteration events while it sleeps",
+register(
+    PlannerHandle(
+        "test-chatty",
+        "test-only planner that streams iteration events while it sleeps",
+        None,
+        lambda options: _ChattyPlanner(options.get("events", 50), options.get("seconds", 0.01)),
+        options=(OptionField("events", "int", 50), OptionField("seconds", "float", 0.01)),
+    )
 )
 
 

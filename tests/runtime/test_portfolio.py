@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.api import register_planner
+from repro.api import OptionField, PlannerHandle, register
 from repro.errors import ValidationError
 from repro.runtime import (
     PlannerSpec,
@@ -80,10 +80,14 @@ class _StallPlanner:
         return StencilPlan.empty(instance)
 
 
-register_planner(
-    "test-stall",
-    lambda options: _StallPlanner(float(options.get("seconds", 30.0))),
-    description="test-only planner that stalls (budget tests)",
+register(
+    PlannerHandle(
+        "test-stall",
+        "test-only planner that stalls (budget tests)",
+        None,
+        lambda options: _StallPlanner(options.get("seconds", 30.0)),
+        options=(OptionField("seconds", "float", 30.0),),
+    )
 )
 
 

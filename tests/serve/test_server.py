@@ -18,6 +18,8 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.api import OptionField, PlannerHandle, register
+from repro.model import StencilPlan
 from repro.runtime import PlanJob, PlannerSpec, execute_job
 from repro.serve import ServeClient, ServeConfig, ServeError, start_in_thread
 from repro.serve.server import EventChannel
@@ -57,6 +59,29 @@ def delay_fault(monkeypatch, seconds, match=CASE):
     monkeypatch.setenv(
         "REPRO_FAULTS", json.dumps([{"kind": "delay", "seconds": seconds, "match": match}])
     )
+
+
+class _SleepingPlanner:
+    def __init__(self, seconds: float) -> None:
+        self.seconds = seconds
+
+    def plan(self, instance) -> StencilPlan:
+        time.sleep(self.seconds)
+        return StencilPlan.empty(instance)
+
+
+register(
+    PlannerHandle(
+        "test-serve-sleep",
+        "test-only planner that sleeps before planning",
+        None,
+        lambda options: _SleepingPlanner(options.get("seconds", 20.0)),
+        options=(OptionField("seconds", "float", 20.0),),
+    )
+)
+
+#: One entrant that sleeps far past every bound the tests below assert.
+SLEEPER = {"sleep": {"planner": "test-serve-sleep", "options": {"seconds": 20.0}}}
 
 
 def wait_for_flight(client, timeout=10.0):
@@ -165,6 +190,47 @@ class TestPlanRoundTrip:
         assert outcome["ok"]
         assert outcome["winner"] is not None
         assert outcome["winner"]["label"] in ("greedy", "rows")
+
+
+class TestOneWorkerPortfolio:
+    """A one-worker race runs its entrant in the daemon's pool worker.
+
+    Run in the daemon's compute thread instead, the entrant's alarm cannot
+    arm and a drain's soft cancel reaches nothing.
+    """
+
+    def test_entrant_timeout_fires(self, tmp_path):
+        with serving(tmp_path) as handle:
+            with ServeClient(socket=handle.address) as client:
+                start = time.monotonic()
+                outcome = client.portfolio(CASE, SLEEPER, scale=SCALE, jobs=1, timeout=0.5)
+                elapsed = time.monotonic() - start
+        assert not outcome["ok"]
+        assert [result["status"] for result in outcome["results"]] == ["timeout"]
+        assert elapsed < 10.0
+
+    def test_drain_cancels_the_running_entrant(self, tmp_path):
+        with serving(tmp_path, drain_grace=0.5) as handle:
+            started = threading.Event()
+            outcomes = []
+
+            def race():
+                with ServeClient(socket=handle.address) as client:
+                    outcomes.append(client.portfolio(
+                        CASE, SLEEPER, scale=SCALE, jobs=1,
+                        on_event=lambda event: started.set(),
+                    ))
+
+            racer = threading.Thread(target=race)
+            racer.start()
+            assert started.wait(timeout=30)
+            start = time.monotonic()
+            handle.shutdown()
+            elapsed = time.monotonic() - start
+            racer.join(timeout=60)
+        assert elapsed < 10.0
+        assert outcomes and not outcomes[0]["ok"]
+        assert [result["status"] for result in outcomes[0]["results"]] == ["cancelled"]
 
 
 class TestInlineInstances:
